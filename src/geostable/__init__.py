@@ -23,7 +23,6 @@ from .levy_structure import (
     KFunctionTable,
     Regime,
     asymptotic_report,
-    k_function,
     k_radial,
     levy_density,
     polar_levy_mass,
@@ -53,7 +52,6 @@ from .schrodinger_ground import (
 )
 from .stable_kernel import (
     RngStream,
-    StableKernelConfig,
     radial_profile,
     sample_gamma,
     sample_increment,

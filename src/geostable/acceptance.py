@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import circulant, expm
-from scipy.special import gamma as _gamma
+from scipy.integrate import quad
+from scipy.special import gamma as _gamma, k1 as _k1
 
 from .errors import InversionNotIntegrableError
 from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
@@ -23,8 +24,7 @@ from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  _multiplier, dense_ground_state, energy_form,
                                  feynman_kac_estimate, irreducibility_cross_term,
                                  kato_diagnostic, solve_ground_state)
-from .stable_kernel import (RngStream, StableKernelConfig, _panel_nodes,
-                            radial_profile, sample_increment)
+from .stable_kernel import RngStream, _panel_nodes, radial_profile, sample_increment
 from .transition_density import EmpiricalCdf, cdf_numeric, density_inversion
 
 
@@ -141,8 +141,32 @@ def check_asymptotics(seed: int = 0) -> CheckResult:
     return _result("asymptotic-constants-vs-oracle", t0, ok, "; ".join(details))
 
 
+def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
+    """Independent oracle for k(r) = r^d j(r) at alpha in {1, 2}, d in {1, 2, 3}.
+
+    alpha = 2: e^-r (d = 1), r K_1(r)/pi (d = 2), e^-r (1 + r)/(2 pi) (d = 3).
+    alpha = 1: the Cauchy mixture
+    Gamma((d+1)/2) pi^(-(d+1)/2) r^d int_0^inf e^-s (s^2 + r^2)^(-(d+1)/2) ds,
+    one adaptive quad per radius.
+    """
+    r = np.asarray(r, dtype=float)
+    a, d = spec.alpha, spec.dim
+    if a not in (1.0, 2.0) or d not in (1, 2, 3):
+        raise ValueError(f"closed-form k needs alpha in {{1, 2}} and d <= 3, got ({a}, {d})")
+    if a == 2.0 and d == 1:
+        return np.exp(-r)
+    if a == 2.0 and d == 2:
+        return r * _k1(r) / np.pi
+    if a == 2.0:
+        return np.exp(-r) * (1.0 + r) / (2.0 * np.pi)
+    p = (d + 1) / 2.0
+    mixture = [quad(lambda s: np.exp(-s) * (s * s + rr * rr) ** -p, 0.0, np.inf,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for rr in r.ravel()]
+    return _gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
+
+
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:
-    """4: 200 random monotonicity tuples and the k = r^d j identity."""
+    """4: 200 random monotonicity tuples and k against closed forms at alpha in {1, 2}."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
     alphas = np.linspace(0.5, 2.0, 16)
@@ -153,22 +177,23 @@ def check_selfdecomposability(seed: int = 77001) -> CheckResult:
         t = float(rng.choice([0.1, 1.0, 10.0]))
         spec = ProcessSpec(a, d)
         r1, r2 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(10.0), 2)))
-        k1, k2 = t * k_radial(spec, r1), t * k_radial(spec, r2)
+        k1, k2 = t * k_radial(spec, np.array([r1, r2]))
         worst = min(worst, (k1 - k2 + 1e-12 * k1) / k1)
         if k1 < k2 - 1e-12 * k1:
             return _result("selfdecomposability-certificate", t0, False,
                            f"monotonicity violated at alpha={a} d={d} r=({r1:.3g},{r2:.3g})")
-    id_err = 0.0
-    for a, d in ((0.7, 1), (1.5, 1), (1.5, 2), (2.0, 3)):
-        spec = ProcessSpec(a, d)
-        for r in np.geomspace(1e-2, 10.0, 12):
-            x = np.zeros(d)
-            x[0] = r
-            id_err = max(id_err, abs(k_radial(spec, r) / (r ** d * levy_density(spec, x)) - 1.0))
+    radii = np.geomspace(1e-2, 10.0, 12)
+    oracle_err = 0.0
+    for a in (1.0, 2.0):
+        for d in (1, 2, 3):
+            spec = ProcessSpec(a, d)
+            oracle_err = max(oracle_err, float(np.max(np.abs(
+                k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0))))
     table = verify_selfdecomposable(ProcessSpec(1.5, 1), 1.0, np.geomspace(0.01, 10, 40))
-    ok = id_err < 1e-6 and table.monotone_certificate
+    ok = oracle_err < 1e-6 and table.monotone_certificate
     return _result("selfdecomposability-certificate", t0, ok,
-                   f"200 tuples monotone (margin {worst:.2e}); identity rel err {id_err:.2e} (tol 1e-6)")
+                   f"200 tuples monotone (margin {worst:.2e}); k vs closed forms at alpha 1, 2 "
+                   f"rel err {oracle_err:.2e} (tol 1e-6)")
 
 
 def check_recurrence_table(seed: int = 0) -> CheckResult:
@@ -187,8 +212,7 @@ def check_mc_inversion_agreement(seed: int = 42) -> CheckResult:
     """6: KS(empirical, cdf_numeric) < 0.015 at alpha=1.5, t=2, n=1e5; refusal contract."""
     t0 = time.time()
     spec = ProcessSpec(1.5, 1)
-    cfg = StableKernelConfig.from_spec(spec)
-    samples = sample_increment(cfg, 2.0, RngStream(seed), size=100_000)
+    samples = sample_increment(spec, 2.0, RngStream(seed), size=100_000)
     cdf = gridded_cdf(spec, 2.0, samples)
     ks = EmpiricalCdf.from_samples(samples).ks_distance(cdf)
     refused = False

@@ -26,7 +26,7 @@ from .process_core import ProcessSpec, classify_recurrence, symbol
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  feynman_kac_estimate, kato_diagnostic,
                                  solve_ground_state)
-from .stable_kernel import RngStream, StableKernelConfig, sample_increment
+from .stable_kernel import RngStream, sample_increment
 from .transition_density import density_mc, inversion_table
 
 
@@ -161,7 +161,7 @@ def _cmd_levy(args):
     out = _out_dir(args)
     outputs = []
     path = out / "levy_density.csv"
-    _write_csv(path, ["r", "j"], ((r, k_radial(spec, r) / r ** spec.dim) for r in rs))
+    _write_csv(path, ["r", "j"], zip(rs, k_radial(spec, rs) / rs ** spec.dim))
     outputs.append(path)
     if cfg["asymptotics"]:
         regime = {"smallx": Regime.SMALL_X, "largex": Regime.LARGE_X}.get(cfg["asymptotics"])
@@ -186,7 +186,7 @@ def _cmd_kfun(args):
     rs = np.geomspace(cfg["x_min"], cfg["x_max"], cfg["n"])
     out = _out_dir(args)
     path = out / "kfunction.csv"
-    _write_csv(path, ["r", "k_value"], ((r, cfg["t"] * k_radial(spec, r)) for r in rs))
+    _write_csv(path, ["r", "k_value"], zip(rs, cfg["t"] * k_radial(spec, rs)))
     _write_manifest(out, "kfun", cfg, [path], t0)
     print(path)
     return 0
@@ -255,8 +255,7 @@ def _cmd_sample(args):
         raise ConfigError("t must be positive and n_samples >= 1")
     if cfg["seed"] is None:
         raise ConfigError("--seed is required for Monte Carlo runs")
-    kcfg = StableKernelConfig.from_spec(spec)
-    draws = sample_increment(kcfg, cfg["t"], RngStream(cfg["seed"]), size=cfg["n_samples"])
+    draws = sample_increment(spec, cfg["t"], RngStream(cfg["seed"]), size=cfg["n_samples"])
     out = _out_dir(args)
     path = out / "samples.csv"
     if spec.dim == 1:

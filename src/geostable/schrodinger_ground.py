@@ -32,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
-from .stable_kernel import RngStream, StableKernelConfig, sample_increment
+from .stable_kernel import RngStream, sample_increment
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,7 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain, fold_m: int) ->
     r_min = h / 4.0
     r_max = 2.0 * L * (fold_m + 1)
     nodes = np.geomspace(r_min, r_max, 1400)
-    kv = np.array([k_radial(spec, r) for r in nodes])
-    jv = kv / nodes  # dim = 1
+    jv = k_radial(spec, nodes) / nodes  # dim = 1
     keep = jv > 1e-290
     spline = CubicSpline(np.log(nodes[keep]), np.log(jv[keep]))
     log_hi = np.log(nodes[keep][-1])
@@ -504,7 +503,6 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         raise ValueError("n_paths must be >= 1")
     rho_of = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else rho
     f_of = _as_function(problem.domain, f)
-    cfg = StableKernelConfig.from_spec(problem.spec)
     n_batches = int(np.ceil(n_paths / batch_size))
     streams = rng.split(n_batches)
     total = 0.0
@@ -516,7 +514,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         clock = np.zeros(nb)
         for _ in range(steps):
             clock += dt * rho_of(x)
-            x = x + sample_increment(cfg, dt, stream, size=nb)
+            x = x + sample_increment(problem.spec, dt, stream, size=nb)
         vals = np.exp(-clock) * f_of(x)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())

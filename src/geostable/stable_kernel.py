@@ -20,7 +20,6 @@ Radial evaluation strategy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -265,37 +264,13 @@ def radial_profile(alpha: float, dim: int) -> StableRadialProfile:
     return prof
 
 
-@dataclass(frozen=True)
-class StableKernelConfig:
-    """Quadrature configuration for the stable kernel in dimension dim.
-
-    quad_max_freq defaults to the radius where exp(-R^alpha) < 1e-19, which
-    already beats the 1e-16 truncation target.
-    """
-
-    alpha: float
-    dim: int
-    quad_rel_tol: float = 1e-9
-    quad_max_freq: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.quad_rel_tol <= 0:
-            raise ValueError("quad_rel_tol must be positive")
-        if self.quad_max_freq is None:
-            object.__setattr__(self, "quad_max_freq", _LOG_CUTOFF ** (1.0 / self.alpha))
-        if self.quad_max_freq <= 0:
-            raise ValueError("quad_max_freq must be positive")
-
-    @classmethod
-    def from_spec(cls, spec: ProcessSpec, **kw) -> "StableKernelConfig":
-        return cls(alpha=spec.alpha, dim=spec.dim, **kw)
+# Old name kept only because perfbench/workloads.py builds
+# sk.StableKernelConfig(alpha, dim), and the benchmark harness must run
+# unchanged against every version it compares.  Use ProcessSpec.
+StableKernelConfig = ProcessSpec
 
 
-def stable_density(cfg: StableKernelConfig, s: float, x) -> float:
+def stable_density(spec: ProcessSpec, s: float, x) -> float:
     """q_s(x) = s^(-d/alpha) q_1(s^(-1/alpha) x) at a single point x.
 
     x may be a scalar (dim = 1) or a length-dim vector.  Density evaluation is
@@ -303,24 +278,24 @@ def stable_density(cfg: StableKernelConfig, s: float, x) -> float:
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if cfg.dim > 3:
+    if spec.dim > 3:
         raise UnsupportedDimensionError(
-            f"density evaluation supports dim in {{1, 2, 3}}, got {cfg.dim}")
+            f"density evaluation supports dim in {{1, 2, 3}}, got {spec.dim}")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != cfg.dim:
-        raise ValueError(f"x must have {cfg.dim} coordinates, got {xv.size}")
+    if xv.size != spec.dim:
+        raise ValueError(f"x must have {spec.dim} coordinates, got {xv.size}")
     r = float(np.linalg.norm(xv))
-    return stable_density_radial(cfg, s, r)
+    return stable_density_radial(spec, s, r)
 
 
-def stable_density_radial(cfg: StableKernelConfig, s: float, r):
+def stable_density_radial(spec: ProcessSpec, s: float, r):
     """Radial variant of stable_density, vectorized over radii r >= 0."""
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    prof = radial_profile(cfg.alpha, cfg.dim)
-    scale = s ** (-1.0 / cfg.alpha)
+    prof = radial_profile(spec.alpha, spec.dim)
+    scale = s ** (-1.0 / spec.alpha)
     scalar = np.isscalar(r)
-    vals = s ** (-cfg.dim / cfg.alpha) * prof.density(scale * np.abs(np.atleast_1d(r)))
+    vals = s ** (-spec.dim / spec.alpha) * prof.density(scale * np.abs(np.atleast_1d(r)))
     return float(vals[0]) if scalar else vals
 
 
@@ -348,14 +323,14 @@ def _maybe_item(arr, size):
     return float(arr[0]) if size is None else arr
 
 
-def sample_stable(cfg: StableKernelConfig, rng: RngStream, size=None):
+def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
     """Scalar symmetric alpha-stable draw(s) with char. function exp(-|xi|^alpha).
 
     Polar construction from a uniform angle and an exponential clock; alpha = 2
     reduces to sqrt(2) times a standard normal, alpha = 1 to tan(U).
     """
     n = 1 if size is None else int(size)
-    a = cfg.alpha
+    a = spec.alpha
     g = rng.gen
     if a == 2.0:
         out = math.sqrt(2.0) * g.standard_normal(n)
@@ -388,7 +363,7 @@ def sample_gamma(t: float, rng: RngStream, size=None):
     return _maybe_item(out, size)
 
 
-def sample_increment(cfg: StableKernelConfig, t: float, rng: RngStream, size=None):
+def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
     """Increment draw(s) with characteristic function (1 + |xi|^alpha)^(-t).
 
     Gamma-subordinated stable: G ~ Gamma(t, 1), X = G^(1/alpha) Z with Z
@@ -401,16 +376,16 @@ def sample_increment(cfg: StableKernelConfig, t: float, rng: RngStream, size=Non
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     n = 1 if size is None else int(size)
-    a = cfg.alpha
+    a = spec.alpha
     g = rng.gen
     gam = g.gamma(shape=t, scale=1.0, size=n)
-    if cfg.dim == 1:
-        z = np.asarray(sample_stable(cfg, rng, size=n))
+    if spec.dim == 1:
+        z = np.asarray(sample_stable(spec, rng, size=n))
         out = gam ** (1.0 / a) * z
         return _maybe_item(out, size)
     if a == 2.0:
-        out = np.sqrt(2.0 * gam)[:, None] * g.standard_normal((n, cfg.dim))
+        out = np.sqrt(2.0 * gam)[:, None] * g.standard_normal((n, spec.dim))
     else:
         sub = _sample_positive_stable(a / 2.0, rng, n)
-        out = (gam ** (1.0 / a) * np.sqrt(2.0 * sub))[:, None] * g.standard_normal((n, cfg.dim))
+        out = (gam ** (1.0 / a) * np.sqrt(2.0 * sub))[:, None] * g.standard_normal((n, spec.dim))
     return out[0] if size is None else out

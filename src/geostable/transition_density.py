@@ -24,7 +24,7 @@ from scipy.special import gamma as _gamma, j0 as _j0
 
 from .errors import InversionNotIntegrableError, UnsupportedDimensionError
 from .process_core import ProcessSpec, inversion_integrable
-from .stable_kernel import RngStream, StableKernelConfig, _panel_nodes, sample_increment
+from .stable_kernel import RngStream, _panel_nodes, sample_increment
 
 _TAIL_EPS = 1e-10
 
@@ -76,8 +76,7 @@ def density_inversion(spec: ProcessSpec, t: float, x) -> float:
         return np.exp(-t * np.log1p(rho ** a))
 
     def f_prime(rho):
-        return -a * t * rho ** (a - 1.0) * np.exp(-(t + 1.0) * np.log1p(rho ** a)) if np.isscalar(rho) \
-            else -a * t * rho ** (a - 1.0) * np.exp(-(t + 1.0) * np.log1p(rho ** a))
+        return -a * t * rho ** (a - 1.0) * np.exp(-(t + 1.0) * np.log1p(rho ** a))
 
     if d == 1:
         # tail remainder ~ alpha t R^(-alpha t - 1) / (pi x^2)
@@ -167,8 +166,7 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     x_grid = np.asarray(x_grid, dtype=float)
-    cfg = StableKernelConfig.from_spec(spec)
-    samples = np.asarray(sample_increment(cfg, t, rng, size=n_samples))
+    samples = np.asarray(sample_increment(spec, t, rng, size=n_samples))
     if spec.dim == 1:
         q75, q25 = np.percentile(samples, [75.0, 25.0])
         pts = x_grid[:, None]

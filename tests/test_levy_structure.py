@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import exp1, sici
+from scipy.integrate import quad
+from scipy.special import exp1, k0, sici
 
 from geostable import (ProcessSpec, Regime, SingularPointError,
-                       asymptotic_report, k_function, k_radial, levy_density,
+                       asymptotic_report, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
+from geostable.acceptance import k_closed_form
 from geostable.levy_structure import (exponential_tail_constant, large_x_constant,
                                       small_x_constant, surface_measure)
 
@@ -54,13 +56,13 @@ def test_levy_density_even_and_singular_origin():
         levy_density(spec, 0.0)
 
 
-def test_k_matches_density_identity():
-    for alpha, dim in ((0.7, 1), (1.5, 1), (1.5, 2), (2.0, 3)):
-        spec = ProcessSpec(alpha, dim)
-        for r in np.geomspace(1e-2, 10.0, 10):
-            x = np.zeros(dim)
-            x[0] = r
-            assert abs(k_radial(spec, r) / (r ** dim * levy_density(spec, x)) - 1.0) < 1e-6
+def test_k_matches_closed_forms():
+    # alpha = 2: e^-r, r K_1(r)/pi, e^-r (1+r)/(2 pi); alpha = 1: Cauchy mixture by quad
+    radii = np.geomspace(1e-2, 10.0, 12)
+    for alpha in (1.0, 2.0):
+        for dim in (1, 2, 3):
+            spec = ProcessSpec(alpha, dim)
+            assert np.max(np.abs(k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0)) < 1e-6
 
 
 def test_k_small_radius_limit():
@@ -68,14 +70,6 @@ def test_k_small_radius_limit():
     for alpha, dim in ((1.0, 1), (1.5, 1), (2.0, 1), (1.5, 2), (0.7, 3)):
         spec = ProcessSpec(alpha, dim)
         assert abs(k_radial(spec, 1e-4) / small_x_constant(spec) - 1.0) < 0.01
-
-
-def test_k_function_requires_unit_theta():
-    spec = ProcessSpec(1.5, 2)
-    assert k_function(spec, np.array([1.0, 0.0]), 0.5) == pytest.approx(
-        k_function(spec, np.array([0.0, 1.0]), 0.5), rel=1e-12)
-    with pytest.raises(ValueError):
-        k_function(spec, np.array([1.0, 1.0]), 0.5)
 
 
 def test_k_monotone_random_specs():
@@ -110,11 +104,18 @@ def test_polar_levy_mass_oracle_and_additivity():
         polar_levy_mass(spec, 2.0, 1.0)
 
 
-def test_polar_levy_mass_general_specs_cross_route():
-    # the internal polar-vs-direct assertion (1e-6) runs on every call
-    for alpha, dim in ((0.8, 1), (1.5, 1), (1.5, 2)):
-        spec = ProcessSpec(alpha, dim)
-        assert polar_levy_mass(spec, 0.1, 10.0) > 0
+def test_polar_levy_mass_gaussian_d2_oracle():
+    # alpha = 2, d = 2: J(a < |x| < b) = 2 pi int K_1(r)/pi dr = 2 (K_0(a) - K_0(b))
+    mass = polar_levy_mass(ProcessSpec(2.0, 2), 0.1, 10.0)
+    assert abs(mass / (2.0 * (k0(0.1) - k0(10.0))) - 1.0) < 1e-8
+
+
+def test_polar_levy_mass_cauchy_d1_oracle():
+    # alpha = 1, d = 1: 2 int_a^b j = (2/pi) int e^-s (atan(b/s) - atan(a/s)) / s ds
+    mass = polar_levy_mass(ProcessSpec(1.0, 1), 0.1, 10.0)
+    oracle = 2.0 / math.pi * quad(lambda s: math.exp(-s) * (math.atan(10.0 / s) - math.atan(0.1 / s)) / s,
+                                  0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    assert abs(mass / oracle - 1.0) < 1e-8
 
 
 def test_levy_measure_square_truncation_finite():
@@ -123,7 +124,7 @@ def test_levy_measure_square_truncation_finite():
         spec = ProcessSpec(alpha, dim)
         omega = surface_measure(dim)
         rs_in = np.geomspace(1e-6, 1.0, 120)
-        vals_in = np.array([k_radial(spec, r) * r for r in rs_in])  # r^2 * j * r^{d-1}
+        vals_in = k_radial(spec, rs_in) * rs_in  # r^2 * j * r^{d-1}
         inner = omega * np.trapezoid(vals_in, rs_in)
         tail = polar_levy_mass(spec, 1.0, 200.0)
         assert np.isfinite(inner) and np.isfinite(tail)
@@ -135,11 +136,12 @@ def test_selfdecomposable_certificate_and_theta_independence():
     assert table.monotone_certificate
     table3 = verify_selfdecomposable(ProcessSpec(2.0, 3), 0.1, np.geomspace(0.05, 5.0, 20))
     assert table3.monotone_certificate
-    spec2 = ProcessSpec(1.5, 2)
-    grid = np.geomspace(0.1, 5.0, 15)
-    ta = verify_selfdecomposable(spec2, 1.0, grid, theta_samples=[np.array([1.0, 0.0])])
-    tb = verify_selfdecomposable(spec2, 1.0, grid, theta_samples=[np.array([0.0, 1.0])])
-    assert np.max(np.abs(ta.values / tb.values - 1.0)) < 1e-9
+    table2 = verify_selfdecomposable(ProcessSpec(1.5, 2), 1.0, np.geomspace(0.1, 5.0, 15))
+    assert table2.monotone_certificate
+    # j depends on x only through |x|: one radial table serves every direction
+    theta = np.array([0.6, -0.8])
+    for r, v in zip(table2.r_grid, table2.values):
+        assert levy_density(table2.spec, r * theta) * r ** 2 == pytest.approx(v, rel=1e-14)
 
 
 def test_kfunction_table_csv(tmp_path):

@@ -4,53 +4,51 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from geostable import (RngStream, StableKernelConfig, UnsupportedDimensionError,
+from geostable import (ProcessSpec, RngStream, UnsupportedDimensionError,
                        radial_profile, sample_gamma, sample_increment,
                        sample_stable, stable_density, stable_density_radial)
 from geostable.stable_kernel import _fourier_head, _sample_positive_stable
 
 
 def test_config_validation():
-    cfg = StableKernelConfig(1.5, 1)
-    assert cfg.quad_max_freq > 0
+    spec = ProcessSpec(1.5, 1)
+    assert (spec.alpha, spec.dim) == (1.5, 1)
     with pytest.raises(ValueError):
-        StableKernelConfig(2.5, 1)
-    with pytest.raises(ValueError):
-        StableKernelConfig(1.5, 1, quad_rel_tol=0.0)
+        ProcessSpec(2.5, 1)
 
 
 def test_density_closed_form_points():
-    assert abs(stable_density(StableKernelConfig(2.0, 1), 1.0, 0.0)
+    assert abs(stable_density(ProcessSpec(2.0, 1), 1.0, 0.0)
                - (4.0 * math.pi) ** -0.5) < 1e-14
-    assert abs(stable_density(StableKernelConfig(1.0, 1), 1.0, 0.0) - 1.0 / math.pi) < 1e-14
-    v = stable_density(StableKernelConfig(1.5, 1), 1.0, 0.0)
+    assert abs(stable_density(ProcessSpec(1.0, 1), 1.0, 0.0) - 1.0 / math.pi) < 1e-14
+    v = stable_density(ProcessSpec(1.5, 1), 1.0, 0.0)
     assert abs(v / (gamma(1.0 + 1.0 / 1.5) / math.pi) - 1.0) < 1e-9
 
 
 def test_density_zero_radius_general():
     # q_1(0) = Gamma(d/alpha) / (alpha 2^(d-1) pi^(d/2) Gamma(d/2))
     for alpha, dim in ((0.7, 1), (1.2, 2), (1.7, 3)):
-        cfg = StableKernelConfig(alpha, dim)
-        got = stable_density(cfg, 1.0, np.zeros(dim))
+        spec = ProcessSpec(alpha, dim)
+        got = stable_density(spec, 1.0, np.zeros(dim))
         want = gamma(dim / alpha) / (alpha * 2 ** (dim - 1) * math.pi ** (dim / 2) * gamma(dim / 2))
         assert abs(got / want - 1.0) < 1e-8
 
 
 def test_scaling_identity():
     for alpha in (1.0, 2.0):
-        cfg = StableKernelConfig(alpha, 1)
+        spec = ProcessSpec(alpha, 1)
         for s in (0.2, 1.7, 9.0):
             for x in (0.0, 0.5, 3.0):
-                direct = stable_density(cfg, s, x)
-                scaled = s ** (-1.0 / alpha) * stable_density(cfg, 1.0, s ** (-1.0 / alpha) * x)
+                direct = stable_density(spec, s, x)
+                scaled = s ** (-1.0 / alpha) * stable_density(spec, 1.0, s ** (-1.0 / alpha) * x)
                 assert abs(direct / scaled - 1.0) < 1e-10
 
 
 def test_density_radial_symmetry():
-    cfg = StableKernelConfig(1.5, 2)
-    a = stable_density(cfg, 1.0, [0.6, 0.8])
-    b = stable_density(cfg, 1.0, [1.0, 0.0])
-    c = stable_density(cfg, 1.0, [-0.8, 0.6])
+    spec = ProcessSpec(1.5, 2)
+    a = stable_density(spec, 1.0, [0.6, 0.8])
+    b = stable_density(spec, 1.0, [1.0, 0.0])
+    c = stable_density(spec, 1.0, [-0.8, 0.6])
     assert abs(a / b - 1.0) < 1e-9
     assert abs(c / b - 1.0) < 1e-9
 
@@ -60,9 +58,9 @@ def test_density_positive_and_normalized_d1():
     # 2 sum_k c_k 50^{-k alpha} / (k alpha), which is 4.7% of the total at
     # alpha = 0.7 and still above 1e-4 at alpha = 1.8
     for alpha in (0.7, 1.2, 1.8):
-        cfg = StableKernelConfig(alpha, 1)
+        spec = ProcessSpec(alpha, 1)
         xs = np.linspace(-50.0, 50.0, 2001)
-        vals = stable_density_radial(cfg, 1.0, np.abs(xs))
+        vals = stable_density_radial(spec, 1.0, np.abs(xs))
         assert np.all(vals > 0)
         prof = radial_profile(alpha, 1)
         k = np.arange(1, len(prof.coeffs) + 1, dtype=float)
@@ -81,14 +79,14 @@ def test_profile_matches_direct_quadrature():
 
 def test_unsupported_dimension_rejected():
     with pytest.raises(UnsupportedDimensionError):
-        stable_density(StableKernelConfig(1.5, 4), 1.0, np.zeros(4))
+        stable_density(ProcessSpec(1.5, 4), 1.0, np.zeros(4))
     with pytest.raises(ValueError):
         radial_profile(0.2, 2)
 
 
 def test_rng_determinism_and_split():
-    a = sample_increment(StableKernelConfig(1.5, 1), 1.0, RngStream(99), size=8)
-    b = sample_increment(StableKernelConfig(1.5, 1), 1.0, RngStream(99), size=8)
+    a = sample_increment(ProcessSpec(1.5, 1), 1.0, RngStream(99), size=8)
+    b = sample_increment(ProcessSpec(1.5, 1), 1.0, RngStream(99), size=8)
     assert np.array_equal(a, b)
     kids1 = [s.gen.random() for s in RngStream(7).split(3)]
     kids2 = [s.gen.random() for s in RngStream(7).split(3)]
@@ -97,20 +95,20 @@ def test_rng_determinism_and_split():
 
 
 def test_stable_sampler_alpha2_variance():
-    z = sample_stable(StableKernelConfig(2.0, 1), RngStream(1), size=100_000)
+    z = sample_stable(ProcessSpec(2.0, 1), RngStream(1), size=100_000)
     se = math.sqrt(2.0) * 2.0 / math.sqrt(len(z))  # var of chi2-based estimate
     assert abs(z.var() - 2.0) < 3.0 * se * 2.0
 
 
 def test_stable_sampler_alpha1_median():
-    z = sample_stable(StableKernelConfig(1.0, 1), RngStream(2), size=100_000)
+    z = sample_stable(ProcessSpec(1.0, 1), RngStream(2), size=100_000)
     # median of Cauchy is 0; binomial CI on the sign
     frac = (z > 0).mean()
     assert abs(frac - 0.5) < 3.0 * 0.5 / math.sqrt(len(z))
 
 
 def test_stable_sampler_characteristic_function():
-    z = sample_stable(StableKernelConfig(1.5, 1), RngStream(3), size=100_000)
+    z = sample_stable(ProcessSpec(1.5, 1), RngStream(3), size=100_000)
     for xi in (0.5, 1.0, 2.0):
         emp = np.cos(xi * z).mean()
         se = np.cos(xi * z).std() / math.sqrt(len(z))
@@ -142,27 +140,27 @@ def test_positive_stable_laplace_transform():
 
 def test_increment_laplace_tail_alpha2_t1():
     # (1+xi^2)^{-1} inverts to the Laplace law: P(|X|>1) = e^{-1}
-    x = sample_increment(StableKernelConfig(2.0, 1), 1.0, RngStream(7), size=100_000)
+    x = sample_increment(ProcessSpec(2.0, 1), 1.0, RngStream(7), size=100_000)
     frac = (np.abs(x) > 1.0).mean()
     p = math.exp(-1.0)
     assert abs(frac - p) < 3.0 * math.sqrt(p * (1 - p) / len(x))
 
 
 def test_increment_symmetric_mean():
-    x = sample_increment(StableKernelConfig(1.5, 1), 1.0, RngStream(8), size=100_000)
+    x = sample_increment(ProcessSpec(1.5, 1), 1.0, RngStream(8), size=100_000)
     med_se = 1.0 / math.sqrt(len(x))
     assert abs(np.median(x)) < 4.0 * med_se
 
 
 def test_increment_characteristic_function_matches():
-    x = sample_increment(StableKernelConfig(1.5, 1), 2.0, RngStream(9), size=100_000)
+    x = sample_increment(ProcessSpec(1.5, 1), 2.0, RngStream(9), size=100_000)
     emp = np.cos(x).mean()
     se = np.cos(x).std() / math.sqrt(len(x))
     assert abs(emp - 0.25) < 3.0 * se
 
 
 def test_increment_multidimensional_char_function():
-    x = sample_increment(StableKernelConfig(1.5, 3), 1.0, RngStream(10), size=100_000)
+    x = sample_increment(ProcessSpec(1.5, 3), 1.0, RngStream(10), size=100_000)
     assert x.shape == (100_000, 3)
     xi = np.array([0.3, -0.4, 0.5])
     proj = x @ xi

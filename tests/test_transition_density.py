@@ -5,7 +5,7 @@ import pytest
 
 from geostable import (EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
                        RngStream, cdf_numeric, density_inversion, density_mc,
-                       inversion_table)
+                       inversion_table, sample_increment)
 from geostable.acceptance import density_gamma_mixture, gridded_cdf
 
 
@@ -117,8 +117,7 @@ def test_density_mc_matches_laplace_ks():
     samples = density_mc(spec, 1.0, np.linspace(-10, 10, 101), 50_000, RngStream(21))
     assert samples.method == "MonteCarlo"
     assert samples.bandwidth is not None and 1e-3 <= samples.bandwidth <= 1.0
-    draws = np.sort(__import__("geostable").sample_increment(
-        __import__("geostable").StableKernelConfig(2.0, 1), 1.0, RngStream(21), size=50_000))
+    draws = np.sort(sample_increment(spec, 1.0, RngStream(21), size=50_000))
     ks = EmpiricalCdf.from_samples(draws).ks_distance(laplace_cdf)
     assert ks < 0.01
 
@@ -134,8 +133,7 @@ def test_density_mc_mean_symmetric():
 def test_mc_inversion_ks_agreement():
     spec = ProcessSpec(1.5, 1)
     n = 20_000
-    cfg = __import__("geostable").StableKernelConfig(1.5, 1)
-    samples = __import__("geostable").sample_increment(cfg, 2.0, RngStream(23), size=n)
+    samples = sample_increment(spec, 2.0, RngStream(23), size=n)
     cdf = gridded_cdf(spec, 2.0, samples, n_grid=600)
     ks = EmpiricalCdf.from_samples(samples).ks_distance(cdf)
     assert ks < 2.0 / math.sqrt(n) + 0.005

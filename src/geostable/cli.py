@@ -71,7 +71,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: float):
+def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: float,
+                    timings=None):
     manifest = {
         "subcommand": subcommand,
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in config.items()},
@@ -79,6 +80,8 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: f
         "duration_seconds": round(time.time() - t0, 3),
         "outputs": [str(p) for p in outputs],
     }
+    if timings is not None:
+        manifest["timings"] = timings
     path = out_dir / f"{subcommand.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -357,7 +360,9 @@ def _cmd_verify(args):
     report_path.write_text(json.dumps([{
         "name": r.name, "passed": r.passed, "detail": r.detail,
     } for r in results], indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "verify", cfg, [report_path], t0)
+    # timings vary run to run, so they go to the manifest, not the report
+    _write_manifest(out, "verify", cfg, [report_path], t0,
+                    timings={r.name: r.elapsed for r in results})
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.detail}")

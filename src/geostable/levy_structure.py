@@ -158,15 +158,27 @@ def k_radial(spec: ProcessSpec, r):
     return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
 
 
-def levy_density(spec: ProcessSpec, x) -> float:
-    """Jump density j(x) = k(|x|)/|x|^d at a nonzero point (isotropic)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != spec.dim:
-        raise ValueError(f"x must have {spec.dim} coordinates, got {xv.size}")
-    r = float(np.linalg.norm(xv))
-    if r == 0.0:
+def levy_density(spec: ProcessSpec, x):
+    """Jump density j(x) = k(|x|)/|x|^d (isotropic), at one point or a batch.
+
+    One point (a scalar for d = 1, a 1-d array of d coordinates otherwise)
+    gives a float.  An (n, d) array of points, or for d = 1 a 1-d array of n
+    abscissae, gives an array of n values from one k_radial call; for d = 1 a
+    1-element array is therefore a batch of one, not a point.
+    """
+    xv = np.asarray(x, dtype=float)
+    d = spec.dim
+    if d == 1 and xv.ndim <= 1:
+        r = np.abs(np.atleast_1d(xv))
+    elif xv.ndim in (1, 2) and xv.shape[-1] == d:
+        r = np.linalg.norm(np.atleast_2d(xv), axis=-1)
+    else:
+        raise ValueError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
+                         f"got shape {xv.shape}")
+    if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    return k_radial(spec, r) / r ** spec.dim
+    j = k_radial(spec, r) / r ** d
+    return float(j[0]) if xv.ndim == (0 if d == 1 else 1) else j
 
 
 def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:

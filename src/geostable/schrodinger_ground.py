@@ -483,7 +483,7 @@ def _as_function(domain: GridDomain, f):
 
 def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
                          n_paths: int, dt: float, rng: RngStream, *,
-                         rho=None, batch_size: int = 100_000):
+                         rho=None, batch_size: int = 100_000, free_mean=None):
     """Monte Carlo for E_x0[ exp(-int_0^t rho(X_s) ds) f(X_t) ].
 
     Paths advance by exact subordinated increments (no time-discretization of
@@ -491,6 +491,13 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     clock integral, O(dt).  rho defaults to the density of mu_plus; pass an
     explicit callable (for instance the zero function) to override.  Batches
     use split substreams, so the result depends only on seed and batch plan.
+
+    free_mean, when given, is the exact mean E_x0[f(X_t)] of the unkilled
+    process.  f(X_t) then serves as a control variate: the estimate is the mean
+    of Z = e^(-clock) f(X_t) - c (f(X_t) - free_mean), with the variance-optimal
+    c = cov(Y, f)/var(f) taken from the same paths (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 4.1).  Without it the plain mean of
+    Y = e^(-clock) f(X_t) is returned.
 
     Returns (mean, standard_error).
     """
@@ -507,6 +514,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     streams = rng.split(n_batches)
     total = 0.0
     total_sq = 0.0
+    cv_sums = np.zeros(3)  # sums of g, g^2 and Y g with g = f(X_t) - free_mean
     done = 0
     for stream in streams:
         nb = min(batch_size, n_paths - done)
@@ -515,13 +523,26 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         for _ in range(steps):
             clock += dt * rho_of(x)
             x = x + sample_increment(problem.spec, dt, stream, size=nb)
-        vals = np.exp(-clock) * f_of(x)
+        fx = f_of(x)
+        vals = np.exp(-clock) * fx
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
+        if free_mean is not None:
+            g = fx - free_mean
+            cv_sums += (g.sum(), g @ g, vals @ g)
         done += nb
     mean = total / n_paths
-    var = max(total_sq / n_paths - mean ** 2, 0.0) * n_paths / max(n_paths - 1, 1)
-    return mean, float(np.sqrt(var / n_paths))
+    if free_mean is None:
+        var = max(total_sq / n_paths - mean ** 2, 0.0) * n_paths / max(n_paths - 1, 1)
+        return mean, float(np.sqrt(var / n_paths))
+    g_mean = cv_sums[0] / n_paths
+    s_yy = total_sq - n_paths * mean ** 2
+    s_gg = cv_sums[1] - n_paths * g_mean ** 2
+    s_yg = cv_sums[2] - n_paths * mean * g_mean
+    c = s_yg / s_gg if s_gg > 0 else 0.0
+    # sum of (Z - Zbar)^2 = s_yy - 2 c s_yg + c^2 s_gg = s_yy - c s_yg at the optimal c
+    var = max(s_yy - c * s_yg, 0.0) / max(n_paths - 1, 1)
+    return float(mean - c * g_mean), float(np.sqrt(var / n_paths))
 
 
 def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):

@@ -345,13 +345,19 @@ def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
 
 
 def _sample_positive_stable(beta: float, rng: RngStream, n: int) -> np.ndarray:
-    """One-sided stable draw(s), Laplace transform exp(-lambda^beta), 0 < beta < 1."""
+    """One-sided stable draw(s), Laplace transform exp(-lambda^beta), 0 < beta < 1.
+
+    Kanter's representation (A(theta)/W)^((1-beta)/beta) with
+    A(theta) = sin(beta theta)^(beta/(1-beta)) sin((1-beta) theta) / sin(theta)^(1/(1-beta)),
+    evaluated in log space: as beta -> 1 the powers 1/(1-beta) underflow
+    separately although the draw itself stays near 1.
+    """
     g = rng.gen
     th = np.pi * g.random(n)
     w = g.standard_exponential(n)
-    a_th = (np.sin(beta * th) ** (beta / (1.0 - beta)) * np.sin((1.0 - beta) * th)
-            / np.sin(th) ** (1.0 / (1.0 - beta)))
-    return (a_th / w) ** ((1.0 - beta) / beta)
+    return np.exp(np.log(np.sin(beta * th))
+                  + (1.0 - beta) / beta * (np.log(np.sin((1.0 - beta) * th)) - np.log(w))
+                  - np.log(np.sin(th)) / beta)
 
 
 def sample_gamma(t: float, rng: RngStream, size=None):

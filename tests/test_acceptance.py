@@ -1,9 +1,16 @@
 """Acceptance gate: one test per criterion, each printing its PASS/FAIL line.
 
 Criteria run at their stated tolerances through geostable.acceptance, the
-same registry the `geostable verify` subcommand executes.
+same registry the `geostable verify` subcommand executes.  The oracles the
+checks rely on are tested against independent routes at the end.
 """
-from geostable import acceptance
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+from geostable import ProcessSpec, acceptance
+from geostable.stable_kernel import _panel_nodes
 
 
 def _run(check, seed=None):
@@ -71,3 +78,20 @@ def test_acceptance_11_cross_term_identity():
 def test_acceptance_12_kato_diagnostic():
     r = _run(acceptance.check_kato)
     assert r.elapsed < 10.0
+
+
+def test_gaussian_free_mean_oracles():
+    # alpha = 2, t = 1 is the Laplace law: E e^(-X^2) = e^(1/4) (sqrt(pi)/2) erfc(1/2)
+    laplace = math.exp(0.25) * math.sqrt(math.pi) / 2.0 * math.erfc(0.5)
+    assert abs(acceptance.gaussian_free_mean(ProcessSpec(2.0, 1), 1.0) - laplace) < 1e-12
+    # alpha = 1.5, t = 0.5 against the gamma-mixture density, convolved on y > 0
+    spec = ProcessSpec(1.5, 1)
+    ys, wy = _panel_nodes(np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 30),
+                                          np.linspace(1.0, 8.0, 15)[1:]]))
+    conv = 2.0 * float((np.exp(-ys ** 2) * acceptance.density_gamma_mixture(spec, 0.5, ys)) @ wy)
+    assert abs(acceptance.gaussian_free_mean(spec, 0.5) - conv) < 1e-8
+    # agreement with adaptive quad of the same integral
+    integrand = lambda xi: math.exp(-xi * xi / 4.0) * (1.0 + xi ** 1.5) ** -0.5
+    ref = sum(quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13, limit=400)[0]
+              for a, b in ((0.0, 1.0), (1.0, 60.0))) / math.sqrt(math.pi)
+    assert abs(acceptance.gaussian_free_mean(spec, 0.5) - ref) < 1e-12

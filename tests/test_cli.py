@@ -66,6 +66,13 @@ def test_sample_is_seed_deterministic(tmp_path):
     assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
 
 
+def test_sample_near_gaussian_d2_writes_no_nan(tmp_path):
+    assert run(["sample", "--alpha", "1.999", "--dim", "2", "--n-samples", "1000",
+                "--seed", "3", "--output-path", str(tmp_path)]) == 0
+    draws = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+    assert draws.shape == (1000, 2) and np.isfinite(draws).all()
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 0.5\ndim = 2\n")
@@ -167,6 +174,16 @@ def test_verify_core_deterministic_outputs(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "PASS" in stdout and "FAIL" not in stdout
     assert (out_a / "verify_core.json").read_bytes() == (out_b / "verify_core.json").read_bytes()
+
+
+def test_verify_manifest_times_each_check(tmp_path):
+    assert run(["verify", "--suite", "core", "--seed", "1", "--output-path", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+    report = json.loads((tmp_path / "verify_core.json").read_text())
+    timings = manifest["timings"]
+    assert sorted(timings) == sorted(r["name"] for r in report)
+    assert all(v > 0 for v in timings.values())
+    assert all(set(r) == {"name", "passed", "detail"} for r in report)
 
 
 def test_verify_unknown_suite(tmp_path, capsys):

@@ -56,6 +56,26 @@ def test_levy_density_even_and_singular_origin():
         levy_density(spec, 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_levy_density_batch_equals_points(dim):
+    spec = ProcessSpec(1.5, dim)
+    pts = np.random.default_rng(dim).normal(scale=3.0, size=(50, dim))
+    singles = [levy_density(spec, p[0] if dim == 1 else p) for p in pts]
+    assert all(isinstance(v, float) for v in singles)
+    batch = levy_density(spec, pts)
+    assert batch.shape == (50,) and np.array_equal(batch, singles)
+    if dim == 1:
+        assert np.array_equal(levy_density(spec, pts[:, 0]), singles)
+        # any array in d = 1 is a batch, even of one abscissa
+        for one in (pts[:1, 0], pts[:1]):
+            got = levy_density(spec, one)
+            assert isinstance(got, np.ndarray) and got.shape == (1,) and got[0] == singles[0]
+    with pytest.raises(SingularPointError):
+        levy_density(spec, np.vstack([pts, np.zeros((1, dim))]))
+    with pytest.raises(ValueError):
+        levy_density(spec, np.ones((4, dim + 1)))
+
+
 def test_k_matches_closed_forms():
     # alpha = 2: e^-r, r K_1(r)/pi, e^-r (1+r)/(2 pi); alpha = 1: Cauchy mixture by quad
     radii = np.geomspace(1e-2, 10.0, 12)

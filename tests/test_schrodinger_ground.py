@@ -8,8 +8,7 @@ from geostable import (GridDomain, MeasureOnGrid, ProcessSpec,
                        dense_ground_state, energy_form, feynman_kac_estimate,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
-from geostable.acceptance import density_gamma_mixture, reference_problem
-from geostable.stable_kernel import _panel_nodes
+from geostable.acceptance import gaussian_free_mean, killed_oracle, reference_problem
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +166,30 @@ def test_feynman_kac_bounds_and_zero_potential(prob):
     est0, se0 = feynman_kac_estimate(prob, f, 0.0, 0.25, 20_000, 1.0 / 64, RngStream(32),
                                      rho=lambda x: np.zeros(np.shape(x)))
     assert est0 >= est - 3.0 * (se + se0)  # killing only decreases the expectation
-    ys, wy = _panel_nodes(np.unique(np.concatenate([
-        np.linspace(-40.0, 40.0, 401), np.geomspace(1e-10, 2.0, 60),
-        -np.geomspace(1e-10, 2.0, 60)])))
-    oracle = float((f(ys) * density_gamma_mixture(prob.spec, 0.25, ys)) @ wy)
-    assert abs(est0 - oracle) < 3.5 * se0
+    assert abs(est0 - gaussian_free_mean(prob.spec, 0.25)) < 3.5 * se0
+
+
+def test_feynman_kac_control_variate_matches_expm_and_cuts_se(prob):
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    t, dt = 0.5, 1.0 / 256
+    free_mean = gaussian_free_mean(prob.spec, t)
+    est, se = feynman_kac_estimate(prob, f, 0.0, t, 20_000, dt, RngStream(2024),
+                                   free_mean=free_mean)
+    budget = 3.0 * se + 2.0 * dt * float(prob.mu_plus.density_values().max())
+    assert abs(est - killed_oracle(prob, f, t)) < budget
+    _, se_plain = feynman_kac_estimate(prob, f, 0.0, t, 20_000, dt, RngStream(2024))
+    assert se_plain >= 10.0 * se
+
+
+def test_feynman_kac_plain_path_pinned(prob):
+    # the plain path must stay bit-identical whatever the control-variate code does
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    got = feynman_kac_estimate(prob, f, 0.0, 0.125, 3_000, 1.0 / 32, RngStream(5),
+                               batch_size=1_000)
+    assert got == (0.8530101589433816, 0.004064208543604911)
+    got = feynman_kac_estimate(prob, f, 0.3, 0.125, 2_000, 1.0 / 32, RngStream(6),
+                               free_mean=None)
+    assert got == (0.7942097571198086, 0.004426801039463133)
 
 
 def test_feynman_kac_validates_steps(prob):
@@ -185,6 +203,12 @@ def test_feynman_kac_deterministic_given_seed(prob):
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     a = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77))
     b = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77))
+    assert a == b
+    free_mean = gaussian_free_mean(prob.spec, 0.125)
+    a = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77),
+                             batch_size=2_000, free_mean=free_mean)
+    b = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77),
+                             batch_size=2_000, free_mean=free_mean)
     assert a == b
 
 

@@ -168,3 +168,15 @@ def test_increment_multidimensional_char_function():
     se = np.cos(proj).std() / math.sqrt(len(x))
     want = (1.0 + np.linalg.norm(xi) ** 1.5) ** -1.0
     assert abs(emp - want) < 3.0 * se
+
+
+@pytest.mark.parametrize("alpha", [1.99, 1.999])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_increment_near_gaussian_rows_finite(alpha, dim):
+    # Kanter's A(theta) underflowed to NaN/0 rows as beta = alpha/2 -> 1
+    x = sample_increment(ProcessSpec(alpha, dim), 1.0, RngStream(11), size=200_000)
+    assert np.isfinite(x).all()
+    for xi in (0.5, 1.0, 2.0):
+        c = np.cos(xi * x[:, 0])
+        se = c.std() / math.sqrt(len(c))
+        assert abs(c.mean() - (1.0 + xi ** alpha) ** -1.0) < 6.0 * se

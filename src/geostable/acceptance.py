@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import circulant, expm
+from scipy.linalg import expm
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma, k1 as _k1
 
@@ -21,8 +21,8 @@ from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
-                                 _multiplier, dense_ground_state, energy_form,
-                                 feynman_kac_estimate, irreducibility_cross_term,
+                                 dense_ground_state, energy_form, feynman_kac_estimate,
+                                 generator_matrix, irreducibility_cross_term,
                                  kato_diagnostic, solve_ground_state)
 from .stable_kernel import RngStream, _panel_nodes, radial_profile, sample_increment
 from .transition_density import EmpiricalCdf, cdf_numeric, density_inversion
@@ -61,8 +61,13 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     a log-spaced panel grid in the subordinator variable.
     """
     prof = radial_profile(spec.alpha, spec.dim)
-    # the s -> 0 end contributes ~ s_min^(t - d/alpha) near x = 0; keep it deep
-    s, w = _panel_nodes(np.geomspace(1e-20, 60.0, 540))
+    # the s -> 0 end contributes ~ s_min^(t - d/alpha) near x = 0, and the mass
+    # s_min^t / Gamma(1 + t) is lost: keep that below 1e-12, at 24.75 panels a
+    # decade, while s^(t - 1 - d/alpha) stays finite
+    s_min = min(1e-20, max((1e-12 * _gamma(1.0 + t)) ** (1.0 / t),
+                           1e-300 ** (1.0 / (1.0 + spec.dim / spec.alpha))))
+    n_panels = round(539 * math.log(60.0 / s_min) / math.log(60.0 / 1e-20))
+    s, w = _panel_nodes(np.geomspace(s_min, 60.0, n_panels + 1))
     gw = s ** (t - 1.0 - spec.dim / spec.alpha) * np.exp(-s) / _gamma(t) * w
     scale = s ** (-1.0 / spec.alpha)
     xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
@@ -97,7 +102,7 @@ def gaussian_free_mean(spec: ProcessSpec, t: float) -> float:
 
 def killed_oracle(problem: SchrodingerProblem, f, t: float) -> float:
     """(exp(-t (H + rho)) f)(0) on the torus grid, by the dense matrix exponential."""
-    h_dense = circulant(np.fft.irfft(_multiplier(problem), n=problem.domain.N))
+    h_dense = generator_matrix(problem)
     rho = problem.mu_plus.density_values()
     i0 = int(np.argmin(np.abs(problem.domain.nodes())))
     return float((expm(-t * (h_dense + np.diag(rho))) @ f(problem.domain.nodes()))[i0])

@@ -1,8 +1,9 @@
 """Ground states of the log-symbol Schroedinger operator in the recurrent case.
 
-The line is truncated to a torus of half-width L with N equispaced nodes; the
-nonlocal generator acts spectrally through the multiplier log(1 + |xi_k|^alpha)
-at the discrete frequencies xi_k = pi k / L.  The variational problem
+The line is truncated to a torus of half-width L with N equispaced nodes.  Every
+torus operator is a circulant: a real symbol at the discrete frequencies
+xi_k = pi k / L (torus_symbol), applied by one rfft/irfft pair.  The generator's
+symbol is the multiplier log(1 + |xi_k|^alpha).  The variational problem
 
     lambda = inf { E(u,u) + int u^2 dmu_plus : int u^2 dmu_minus = 1 }
 
@@ -10,13 +11,13 @@ becomes the generalized eigenproblem (h H + W+) v = lambda W- v with diagonal
 weight matrices; since W- is singular on the complement of its support, the
 solver runs power iteration on (h H + W+)^(-1) W- (the definite side is
 inverted by conjugate gradients with the multiplier applied spectrally) and a
-dense eigensolve of the same matrices is available as an independent check.
+dense eigensolve with the same circulant (generator_matrix) is the check.
 
-The energy form is assembled two ways: the spectral multiplier form, and the
-Beurling-Deny double sum over node pairs with the periodized jump kernel
-j_per(z) = sum_m j(z + 2Lm).  On the torus the two coincide in the continuum:
-cos(xi_k z) is 2L-periodic, so the periodized kernel reproduces the original
-multiplier exactly at the grid frequencies.
+The energy form has two faces: the multiplier, and the Beurling-Deny double
+sum over node pairs with the periodized jump kernel j_per(z) = sum_m j(z + 2Lm).
+The double sum is a circulant too, with symbol h sum_l j_per(l h) (1 - cos(xi_k l h)),
+one FFT of the lag table.  In the continuum the two coincide: cos(xi_k z) is
+2L-periodic, so the periodized kernel reproduces the multiplier exactly.
 """
 from __future__ import annotations
 
@@ -174,27 +175,12 @@ class SchrodingerProblem:
                     "enlarge the domain")
 
 
-def _multiplier(problem_or_domain, alpha=None):
-    domain = problem_or_domain.domain if isinstance(problem_or_domain, SchrodingerProblem) else problem_or_domain
-    a = problem_or_domain.spec.alpha if alpha is None else alpha
-    return np.log1p(domain.rfft_freqs() ** a)
-
-
-def apply_generator(problem: SchrodingerProblem, u) -> np.ndarray:
-    """Spectral application of the nonnegative form operator, multiplier log(1+|xi|^alpha).
-
-    Linear, self-adjoint, positive semidefinite; constants are its kernel.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.domain.N,):
-        raise ValueError(f"u must have length {problem.domain.N}")
-    return np.fft.irfft(_multiplier(problem) * np.fft.rfft(u), n=problem.domain.N)
-
-
 # ---------------------------------------------------------------------------
-# jump-kernel assembly
+# torus symbols: every operator is a real symbol applied by one FFT
 
 _JLAG_CACHE: dict = {}
+# 2L images folded into j_per on each side of a lag
+_FOLD_M = 64
 
 
 def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain, fold_m: int) -> np.ndarray:
@@ -228,58 +214,76 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain, fold_m: int) ->
     return jlag
 
 
-def _lag_sum(u, v, lag):
-    du = u - np.roll(u, -lag)
-    dv = v - np.roll(v, -lag)
-    return float(du @ dv)
+def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier",
+                 near_diagonal: str = "patch") -> np.ndarray:
+    """Real symbol of the form operator at the rfft frequencies xi_k = pi k / L.
+
+    'multiplier' is log(1 + xi_k^alpha).  'jump_kernel' is the Fourier image of
+    the double sum 0.5 h^2 sum_{i,l} J_l (u_i - u_{i+l})(v_i - v_{i+l}),
+    S_k = h (sum_l J_l - Re Jhat_k), with J_l = j_per(l h) at lags l = 1..N-1,
+    J_0 = 0 and Jhat = rfft(J); S_0 = 0 exactly.  near_diagonal='patch'
+    replaces the |x_i - x_l| < 2h band by the small-displacement integral of
+    the kernel's 1/|z| asymptote, int_{|z|<2h} 0.5 (c0/|z|) z^2 dz = 2 c0 h^2,
+    on one-sided differences: J_1 = J_{N-1} = 2 c0 / h.  'lattice' keeps the
+    raw lag-1 kernel values, which is what makes the indicator cross-term
+    identity exact.
+    """
+    if method == "multiplier":
+        return np.log1p(problem.domain.rfft_freqs() ** problem.spec.alpha)
+    if method != "jump_kernel":
+        raise ValueError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
+    h = problem.domain.h
+    jlag = np.concatenate([[0.0], _periodized_jump_lags(problem.spec, problem.domain, _FOLD_M)])
+    if near_diagonal == "patch":
+        jlag[1] = jlag[-1] = 2.0 * small_x_constant(problem.spec) / h
+    elif near_diagonal != "lattice":
+        raise ValueError(f"near_diagonal must be 'patch' or 'lattice', got {near_diagonal!r}")
+    jhat = np.fft.rfft(jlag).real
+    return h * (jhat[0] - jhat)
+
+
+def apply_generator(problem: SchrodingerProblem, u) -> np.ndarray:
+    """Spectral application of the nonnegative form operator, multiplier log(1+|xi|^alpha).
+
+    Linear, self-adjoint, positive semidefinite; constants are its kernel.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (problem.domain.N,):
+        raise ValueError(f"u must have length {problem.domain.N}")
+    return _spectral_apply(torus_symbol(problem), u)
+
+
+def generator_matrix(problem: SchrodingerProblem) -> np.ndarray:
+    """Dense circulant matrix of the multiplier log(1 + |xi|^alpha) on the grid."""
+    return circulant(np.fft.irfft(torus_symbol(problem), n=problem.domain.N))
+
+
+def _spectral_apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Circulant operator with the given real symbol at the rfft frequencies, applied to u."""
+    return np.fft.irfft(symbol * np.fft.rfft(u), n=u.size)
 
 
 def energy_form(problem: SchrodingerProblem, u, v, method: str = "multiplier", *,
-                near_diagonal: str = "patch", fold_m: int = 64) -> float:
-    """Dirichlet form E(u, v), by spectral multiplier or jump-kernel double sum.
-
-    The jump route sums (u_i - u_l)(v_i - v_l) * 0.5 j_per(x_i - x_l) h^2 over
-    node pairs.  near_diagonal='patch' replaces the |x_i - x_l| < 2h band
-    (adjacent pairs) by the small-displacement integral of the kernel's
-    1/|z| asymptote, int_{|z|<2h} 0.5 (c0/|z|) z^2 dz = 2 c0 h^2, applied to
-    one-sided differences; 'lattice' keeps the raw lag-1 kernel values, which
-    is what makes the indicator cross-term identity exact.
-    """
+                near_diagonal: str = "patch") -> float:
+    """Dirichlet form E(u, v) = h (S u) . v, S = torus_symbol(problem, method, near_diagonal)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     N = problem.domain.N
     if u.shape != (N,) or v.shape != (N,):
         raise ValueError(f"u and v must have length {N}")
-    if method == "multiplier":
-        return float(problem.domain.h * (apply_generator(problem, u) @ v))
-    if method != "jump_kernel":
-        raise ValueError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
-    h = problem.domain.h
-    jlag = _periodized_jump_lags(problem.spec, problem.domain, fold_m)
-    if near_diagonal == "patch":
-        lags = range(2, N - 1)
-        c0 = small_x_constant(problem.spec)
-        du = u - np.roll(u, -1)
-        dv = v - np.roll(v, -1)
-        band = 2.0 * c0 * h * float(du @ dv)
-    elif near_diagonal == "lattice":
-        lags = range(1, N)
-        band = 0.0
-    else:
-        raise ValueError(f"near_diagonal must be 'patch' or 'lattice', got {near_diagonal!r}")
-    total = 0.0
-    for lag in lags:
-        total += jlag[lag - 1] * _lag_sum(u, v, lag)
-    return 0.5 * h * h * total + band
+    symbol = torus_symbol(problem, method, near_diagonal)
+    return float(problem.domain.h * (_spectral_apply(symbol, u) @ v))
 
 
 def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
     """Cross energy E(1_A u, 1_{A^c} u) with its exact double-sum identity.
 
     Computed once through the bilinear jump form on the masked vectors and
-    once as -sum_{i in A, l in A^c} u_i u_l j_per(x_i - x_l) h^2; the two are
-    algebraically identical on the lattice and must agree to 1e-10 relative.
-    Strictly negative for nonempty proper subsets (the kernel is positive).
+    once as -sum_{i in A, l in A^c} u_i u_l j_per(x_i - x_l) h^2, the kernel
+    dotted with the symmetrized circular correlation of the two masked vectors;
+    the two are algebraically identical on the lattice and must agree to 1e-10
+    relative.  Strictly negative for nonempty proper subsets (the kernel is
+    positive).
     """
     u = np.asarray(u, dtype=float)
     N = problem.domain.N
@@ -293,13 +297,10 @@ def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
     b = np.where(mask, 0.0, u)
     cross = energy_form(problem, a, b, method="jump_kernel", near_diagonal="lattice")
     h = problem.domain.h
-    jlag = _periodized_jump_lags(problem.spec, problem.domain, 64)
-    direct = 0.0
-    fa = mask.astype(float) * u
-    fb = (~mask).astype(float) * u
-    for lag in range(1, N):
-        direct += jlag[lag - 1] * float(fa @ np.roll(fb, -lag) + fb @ np.roll(fa, -lag))
-    direct *= -0.5 * h * h
+    jlag = _periodized_jump_lags(problem.spec, problem.domain, _FOLD_M)
+    # sum_i a_i (b_{i+l} + b_{i-l}) / 2 at lags l = 1..N-1
+    corr = np.fft.irfft((np.conj(np.fft.rfft(a)) * np.fft.rfft(b)).real, n=N)[1:]
+    direct = -h * h * float(jlag @ corr)
     scale = max(abs(cross), abs(direct), 1e-300)
     if abs(cross - direct) > 1e-10 * scale and scale > 1e-280:
         raise ConsistencyError(
@@ -364,19 +365,6 @@ class GroundStateResult:
                 writer.writerow([repr(float(x)), repr(float(v))])
 
 
-def _pencil_parts(problem: SchrodingerProblem):
-    psi = _multiplier(problem)
-    h = problem.domain.h
-    wp = problem.mu_plus.weights
-    wm = problem.mu_minus.weights
-    N = problem.domain.N
-
-    def a_apply(v):
-        return h * np.fft.irfft(psi * np.fft.rfft(v), n=N) + wp * v
-
-    return a_apply, wp, wm, psi
-
-
 def _finalize(problem, lam, vec, residual, iterations):
     wm = problem.mu_minus.weights
     norm2 = float(vec @ (wm * vec))
@@ -401,9 +389,15 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
-    a_apply, wp, wm, psi = _pencil_parts(problem)
+    psi = torus_symbol(problem)
     N = problem.domain.N
     h = problem.domain.h
+    wp = problem.mu_plus.weights
+    wm = problem.mu_minus.weights
+
+    def a_apply(v):
+        return h * _spectral_apply(psi, v) + wp * v
+
     a_op = LinearOperator((N, N), matvec=a_apply, dtype=float)
     diag = h * float(psi.mean()) + wp
     precond = LinearOperator((N, N), matvec=lambda v: v / diag, dtype=float)
@@ -437,12 +431,7 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
     Builds the circulant multiplier matrix explicitly and solves
     W- v = theta (h H + W+) v with a full symmetric eigendecomposition.
     """
-    domain = problem.domain
-    N = domain.N
-    psi = _multiplier(problem)
-    col = np.fft.irfft(psi, n=N)
-    h_dense = circulant(col)
-    a_mat = domain.h * h_dense + np.diag(problem.mu_plus.weights)
+    a_mat = problem.domain.h * generator_matrix(problem) + np.diag(problem.mu_plus.weights)
     a_mat = 0.5 * (a_mat + a_mat.T)
     b_mat = np.diag(problem.mu_minus.weights)
     theta, vecs = eigh(b_mat, a_mat)
@@ -562,14 +551,13 @@ def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):
         raise ValueError("t_values must be strictly decreasing")
     measure = problem.mu_plus if mu is None else mu
     rho = measure.weights / problem.domain.h
-    rho_hat = np.fft.rfft(rho)
-    psi = _multiplier(problem)
+    psi = torus_symbol(problem)
     out = []
     for t in t_values:
         mult = np.empty_like(psi)
         nz = psi > 0
         mult[nz] = (1.0 - np.exp(-t * psi[nz])) / psi[nz]
         mult[~nz] = t
-        g = np.fft.irfft(mult * rho_hat, n=problem.domain.N)
+        g = _spectral_apply(mult, rho)
         out.append(float(g.max()) if g.size else 0.0)
     return out

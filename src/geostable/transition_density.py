@@ -83,7 +83,7 @@ def density_inversion(spec: ProcessSpec, t: float, x) -> float:
         R = max(40.0, (at / (np.pi * _TAIL_EPS * r * r)) ** (1.0 / (at + 1.0)))
         rho, w = _panel_nodes(_panel_edges(r, R))
         head = float(np.cos(r * rho) @ (f(rho) * w))
-        tail = -np.sin(r * R) * f(R) / r + np.cos(r * R) * f_prime(R) / r ** 2
+        tail = -np.sin(r * R) * f(R) / r - np.cos(r * R) * f_prime(R) / r ** 2
         return (head + tail) / np.pi
     if d == 3:
         # g = rho f(rho); remainder ~ (alpha t - 1) R^(-alpha t) / (2 pi^2 x^3)
@@ -103,7 +103,7 @@ def density_inversion(spec: ProcessSpec, t: float, x) -> float:
     g_r = amp * R ** 0.5 * f(R)
     g_prime = amp * (0.5 * R ** -0.5 * f(R) + R ** 0.5 * f_prime(R))
     phase = r * R - np.pi / 4.0
-    tail = -np.sin(phase) * g_r / r + np.cos(phase) * g_prime / r ** 2
+    tail = -np.sin(phase) * g_r / r - np.cos(phase) * g_prime / r ** 2
     return (head + tail) / (2.0 * np.pi)
 
 
@@ -215,7 +215,9 @@ class DensityTable:
         if self.spec.dim == 1 and self.x_grid.ndim == 1 and self.x_grid.size > 1:
             if np.any(np.diff(self.x_grid) <= 0):
                 raise ValueError("x_grid must be strictly increasing for d = 1")
-            mass = float(np.trapezoid(self.values, self.x_grid))
+            # lower Riemann sum: never above the mass of a density that is
+            # nonincreasing in |x|, where the trapezoid overshoots at a cusp
+            mass = float(np.minimum(self.values[:-1], self.values[1:]) @ np.diff(self.x_grid))
             if mass > 1.0 + 1e-3:
                 raise ValueError(f"tabulated mass {mass} exceeds 1 + 1e-3")
 

@@ -90,6 +90,12 @@ def test_gaussian_free_mean_oracles():
                                           np.linspace(1.0, 8.0, 15)[1:]]))
     conv = 2.0 * float((np.exp(-ys ** 2) * acceptance.density_gamma_mixture(spec, 0.5, ys)) @ wy)
     assert abs(acceptance.gaussian_free_mean(spec, 0.5) - conv) < 1e-8
+    # at t = 0.25 the mixture mass below s = 1e-20 is 1.1e-5; the s-grid must start deeper
+    ys, wy = _panel_nodes(np.concatenate([[0.0], np.geomspace(1e-60, 1.0, 120),
+                                          np.linspace(1.0, 8.0, 15)[1:]]))
+    conv = 2.0 * float((np.exp(-ys ** 2) * acceptance.density_gamma_mixture(spec, 0.25, ys)) @ wy)
+    assert abs(acceptance.gaussian_free_mean(spec, 0.25) - conv) < 1e-9
+    assert np.all(np.isfinite(acceptance.density_gamma_mixture(spec, 0.05, [1e-3, 1.0])))
     # agreement with adaptive quad of the same integral
     integrand = lambda xi: math.exp(-xi * xi / 4.0) * (1.0 + xi ** 1.5) ** -0.5
     ref = sum(quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13, limit=400)[0]

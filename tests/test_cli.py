@@ -29,6 +29,12 @@ def test_density_refuses_subthreshold_inversion(tmp_path, capsys):
     assert "d/alpha" in err and "0.5" in err
 
 
+def test_density_inversion_near_threshold_default_grid(tmp_path):
+    code = run(["density", "--alpha", "1.5", "--t", "0.7", "--output-path", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "density.csv").exists()
+
+
 def test_density_inversion_writes_table_and_manifest(tmp_path):
     code = run(["density", "--alpha", "2", "--dim", "1", "--t", "1",
                 "--method", "inversion", "--x-min", "-4", "--x-max", "4",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geostable import (GridDomain, MeasureOnGrid, ProcessSpec,
                        RngStream, SchrodingerProblem, apply_generator,
@@ -9,6 +11,19 @@ from geostable import (GridDomain, MeasureOnGrid, ProcessSpec,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
 from geostable.acceptance import gaussian_free_mean, killed_oracle, reference_problem
+from geostable.levy_structure import small_x_constant
+from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
+
+# jump-kernel energy of exp(-x^2) on (L, N) = (16, 1024), summed lag by lag
+# over node pairs before the jump route became a spectral symbol
+JUMP_ENERGY_PINS = {
+    (1.0, "patch"): 0.6673379420418808,
+    (1.0, "lattice"): 0.6666785407409961,
+    (1.5, "patch"): 0.6571497461528142,
+    (1.5, "lattice"): 0.6561932460165976,
+    (2.0, "patch"): 0.6697437077198672,
+    (2.0, "lattice"): 0.668482419427122,
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,17 +114,64 @@ def test_energy_form_constants_and_positivity(prob):
         assert energy_form(prob, u, u, "multiplier") >= 0.0
 
 
+def _bump_problem(alpha, dom):
+    return SchrodingerProblem(
+        ProcessSpec(alpha, 1), dom,
+        MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0, height=0.5),
+        MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0))
+
+
 def test_energy_form_cross_method_agreement():
     dom = GridDomain(16.0, 1024)
     u = np.exp(-dom.nodes() ** 2)
     for alpha in (1.0, 1.5, 2.0):
-        p = SchrodingerProblem(
-            ProcessSpec(alpha, 1), dom,
-            MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0, height=0.5),
-            MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0))
+        p = _bump_problem(alpha, dom)
         em = energy_form(p, u, u, "multiplier")
         ej = energy_form(p, u, u, "jump_kernel")
         assert abs(ej / em - 1.0) < 0.01, alpha
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_jump_symbol_matches_multiplier_mode_by_mode(alpha):
+    p = _bump_problem(alpha, GridDomain(16.0, 1024))
+    want = torus_symbol(p)[1:9]
+    for near in ("patch", "lattice"):
+        got = torus_symbol(p, "jump_kernel", near)[1:9]
+        assert np.max(np.abs(got / want - 1.0)) < 1e-2, near
+
+
+def test_jump_energy_pinned():
+    dom = GridDomain(16.0, 1024)
+    u = np.exp(-dom.nodes() ** 2)
+    for (alpha, near), want in JUMP_ENERGY_PINS.items():
+        got = energy_form(_bump_problem(alpha, dom), u, u, "jump_kernel", near_diagonal=near)
+        assert abs(got / want - 1.0) < 1e-13, (alpha, near)
+
+
+_vec64 = arrays(float, 64, elements=st.floats(-1e3, 1e3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(alpha=st.sampled_from([1.0, 1.5, 2.0]), near=st.sampled_from(["patch", "lattice"]),
+       u=_vec64, v=_vec64, c=st.floats(-1e3, 1e3))
+def test_jump_form_properties(alpha, near, u, v, c):
+    p = _bump_problem(alpha, GridDomain(16.0, 64))
+    N, h = p.domain.N, p.domain.h
+    e = lambda a, b: energy_form(p, a, b, "jump_kernel", near_diagonal=near)
+    tol = 1e-12 * (1.0 + np.linalg.norm(u)) * (1.0 + np.linalg.norm(v))
+    assert abs(e(u, v) - e(v, u)) <= tol
+    assert e(u, u) >= -1e-12 * (1.0 + u @ u)
+    const = np.full(N, c)
+    assert abs(e(const, v)) <= tol * (1.0 + abs(c))
+    assert abs(e(const, const)) <= 1e-12 * (1.0 + c * c)
+    # the Beurling-Deny double sum over node pairs, 0.5 h^2 sum_{i,m} J (u_i - u_m)(v_i - v_m)
+    jlag = np.concatenate([[0.0], _periodized_jump_lags(p.spec, p.domain, 64)])
+    if near == "patch":
+        jlag[1] = jlag[-1] = 2.0 * small_x_constant(p.spec) / h
+    i = np.arange(N)
+    kern = jlag[(i[None, :] - i[:, None]) % N]
+    want = 0.5 * h * h * np.sum(kern * np.subtract.outer(u, u) * np.subtract.outer(v, v))
+    assert abs(e(u, v) - want) <= tol * h * jlag.sum()
 
 
 def test_ground_state_matches_dense_oracle(prob, ground):

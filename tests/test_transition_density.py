@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv
 
 from geostable import (EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
                        RngStream, cdf_numeric, density_inversion, density_mc,
@@ -18,6 +19,18 @@ def test_inversion_laplace_oracle():
     spec = ProcessSpec(2.0, 1)
     for x in np.linspace(-10.0, 10.0, 41):
         assert abs(density_inversion(spec, 1.0, x) - 0.5 * math.exp(-abs(x))) < 1e-8
+
+
+def test_inversion_tail_correction_sign_d1_d2():
+    # the second integration-by-parts term of the cos / J0 tail is -cos(.) g'(R) / r^2
+    spec = ProcessSpec(2.0, 1)
+    for x in (0.3, 1.0, 3.0):
+        assert abs(density_inversion(spec, 1.0, x) - 0.5 * math.exp(-x)) < 1e-12, x
+    # alpha = 2, d = 2 is the Bessel potential (r/2)^(t-1) K_(t-1)(r) / (2 pi Gamma(t))
+    spec, t = ProcessSpec(2.0, 2), 3.0
+    for r in (0.3, 1.0, 3.0):
+        want = (r / 2.0) ** (t - 1.0) * kv(t - 1.0, r) / (2.0 * math.pi * math.gamma(t))
+        assert abs(density_inversion(spec, t, [r, 0.0]) - want) < 5e-13, r
 
 
 def test_inversion_zero_point_beta_value():
@@ -73,6 +86,16 @@ def test_inversion_table_mass_and_monotone_grid():
     table = inversion_table(spec, 1.0, xs)
     assert np.all(table.values >= 0)
     assert abs(np.trapezoid(table.values, xs) - 1.0) < 1e-3
+
+
+def test_inversion_table_near_threshold_passes_mass_guard():
+    # alpha t = 1.05: the cusp at 0 makes the trapezoid read 1.52 on this grid
+    spec, t = ProcessSpec(1.5, 1), 0.7
+    xs = np.linspace(-10.0, 10.0, 201)
+    table = inversion_table(spec, t, xs)
+    nz = xs != 0.0
+    want = density_gamma_mixture(spec, t, xs[nz])
+    assert np.max(np.abs(table.values[nz] - want)) < 1e-8
 
 
 def test_chapman_kolmogorov_convolution():

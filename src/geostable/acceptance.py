@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma, k1 as _k1
 
-from .errors import InversionNotIntegrableError
+from .errors import InversionNotIntegrableError, SingularPointError
 from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
@@ -25,7 +25,7 @@ from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  generator_matrix, irreducibility_cross_term,
                                  kato_diagnostic, solve_ground_state)
 from .stable_kernel import RngStream, _panel_nodes, radial_profile, sample_increment
-from .transition_density import EmpiricalCdf, cdf_numeric, density_inversion
+from .transition_density import EmpiricalCdf, _density_at_zero, cdf_numeric, density_inversion
 
 
 @dataclass
@@ -57,9 +57,17 @@ def reference_problem(L: float = 16.0, N: int = 256, c_minus: float = 1.0) -> Sc
 def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     """Independent density oracle: p_t(x) = int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds.
 
-    Valid for every t > 0 (unlike Fourier inversion); the quadrature runs over
-    a log-spaced panel grid in the subordinator variable.
+    Valid for every t > 0 and x != 0 (unlike Fourier inversion); the
+    quadrature runs over a log-spaced panel grid in the subordinator variable.
+    At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there the value is
+    the Beta closed form for t > d/alpha, and p_t(0) = inf is refused with
+    SingularPointError for t <= d/alpha.
     """
+    xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
+    at_zero = xs == 0.0
+    if at_zero.any() and t <= spec.dim / spec.alpha:
+        raise SingularPointError(
+            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
     prof = radial_profile(spec.alpha, spec.dim)
     # the s -> 0 end contributes ~ s_min^(t - d/alpha) near x = 0, and the mass
     # s_min^t / Gamma(1 + t) is lost: keep that below 1e-12, at 24.75 panels a
@@ -70,11 +78,11 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     s, w = _panel_nodes(np.geomspace(s_min, 60.0, n_panels + 1))
     gw = s ** (t - 1.0 - spec.dim / spec.alpha) * np.exp(-s) / _gamma(t) * w
     scale = s ** (-1.0 / spec.alpha)
-    xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     out = np.empty(xs.shape)
     for i0 in range(0, xs.size, 256):
         radii = xs[i0:i0 + 256, None] * scale[None, :]
         out[i0:i0 + 256] = prof.density(radii.ravel()).reshape(radii.shape) @ gw
+    out[at_zero] = _density_at_zero(spec, t)
     return out
 
 

@@ -36,7 +36,7 @@ from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import SingularPointError
 from .process_core import ProcessSpec
-from .stable_kernel import _panel_nodes, radial_profile
+from .stable_kernel import _envelope_columns, _panel_nodes, radial_profile
 
 # exp(-w) below this is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -102,9 +102,11 @@ def _head_grid(prof, n_panels):
 def _tail_sum(prof, r, head):
     """Incomplete-gamma tail of k beyond tail_start, each row cut like its scalar series.
 
-    Row i keeps its nonzero-coefficient terms up to the first one that grows
-    in magnitude (asymptotic breakdown) or is not finite, and stops after the
-    first term below 1e-15 of the running total head + tail.
+    Row i keeps its nonzero-coefficient terms up to the first one whose
+    magnitude envelope grows (asymptotic breakdown; a nearly vanishing
+    coefficient reads as its last regular neighbour, see _envelope_columns)
+    or that is not finite, and stops after the first envelope below 1e-15 of
+    the running total head + tail.
     """
     a = prof.alpha
     nz = np.flatnonzero(prof.coeffs)
@@ -115,7 +117,7 @@ def _tail_sum(prof, r, head):
     with np.errstate(all="ignore"):
         terms = (prof.coeffs[nz] * r[:, None] ** (-k * a)
                  * _gammainc(k, w_hi[:, None]) * _gamma(k))
-        mag = np.abs(terms)
+        mag = np.abs(terms)[:, _envelope_columns(prof.coeffs[nz], k)]
         partial = np.cumsum(terms, axis=1)
         stop = ~np.isfinite(terms)
         stop[:, 1:] |= mag[:, 1:] > mag[:, :-1]

@@ -7,34 +7,50 @@ coordinate; with alpha = 1 it is the Cauchy (Poisson) kernel.
 
 Radial evaluation strategy:
   * alpha in {1, 2}: closed forms.
-  * otherwise a cached radial profile per (alpha, dim): oscillation-resolved
-    panel quadrature of the Fourier / Hankel inversion integral up to a
-    switch radius, a spline through those values, and the power-tail series
+  * otherwise a cached radial profile per (alpha, dim): a head route up to a
+    switch radius, a spline through its values, and the power-tail series
 
         q_1(u) = pi^(-d/2) sum_{k>=1} (-1)^(k+1) k a 2^(k a - 1)
                  Gamma((d + k a)/2) / (k! Gamma(1 - k a/2)) u^(-d - k a)
 
-    beyond it.  The switch radius is validated against the quadrature at
-    build time, so the profile is self-checking.
+    beyond it.  The head for alpha < 1 is the sub-Gaussian mixture
+    Z = sqrt(2S) N(0, I), with the density of the positive (alpha/2)-stable S
+    from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
+    one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 is
+    oscillation-resolved panel quadrature of the Fourier / Hankel inversion
+    integral.  The switch radius is validated against the head at build
+    time, and a profile whose series matches at no candidate is refused, so
+    the profile is self-checking.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma, j0 as _j0, rgamma as _rgamma
+from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rgamma as _rgamma
 
-from .errors import UnsupportedDimensionError
+from .errors import ConfigError, ConsistencyError, UnsupportedDimensionError
 from .process_core import ProcessSpec
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 # exp(-R^alpha) < 1e-19 truncation of the inversion integral
 _LOG_CUTOFF = 45.0
-# smallest alpha the numeric inversion supports (truncation radius 45^(1/alpha)
-# and series cancellation both degrade rapidly below this)
+# smallest alpha the radial profile supports: the Kanter mixture head and the
+# validated power-tail series are tested down to here, not below
 MIN_NUMERIC_ALPHA = 0.3
+# Kanter mixture head (alpha < 1): Gauss-Legendre(10) panel counts in the
+# log-s variable y, and in u = pi - theta, geometric toward theta = pi and then
+# linear over u in [1, pi].  Doubling all three moves q_1 by under 1e-13.
+_MIX_Y_PANELS = 96
+_MIX_U_GEOMETRIC = 40
+_MIX_U_LINEAR = 6
+# the mixture grid drops what lies e^(-40) below the integrand's peak for
+# every radius up to _MIX_R_MAX, which covers the largest switch probe 1.3 * 44
+_MIX_MARGIN = 40.0
+_MIX_R_MAX = 60.0
 
 
 def _panel_nodes(edges):
@@ -65,8 +81,8 @@ def _fourier_head(alpha, dim, u):
     osc = np.pi / (2.0 * max(u.max(), 1.0))
     n_osc = int(np.ceil(R / osc))
     edges = np.unique(np.concatenate([
-        np.geomspace(min(1e-9, 1e-9 * R), min(1.0, R), 50),
-        np.linspace(0.0, R, min(n_osc, 2_000_000) + 1),
+        np.geomspace(1e-9, 1.0, 50),
+        np.linspace(0.0, R, n_osc + 1),
     ]))
     if edges[-1] < R:
         edges = np.append(edges, R)
@@ -89,6 +105,59 @@ def _fourier_head(alpha, dim, u):
     return out
 
 
+def _kanter_log_a(beta, u):
+    """log A(pi - u) for Kanter's function, the one `_sample_positive_stable` draws with:
+
+        A(theta) = sin(beta theta)^(beta/(1-beta)) sin((1-beta) theta) / sin(theta)^(1/(1-beta)).
+
+    Taken at theta = pi - u so that theta near pi, where A blows up like
+    sin(beta pi)^(1/(1-beta)) u^(-1/(1-beta)), keeps full precision.
+    """
+    th = np.pi - u
+    return (beta / (1.0 - beta) * np.log(np.sin(beta * th)) + np.log(np.sin((1.0 - beta) * th))
+            - np.log(np.sin(u)) / (1.0 - beta))
+
+
+def _mixture_head(alpha, dim):
+    """q_1 for 0 < alpha < 1 as a function of radii up to _MIX_R_MAX.
+
+    Z = sqrt(2S) N(0, I) with S positive (alpha/2)-stable (Samorodnitsky &
+    Taqqu 1994, 2.5), and S has Kanter's density (Kanter 1975).  With
+    s = e^(-y), beta = alpha/2 and c = beta/(1 - beta):
+
+        q_1(r) = (c/pi) (4 pi)^(-d/2) int dy e^((d/2) y) e^(-r^2 e^y / 4) G(y),
+        G(y)   = int_0^pi A(theta) e^(c y) exp(-A(theta) e^(c y)) dtheta.
+
+    G is tabulated once on a Gauss-Legendre y-grid, so each radius costs one
+    row of a matrix product.  Every integrand is positive: no cancellation.
+    """
+    beta = alpha / 2.0
+    c = beta / (1.0 - beta)
+    # y -> -inf: G ~ e^(beta y), and radius r peaks near e^y = 4 rate / r^2
+    rate = dim / 2.0 + beta
+    y_lo = math.log(4.0 * rate / _MIX_R_MAX ** 2) - _MIX_MARGIN / rate
+    # y -> +inf: with z = e^(c y) the r = 0 integrand is below z^k e^(-A(0) z),
+    # k = d/(2c) + 1; cut where that falls e^(-margin) below its peak z = k/A(0)
+    k = dim / (2.0 * c) + 1.0
+    x = -_lambertw(-math.exp(-1.0 - _MIX_MARGIN / k), -1).real
+    y_hi = math.log(x * k / (beta ** c * (1.0 - beta))) / c
+    # at small z, G lives in a bump at u ~ sin(beta pi) z^(1 - beta) near theta = pi
+    u_min = 0.01 * math.sin(beta * math.pi) * math.exp(beta * y_lo)
+    u, wu = _panel_nodes(np.concatenate([np.geomspace(u_min, 1.0, _MIX_U_GEOMETRIC + 1),
+                                         np.linspace(1.0, np.pi, _MIX_U_LINEAR + 1)[1:]]))
+    y, wy = _panel_nodes(np.linspace(y_lo, y_hi, _MIX_Y_PANELS + 1))
+    log_z = c * y[:, None] + _kanter_log_a(beta, u)[None, :]
+    weights = ((np.exp(0.5 * dim * y[:, None] + log_z - np.exp(log_z)) @ wu) * wy
+               * (c / np.pi * (4.0 * np.pi) ** (-dim / 2.0)))
+    quarter_ey = 0.25 * np.exp(y)
+
+    def head(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-np.square(r)[:, None] * quarter_ey[None, :]) @ weights
+
+    return head
+
+
 def tail_coefficients(alpha: float, dim: int, kmax: int = 60) -> np.ndarray:
     """Coefficients c_k of the power-tail series q_1(u) = sum c_k u^(-d-k*alpha).
 
@@ -104,20 +173,42 @@ def tail_coefficients(alpha: float, dim: int, kmax: int = 60) -> np.ndarray:
     return c
 
 
-def _series_block(alpha, dim, u, c_nz, k_nz):
+def _envelope_columns(c_nz, k_nz):
+    """Column map that reads the magnitude envelope of a series from its terms.
+
+    Near a zero of 1/Gamma(1 - k alpha/2), as for every even k near alpha = 1,
+    a coefficient nearly vanishes, so its term is tiny at every radius and the
+    next one would read as asymptotic growth.  A coefficient counts as such a
+    dip when it lies more than e^3 below the log-linear interpolation of its
+    nonzero neighbours; the powers u^(-k alpha) are log-linear in k, so the
+    test holds at every radius.  A dip's column maps to the last regular
+    column before it, every other column to itself: where no coefficient
+    dips, the envelope is the magnitudes themselves.
+    """
+    dip = np.zeros(k_nz.size, dtype=bool)
+    if k_nz.size > 2:
+        lm = np.log(np.abs(c_nz))
+        k = k_nz
+        trend = ((k[2:] - k[1:-1]) * lm[:-2] + (k[1:-1] - k[:-2]) * lm[2:]) / (k[2:] - k[:-2])
+        dip[1:-1] = lm[1:-1] - trend < -3.0
+    return np.maximum.accumulate(np.where(dip, 0, np.arange(k_nz.size)))
+
+
+def _series_block(alpha, dim, u, c_nz, k_nz, env_cols):
     with np.errstate(under="ignore"):
         terms = c_nz[None, :] * u[:, None] ** (-dim - k_nz[None, :] * alpha)
-    mag = np.abs(terms)
     if terms.shape[1] == 1:
         vals = terms[:, 0]
         errs = np.full(u.shape, 1e-16)
         return vals, errs
-    growing = mag[:, 1:] > mag[:, :-1]
+    # a dip neither ends the sum nor sets its error
+    env = np.abs(terms)[:, env_cols]
+    growing = env[:, 1:] > env[:, :-1]
     any_growth = growing.any(axis=1)
-    cut = np.where(any_growth, np.argmax(growing, axis=1), mag.shape[1] - 1)
+    cut = np.where(any_growth, np.argmax(growing, axis=1), env.shape[1] - 1)
     rows = np.arange(u.size)
     vals = np.cumsum(terms, axis=1)[rows, cut]
-    errs = np.where(vals != 0.0, mag[rows, cut] / np.abs(vals), np.inf)
+    errs = np.where(vals != 0.0, env[rows, cut] / np.abs(vals), np.inf)
     return vals, errs
 
 
@@ -125,10 +216,11 @@ def _series_batch(alpha, dim, u, coeffs):
     """Tail series at radii u (1-d array) with per-point safe truncation.
 
     Zero coefficients are skipped; each point sums its terms up to the first
-    growth in magnitude (asymptotic breakdown).  Far radii keep only the
-    terms that can still matter at 1e-16 relative, so bulk evaluation over
-    many decades stays cheap.  Returns (values, relerrs) with
-    relerr = |last kept term| / |sum|.
+    growth of the magnitude envelope (asymptotic breakdown; see
+    _envelope_columns for coefficients that nearly vanish).  Far radii keep only
+    the terms that can still matter at 1e-16 relative, so bulk evaluation
+    over many decades stays cheap.  Returns (values, relerrs) with
+    relerr = |last kept regular term| / |sum|.
     """
     u = np.asarray(u, dtype=float)
     nz = np.flatnonzero(coeffs)
@@ -136,6 +228,7 @@ def _series_batch(alpha, dim, u, coeffs):
         return np.zeros_like(u), np.full_like(u, np.inf)
     c_nz = coeffs[nz]
     k_nz = (nz + 1).astype(float)
+    env_cols = _envelope_columns(c_nz, k_nz)
     log_ratio = np.log(np.abs(c_nz)) - np.log(np.abs(c_nz[0]))
     vals = np.empty(u.shape)
     errs = np.empty(u.shape)
@@ -150,13 +243,8 @@ def _series_batch(alpha, dim, u, coeffs):
         u_min = sorted_u[lo_i]
         keep = log_ratio - (k_nz - k_nz[0]) * alpha * np.log(u_min) > -37.0
         m = max(int(np.max(np.flatnonzero(keep))) + 1, 1) if keep.any() else 1
-        vals[idx], errs[idx] = _series_block(alpha, dim, u[idx], c_nz[:m], k_nz[:m])
+        vals[idx], errs[idx] = _series_block(alpha, dim, u[idx], c_nz[:m], k_nz[:m], env_cols[:m])
     return vals, errs
-
-
-def _series_value(alpha, dim, u, coeffs):
-    vals, errs = _series_batch(alpha, dim, np.atleast_1d(float(u)), coeffs)
-    return float(vals[0]), float(errs[0])
 
 
 _SWITCH_CANDIDATES = (6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 26.0, 34.0, 44.0)
@@ -179,9 +267,9 @@ class StableRadialProfile:
                 f"radial stable density supports dim in {{1, 2, 3}}, got {dim}")
         if not (0.0 < alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-        if alpha < MIN_NUMERIC_ALPHA and alpha not in (1.0, 2.0):
-            raise ValueError(
-                f"numeric radial inversion supports alpha >= {MIN_NUMERIC_ALPHA}, got {alpha}")
+        if alpha < MIN_NUMERIC_ALPHA:
+            raise ConfigError(
+                f"the radial stable profile supports alpha >= {MIN_NUMERIC_ALPHA}, got {alpha}")
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.coeffs = tail_coefficients(alpha, dim)
@@ -192,18 +280,29 @@ class StableRadialProfile:
             self._spline_lin = None
             self._spline_log = None
             return
-        self.tail_start, self.tail_relerr = self._pick_switch()
+        # spline seam between the linear core and the log-log flank, and the flank's knots
+        self._seam, n_log = 2.0, 160
+        if alpha == 1.0:
+            head = self._closed_form
+        elif alpha < 1.0:
+            head = _mixture_head(alpha, dim)
+            # q_1 falls off from q_1(0) like 1 - (u/sigma)^2 with
+            # sigma^-2 = Gamma((d+2)/alpha) / (2 d Gamma(d/alpha)), a core as
+            # narrow as 5e-4 at alpha = 0.3: the linear knots sit inside it
+            self._seam = 0.5 * math.sqrt(2.0 * dim * _gamma(dim / alpha) / _gamma((dim + 2) / alpha))
+            n_log = 320
+        else:
+            head = functools.partial(_fourier_head, alpha, dim)
+        self.tail_start, self.tail_relerr = self._pick_switch(head)
         if alpha == 1.0:
             self._spline_lin = None
             self._spline_log = None
             return
-        ua = np.linspace(0.0, 2.0, 161)
-        ub = np.geomspace(2.0, self.tail_start, 160)
-        qa = _fourier_head(alpha, dim, ua)
-        qb = _fourier_head(alpha, dim, ub)
+        ua = np.linspace(0.0, self._seam, 161)
+        ub = np.geomspace(self._seam, self.tail_start, n_log)
         # q_1 is even and positive: clamp derivative at 0, log-log in the tail region
-        self._spline_lin = CubicSpline(ua, qa, bc_type=((1, 0.0), "not-a-knot"))
-        self._spline_log = CubicSpline(np.log(ub), np.log(qb))
+        self._spline_lin = CubicSpline(ua, head(ua), bc_type=((1, 0.0), "not-a-knot"))
+        self._spline_log = CubicSpline(np.log(ub), np.log(head(ub)))
 
     def _closed_form(self, u):
         if self.alpha == 2.0:
@@ -213,24 +312,22 @@ class StableRadialProfile:
             return _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0) / (1.0 + u ** 2) ** ((d + 1) / 2.0)
         return None
 
-    def _pick_switch(self):
-        """Smallest switch radius at which the series matches an independent check."""
-        best = (None, np.inf)
+    def _pick_switch(self, head):
+        """Smallest switch radius at which the series matches the independent head.
+
+        Raises ConsistencyError when no candidate validates to 3e-9.
+        """
+        best = np.inf
         for u_sw in _SWITCH_CANDIDATES:
             probes = np.array([u_sw, 1.3 * u_sw])
-            if self.alpha in (1.0, 2.0):
-                ref = self._closed_form(probes)
-            else:
-                ref = _fourier_head(self.alpha, self.dim, probes)
-            rel = 0.0
-            for p, rv in zip(probes, ref):
-                sv, serr = _series_value(self.alpha, self.dim, p, self.coeffs)
-                rel = max(rel, abs(sv / rv - 1.0), serr)
-            if rel < best[1]:
-                best = (u_sw, rel)
+            sv, serr = _series_batch(self.alpha, self.dim, probes, self.coeffs)
+            rel = float(max(np.max(np.abs(sv / head(probes) - 1.0)), np.max(serr)))
             if rel < 3e-9:
                 return u_sw, rel
-        return best
+            best = min(best, rel)
+        raise ConsistencyError(
+            f"power-tail series of q_1 (alpha {self.alpha}, dim {self.dim}) matches its head "
+            f"to {best:.1e} at best over switch radii {_SWITCH_CANDIDATES}, not 3e-9")
 
     def density(self, u):
         """q_1 at radii u (scalar or array); exact closed form when available."""
@@ -240,8 +337,8 @@ class StableRadialProfile:
         if closed is not None:
             return float(closed[0]) if scalar else closed
         out = np.empty_like(u)
-        m_lin = u <= 2.0
-        m_log = (u > 2.0) & (u < self.tail_start)
+        m_lin = u <= self._seam
+        m_log = (u > self._seam) & (u < self.tail_start)
         m_ser = u >= self.tail_start
         if m_lin.any():
             out[m_lin] = self._spline_lin(u[m_lin])

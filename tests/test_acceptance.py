@@ -7,10 +7,11 @@ checks rely on are tested against independent routes at the end.
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
-from geostable import ProcessSpec, acceptance
-from geostable.stable_kernel import _panel_nodes
+from geostable import ProcessSpec, SingularPointError, acceptance
+from geostable.stable_kernel import _panel_nodes, q1_at_zero
 
 
 def _run(check, seed=None):
@@ -101,3 +102,18 @@ def test_gaussian_free_mean_oracles():
     ref = sum(quad(integrand, a, b, epsabs=1e-17, epsrel=1e-13, limit=400)[0]
               for a, b in ((0.0, 1.0), (1.0, 60.0))) / math.sqrt(math.pi)
     assert abs(acceptance.gaussian_free_mean(spec, 0.5) - ref) < 1e-12
+
+
+def test_gamma_mixture_at_origin():
+    spec = ProcessSpec(1.5, 1)
+    xs = np.array([0.0, 0.3, 1.0])
+    got = acceptance.density_gamma_mixture(spec, 0.7, xs)
+    # p_t(0) = q_1(0) Gamma(t - d/alpha) / Gamma(t) = 6.52; the s-grid read 5.09
+    want = q1_at_zero(1.5, 1) * math.gamma(0.7 - 1.0 / 1.5) / math.gamma(0.7)
+    assert abs(got[0] / want - 1.0) < 1e-12
+    np.testing.assert_allclose(got[1:], acceptance.density_gamma_mixture(spec, 0.7, xs[1:]),
+                               rtol=1e-14, atol=0.0)
+    # t <= d/alpha: p_t(0) is infinite
+    with pytest.raises(SingularPointError):
+        acceptance.density_gamma_mixture(spec, 0.5, xs)
+    assert np.all(np.isfinite(acceptance.density_gamma_mixture(spec, 0.5, xs[1:])))

@@ -129,6 +129,26 @@ def test_levy_with_asymptotics_report(tmp_path):
     assert rep["relative_gap_oracle"] < 0.02
 
 
+def test_levy_below_supported_alpha_is_config_error(tmp_path, capsys):
+    assert run(["levy", "--alpha", "0.2", "--dim", "1", "--output-path", str(tmp_path)]) == 2
+    assert "alpha >= 0.3" in capsys.readouterr().err
+
+
+def test_levy_at_lowest_supported_alpha(tmp_path):
+    # the documented bound: its profile used to ask for ~10 GB
+    assert run(["levy", "--alpha", "0.3", "--dim", "1", "--output-path", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "levy_density.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (64, 2)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] > 0)
+
+
+def test_unvalidated_tail_series_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # at u = 1 the alpha = 1.37 power series diverges, so no switch radius validates
+    monkeypatch.setattr("geostable.stable_kernel._SWITCH_CANDIDATES", (1.0,))
+    assert run(["levy", "--alpha", "1.37", "--dim", "1", "--output-path", str(tmp_path)]) == 1
+    assert "3e-9" in capsys.readouterr().err
+
+
 def test_groundstate_run(tmp_path, capsys):
     assert run(["groundstate", "--alpha", "1.5", "--L", "16", "--N", "128",
                 "--mu-plus", "indicator:half_width=1,height=0.5",

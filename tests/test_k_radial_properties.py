@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from geostable import ProcessSpec, k_radial, radial_profile
+from geostable.stable_kernel import _mixture_head, _panel_nodes
 
 SPECS = [ProcessSpec(a, d) for a in (0.7, 1.0, 1.5, 2.0) for d in (1, 2, 3)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -62,10 +63,26 @@ def _k_by_quad(spec, r):
                for lo, hi in zip(seams[:-1], seams[1:]))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.3, 1.9])
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.999, 1.001, 1.3, 1.9])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_matches_adaptive_quad_of_definition(alpha, dim):
     spec = ProcessSpec(alpha, dim)
     rs = np.array([0.01, 0.5, 5.0])
     want = np.array([_k_by_quad(spec, r) for r in rs])
     assert np.max(np.abs(k_radial(spec, rs) / want - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sub_one_kernel_matches_spline_free_oracle(dim):
+    # the head integral straight from the Kanter mixture on a fine log-u grid,
+    # no spline: uniform core knots on [0, 2] once put k 1.7e-7 off here
+    a = 0.5
+    prof = radial_profile(a, dim)
+    u, w = _panel_nodes(np.geomspace(1e-12, prof.tail_start, 801))
+    g = a * u ** (dim - 1) * _mixture_head(a, dim)(u) * w
+    rs = np.array([0.01, 0.5, 5.0])
+    want = [float(g @ np.exp(-(r / u) ** a))
+            + quad(lambda v: a * v ** (dim - 1) * prof.density(v) * np.exp(-(r / v) ** a),
+                   prof.tail_start, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for r in rs]
+    assert np.max(np.abs(k_radial(ProcessSpec(a, dim), rs) / want - 1.0)) < 1e-10

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma
 
-from geostable import (ProcessSpec, RngStream, UnsupportedDimensionError,
-                       radial_profile, sample_gamma, sample_increment,
-                       sample_stable, stable_density, stable_density_radial)
-from geostable.stable_kernel import _fourier_head, _sample_positive_stable
+from geostable import (ConfigError, ProcessSpec, RngStream,
+                       UnsupportedDimensionError, radial_profile, sample_gamma,
+                       sample_increment, sample_stable, stable_density,
+                       stable_density_radial)
+from geostable import stable_kernel as sk
+from geostable.stable_kernel import (StableRadialProfile, _fourier_head, _mixture_head,
+                                     _sample_positive_stable, q1_at_zero)
 
 
 def test_config_validation():
@@ -80,8 +85,77 @@ def test_profile_matches_direct_quadrature():
 def test_unsupported_dimension_rejected():
     with pytest.raises(UnsupportedDimensionError):
         stable_density(ProcessSpec(1.5, 4), 1.0, np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         radial_profile(0.2, 2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mixture_profile_matches_fourier_head(alpha, dim):
+    # the spline knots from u = 0 to tail_start carry the head's values, which
+    # the oscillatory Fourier / Hankel quadrature checks independently
+    prof = StableRadialProfile(alpha, dim)
+    us = np.concatenate([np.linspace(0.0, prof._seam, 161)[::40],
+                         np.geomspace(prof._seam, prof.tail_start, 320)[::35], [prof.tail_start]])
+    assert np.max(np.abs(prof.density(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
+
+
+def test_mixture_head_self_convergence(monkeypatch):
+    us = np.concatenate([[0.0], np.geomspace(1e-4, 57.2, 60)])
+    before = {(a, d): _mixture_head(a, d)(us) for a in (0.3, 0.6, 0.95) for d in (1, 2, 3)}
+    for name in ("_MIX_Y_PANELS", "_MIX_U_GEOMETRIC", "_MIX_U_LINEAR"):
+        monkeypatch.setattr(sk, name, 2 * getattr(sk, name))
+    for (a, d), q in before.items():
+        assert np.max(np.abs(_mixture_head(a, d)(us) / q - 1.0)) < 1e-13, (a, d)
+
+
+def test_lowest_alpha_matches_scipy_d1():
+    from scipy.stats import levy_stable
+    xs = np.array([0.0, 0.003, 0.05, 0.5, 2.0, 5.0, 7.0, 30.0])
+    want = levy_stable.pdf(xs, 0.3, 0.0)
+    assert np.max(np.abs(radial_profile(0.3, 1).density(xs) / want - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lowest_alpha_value_at_zero_and_unit_mass(dim):
+    prof = radial_profile(0.3, dim)
+    assert abs(prof.density(0.0) / q1_at_zero(0.3, dim) - 1.0) < 1e-12
+    omega = 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0)
+    f = lambda u: omega * u ** (dim - 1) * prof.density(u)
+    cuts = [0.0, prof._seam, 1.0, prof.tail_start, np.inf]
+    mass = sum(quad(f, lo, hi, limit=200, epsabs=0.0, epsrel=1e-11)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+    assert abs(mass - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lowest_alpha_build_memory(dim):
+    # the oscillatory route needed ~10 GB here
+    tracemalloc.start()
+    try:
+        StableRadialProfile(0.3, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_sub_one_builds_never_call_fourier_head(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("alpha < 1 profile called _fourier_head")
+    monkeypatch.setattr(sk, "_fourier_head", refuse)
+    for alpha in (0.3, 0.5, 0.75, 0.999):
+        for dim in (1, 2, 3):
+            StableRadialProfile(alpha, dim)
+
+
+def test_every_supported_alpha_validates_its_tail():
+    # next to alpha = 1 the even-k coefficients nearly vanish; they used to end
+    # the sum at k = 2, and the build fell back to a series 1e-3 off
+    alphas = [round(0.3 + 0.05 * i, 2) for i in range(34)] + [0.999, 1.001, 1.99, 1.999]
+    for alpha in alphas:
+        for dim in (1, 2, 3):
+            assert StableRadialProfile(alpha, dim).tail_relerr < 3e-9, (alpha, dim)
 
 
 def test_rng_determinism_and_split():

@@ -399,8 +399,11 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
         return h * _spectral_apply(psi, v) + wp * v
 
     a_op = LinearOperator((N, N), matvec=a_apply, dtype=float)
-    diag = h * float(psi.mean()) + wp
-    precond = LinearOperator((N, N), matvec=lambda v: v / diag, dtype=float)
+    # circulant preconditioner: W+ replaced by its mean, inverted by one FFT pair;
+    # psi_0 = 0 and mean(w+) > 0 because mu_plus is non-trivial
+    precond_symbol = 1.0 / (h * psi + float(wp.mean()))
+    precond = LinearOperator((N, N), matvec=lambda v: _spectral_apply(precond_symbol, v),
+                             dtype=float)
     x = (wm > 0).astype(float)
     x /= np.linalg.norm(x)
     z = x.copy()

@@ -296,7 +296,7 @@ def _cmd_groundstate(args):
     result.to_json(json_path, problem=problem, seed=None)
     _write_manifest(out, "groundstate", cfg, [csv_path, json_path], t0)
     print(f"lambda = {result.lambda_!r} (residual {result.residual:.2e}, "
-          f"{result.iterations} iterations)")
+          f"{result.iterations} iterations, {result.cg_iterations} CG steps)")
     return 0
 
 

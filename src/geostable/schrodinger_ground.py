@@ -9,9 +9,10 @@ symbol is the multiplier log(1 + |xi_k|^alpha).  The variational problem
 
 becomes the generalized eigenproblem (h H + W+) v = lambda W- v with diagonal
 weight matrices; since W- is singular on the complement of its support, the
-solver runs power iteration on (h H + W+)^(-1) W- (the definite side is
-inverted by conjugate gradients with the multiplier applied spectrally) and a
-dense eigensolve with the same circulant (generator_matrix) is the check.
+solver runs inexact inverse iteration on (h H + W+)^(-1) W-: the definite side
+is inverted by conjugate gradients preconditioned with the circulant
+h H + mean(W+), each solve only as tight as the outer residual needs, and a
+dense eigensolve of the same pencil in the real Fourier modes is the check.
 
 The energy form has two faces: the multiplier, and the Beurling-Deny double
 sum over node pairs with the periodized jump kernel j_per(z) = sum_m j(z + 2Lm).
@@ -30,7 +31,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import circulant, eigh
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import ConsistencyError, ConvergenceError
+from .errors import ConfigError, ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
 from .stable_kernel import RngStream, sample_increment
@@ -320,6 +321,7 @@ class GroundStateResult:
     residual: float
     iterations: int
     normalization_check: float
+    cg_iterations: int
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
@@ -336,6 +338,7 @@ class GroundStateResult:
             "lambda": self.lambda_,
             "residual": self.residual,
             "iterations": self.iterations,
+            "cg_iterations": self.cg_iterations,
             "normalization_check": self.normalization_check,
             "h": [float(v) for v in self.h],
             "seed": seed,
@@ -365,7 +368,7 @@ class GroundStateResult:
                 writer.writerow([repr(float(x)), repr(float(v))])
 
 
-def _finalize(problem, lam, vec, residual, iterations):
+def _finalize(problem, lam, vec, residual, iterations, cg_iterations):
     wm = problem.mu_minus.weights
     norm2 = float(vec @ (wm * vec))
     hvec = vec / np.sqrt(norm2)
@@ -374,7 +377,8 @@ def _finalize(problem, lam, vec, residual, iterations):
     return GroundStateResult(
         lambda_=float(lam), h=hvec, residual=float(residual),
         iterations=int(iterations),
-        normalization_check=float(hvec @ (wm * hvec)))
+        normalization_check=float(hvec @ (wm * hvec)),
+        cg_iterations=int(cg_iterations))
 
 
 # inexact inverse iteration (Golub & Ye 2000): each inner CG solve is asked for
@@ -387,16 +391,21 @@ _INNER_RTOL_MAX = 1e-2
 
 def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
                        max_iter: int = 800) -> GroundStateResult:
-    """Power iteration for the principal eigenpair, inverse-free on the singular side.
+    """Principal eigenpair by inexact inverse iteration, inverse-free on the singular side.
 
-    Iterates v <- (h H + W+)^(-1) W- v with conjugate-gradient solves (the
-    multiplier is applied spectrally, so each solve is O(N log N) per CG step);
-    the definite side h H + W+ is invertible because mu_plus is non-trivial.
-    Convergence is declared on the pencil residual
-    ||(h H + W+) v - lambda W- v|| / ||v|| < tol.
+    Iterates v <- (h H + W+)^(-1) W- v; the definite side h H + W+ is invertible
+    because mu_plus is non-trivial.  Each solve is conjugate gradients with the
+    multiplier applied spectrally, O(N log N) per CG step, preconditioned by the
+    circulant h H + mean(W+) (one FFT pair, T. Chan 1988), so the step count
+    does not grow with N.  A solve starts at v / lambda, the fixed point, and
+    stops at a relative residual tied to the last outer residual (Golub & Ye
+    2000), so late solves take a few steps.  Convergence is declared on the
+    exactly computed pencil residual ||(h H + W+) v - lambda W- v|| / ||v|| < tol;
+    the result's cg_iterations counts the inner steps.
     """
     if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
+        raise ConfigError(f"tol must be positive and max_iter >= 1, got tol={tol}, "
+                          f"max_iter={max_iter}")
     psi = torus_symbol(problem)
     N = problem.domain.N
     h = problem.domain.h
@@ -417,9 +426,16 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
     z = x.copy()
     residual = np.inf
     rtol = _INNER_RTOL_MAX
+    cg_steps = 0
+
+    def count_step(_xk):
+        nonlocal cg_steps
+        cg_steps += 1
+
     for it in range(1, max_iter + 1):
         y = wm * x
-        z, info = cg(a_op, y, x0=z, rtol=rtol, atol=0.0, maxiter=40 * N, M=precond)
+        z, info = cg(a_op, y, x0=z, rtol=rtol, atol=0.0, maxiter=40 * N, M=precond,
+                     callback=count_step)
         nz = np.linalg.norm(z)
         if info != 0 or nz == 0.0:
             raise ConvergenceError(f"inner CG solve failed at iteration {it}", residual=residual)
@@ -431,7 +447,7 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
         residual = float(np.linalg.norm(az - lam * bz))
         x = z
         if residual < tol:
-            return _finalize(problem, lam, z, residual, it)
+            return _finalize(problem, lam, z, residual, it, cg_steps)
         # the next solve starts at the fixed point z / lam, whose CG residual is
         # rel ||W- z||; asking for a tenth of it keeps every solve doing work
         rel = residual / (lam * float(np.linalg.norm(bz)))
@@ -442,23 +458,41 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
         residual=residual)
 
 
+def _real_fourier_modes(N: int) -> np.ndarray:
+    """Orthonormal real eigenvectors of every N-node circulant, as columns.
+
+    cos(2 pi k i / N) for k = 0..N/2 (the rfft frequencies), then
+    sin(2 pi k i / N) for k = 1..N/2-1; phases are reduced mod N before scaling.
+    """
+    i = np.arange(N)
+    k = np.arange(N // 2 + 1)
+    ang = (2.0 * np.pi / N) * (np.outer(i, k) % N)
+    scale = np.where((k == 0) | (k == N // 2), 1.0, np.sqrt(2.0)) / np.sqrt(N)
+    return np.hstack([np.cos(ang) * scale, np.sin(ang[:, 1:-1]) * np.sqrt(2.0 / N)])
+
+
 def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
     """Dense generalized eigensolve of the same pencil; the brute-force check.
 
-    Builds the circulant multiplier matrix explicitly and solves
-    W- v = theta (h H + W+) v with a full symmetric eigendecomposition.
+    Writes h H + W+ and W- in the real Fourier modes, where h H is exactly the
+    diagonal h psi_k (constants stay in its kernel to the last bit), and solves
+    W- v = theta (h H + W+) v with a full symmetric eigendecomposition.  In the
+    node basis the Cholesky factor of h H + W+ loses eps cond(h H + W+), which
+    is 1e-5 of lambda when mu_plus is a single node of weight 1e-9.
     """
-    a_mat = problem.domain.h * generator_matrix(problem) + np.diag(problem.mu_plus.weights)
+    psi = torus_symbol(problem)
+    q = _real_fourier_modes(problem.domain.N)
+    wp, wm = problem.mu_plus.weights, problem.mu_minus.weights
+    a_mat = np.diag(problem.domain.h * np.concatenate([psi, psi[1:-1]])) + (q.T * wp) @ q
     a_mat = 0.5 * (a_mat + a_mat.T)
-    b_mat = np.diag(problem.mu_minus.weights)
+    b_mat = (q.T * wm) @ q
+    b_mat = 0.5 * (b_mat + b_mat.T)
     theta, vecs = eigh(b_mat, a_mat)
     idx = int(np.argmax(theta))
     lam = 1.0 / float(theta[idx])
-    vec = vecs[:, idx]
-    az = a_mat @ vec
-    residual = float(np.linalg.norm(az - lam * (problem.mu_minus.weights * vec))
-                     / np.linalg.norm(vec))
-    return _finalize(problem, lam, vec, residual, 0)
+    coef = vecs[:, idx]
+    residual = float(np.linalg.norm(a_mat @ coef - lam * (b_mat @ coef)) / np.linalg.norm(coef))
+    return _finalize(problem, lam, q @ coef, residual, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +542,12 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     Returns (mean, standard_error).
     """
     if t <= 0 or dt <= 0 or dt > t:
-        raise ValueError("need 0 < dt <= t")
+        raise ConfigError(f"need 0 < dt <= t, got dt={dt}, t={t}")
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
-        raise ValueError("t/dt must be an integer")
+        raise ConfigError(f"t/dt must be an integer, got t={t}, dt={dt}")
     if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     rho_of = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else rho
     f_of = _as_function(problem.domain, f)
     n_batches = int(np.ceil(n_paths / batch_size))

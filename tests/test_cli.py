@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from geostable.cli import main
 
@@ -158,6 +159,7 @@ def test_groundstate_run(tmp_path, capsys):
     assert "lambda" in out
     gs = json.loads((tmp_path / "ground_state.json").read_text())
     assert 0.0 < gs["lambda"] <= 0.26
+    assert gs["cg_iterations"] > 0 and f"{gs['cg_iterations']} CG steps" in out
     csv_lines = (tmp_path / "ground_state.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "x,h"
     assert len(csv_lines) == 129
@@ -167,6 +169,25 @@ def test_groundstate_bad_measure_is_config_error(tmp_path, capsys):
     assert run(["groundstate", "--alpha", "1.5", "--mu-plus", "indicator:half_width=10",
                 "--output-path", str(tmp_path)]) == 2
     assert "support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "0"], "tol"),
+    (["--max-iter", "0"], "max_iter"),
+])
+def test_groundstate_bad_solver_settings_are_config_errors(tmp_path, capsys, flags, message):
+    assert run(["groundstate", *flags, "--output-path", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0"], "dt"),
+    (["--n-paths", "0"], "n_paths"),
+    (["--t", "0.5", "--dt", "0.3"], "integer"),
+])
+def test_feynman_kac_bad_steps_are_config_errors(tmp_path, capsys, flags, message):
+    assert run(["feynman-kac", "--seed", "1", *flags, "--output-path", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_feynman_kac_run(tmp_path, capsys):

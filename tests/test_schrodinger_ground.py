@@ -184,6 +184,83 @@ def test_ground_state_matches_dense_oracle(prob, ground):
     assert np.linalg.norm(hi - hd) < 1e-6
 
 
+def _torus_problem(alpha, L, N):
+    dom = GridDomain(L, N)
+    return SchrodingerProblem(
+        ProcessSpec(alpha, 1), dom,
+        MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0, height=0.5),
+        MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0, height=1.0))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_ground_state_cg_steps_flat_in_n(alpha):
+    # the diagonal preconditioner with fixed inner tolerance took 570-2271 steps here
+    counts = {}
+    for L, N in ((32.0, 1024), (128.0, 16384)):
+        res = solve_ground_state(_torus_problem(alpha, L, N), tol=1e-10)
+        assert 0 < res.cg_iterations <= 60, (N, res.cg_iterations)
+        assert res.iterations <= 13, (N, res.iterations)
+        counts[N] = res.cg_iterations
+    assert counts[16384] <= 1.5 * counts[1024], counts
+
+
+def test_reference_ground_state_cg_steps(ground):
+    assert 0 < ground.cg_iterations <= 60
+    assert ground.iterations <= 13
+
+
+def _bump(dom, profile, center, half_width, height):
+    mu = MeasureOnGrid.from_profile(dom, profile, center=center, half_width=half_width,
+                                    height=height)
+    # the solver needs the support inside |x| <= L/4; a gaussian never ends on its own
+    return MeasureOnGrid(dom, mu.weights * (np.abs(dom.nodes()) <= dom.L / 4.0))
+
+
+_profiles = st.tuples(st.sampled_from(["indicator", "triangle", "gaussian"]),
+                      st.floats(-2.0, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 5.0))
+
+
+@st.composite
+def _single_node(draw, N):
+    offset = draw(st.integers(-N // 8, N // 8))
+    weight = 10.0 ** draw(st.floats(-9.0, 1.0))
+    return N // 2 + offset, weight
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(alpha=st.floats(1.0, 2.0), N=st.sampled_from([64, 128, 256]),
+       minus=_profiles, plus=_profiles, node=st.one_of(st.none(), _single_node(256)))
+def test_ground_state_matches_dense_property(alpha, N, minus, plus, node):
+    dom = GridDomain(16.0, N)
+    if node is None:
+        mu_plus = _bump(dom, *plus)
+    else:
+        weights = np.zeros(N)
+        weights[node[0] * N // 256] = node[1]
+        mu_plus = MeasureOnGrid(dom, weights)
+    problem = SchrodingerProblem(ProcessSpec(alpha, 1), dom, mu_plus, _bump(dom, *minus))
+    it = solve_ground_state(problem, tol=1e-11)
+    de = dense_ground_state(problem)
+    assert de.cg_iterations == 0
+    assert abs(it.lambda_ / de.lambda_ - 1.0) < 1e-8
+    hi = it.h / np.linalg.norm(it.h)
+    hd = de.h / np.linalg.norm(de.h)
+    assert np.linalg.norm(hi - np.sign(hi @ hd) * hd) < 1e-6
+
+
+def test_dense_ground_state_single_tiny_node():
+    # lambda from 40-digit inverse iteration (mpmath LU) on the node-basis pencil; the
+    # node-basis Cholesky of h H + W+ was 1.3e-5 off here, eps times its condition number
+    dom = GridDomain(16.0, 64)
+    weights = np.zeros(64)
+    weights[35] = 1e-9
+    problem = SchrodingerProblem(ProcessSpec(2.0, 1), dom, MeasureOnGrid(dom, weights),
+                                 MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0))
+    want = 3.9999999929334220785e-10
+    for res in (dense_ground_state(problem), solve_ground_state(problem, tol=1e-11)):
+        assert abs(res.lambda_ / want - 1.0) < 1e-13
+
+
 def test_ground_state_contracts(prob, ground):
     assert 0.0 < ground.lambda_ <= prob.mu_plus.total_mass / prob.mu_minus.total_mass + 1e-12
     assert ground.lambda_ <= 0.25 + 1e-12
@@ -314,7 +391,7 @@ def test_ground_state_serialization(tmp_path, prob, ground):
     import json as _json
     data = _json.loads(json_path.read_text())
     assert set(data) >= {"alpha", "L", "N", "lambda", "residual", "iterations",
-                         "h", "mu_plus", "mu_minus", "seed"}
+                         "cg_iterations", "h", "mu_plus", "mu_minus", "seed"}
     assert len(data["h"]) == prob.domain.N
     assert data["mu_minus"]["support"] == [-2.0, 2.0]
     lines = csv_path.read_text().strip().splitlines()

@@ -464,11 +464,14 @@ def _real_fourier_modes(N: int) -> np.ndarray:
     cos(2 pi k i / N) for k = 0..N/2 (the rfft frequencies), then
     sin(2 pi k i / N) for k = 1..N/2-1; phases are reduced mod N before scaling.
     """
-    i = np.arange(N)
-    k = np.arange(N // 2 + 1)
-    ang = (2.0 * np.pi / N) * (np.outer(i, k) % N)
-    scale = np.where((k == 0) | (k == N // 2), 1.0, np.sqrt(2.0)) / np.sqrt(N)
-    return np.hstack([np.cos(ang) * scale, np.sin(ang[:, 1:-1]) * np.sqrt(2.0 / N)])
+    half = N // 2
+    ang = (2.0 * np.pi / N) * (np.outer(np.arange(N), np.arange(half + 1)) % N)
+    q = np.empty((N, N))
+    np.cos(ang, out=q[:, :half + 1])
+    np.sin(ang[:, 1:-1], out=q[:, half + 1:])
+    q *= np.sqrt(2.0 / N)
+    q[:, [0, half]] /= np.sqrt(2.0)
+    return q
 
 
 def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
@@ -476,21 +479,22 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
 
     Writes h H + W+ and W- in the real Fourier modes, where h H is exactly the
     diagonal h psi_k (constants stay in its kernel to the last bit), and solves
-    W- v = theta (h H + W+) v with a full symmetric eigendecomposition.  In the
-    node basis the Cholesky factor of h H + W+ loses eps cond(h H + W+), which
-    is 1e-5 of lambda when mu_plus is a single node of weight 1e-9.
+    W- v = theta (h H + W+) v for the largest theta with a dense symmetric
+    eigensolver.  In the node basis the Cholesky factor of h H + W+ loses
+    eps cond(h H + W+), which is 1e-5 of lambda when mu_plus is a single node
+    of weight 1e-9.
     """
     psi = torus_symbol(problem)
-    q = _real_fourier_modes(problem.domain.N)
+    N = problem.domain.N
+    q = _real_fourier_modes(N)
     wp, wm = problem.mu_plus.weights, problem.mu_minus.weights
-    a_mat = np.diag(problem.domain.h * np.concatenate([psi, psi[1:-1]])) + (q.T * wp) @ q
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    b_mat = (q.T * wm) @ q
-    b_mat = 0.5 * (b_mat + b_mat.T)
-    theta, vecs = eigh(b_mat, a_mat)
-    idx = int(np.argmax(theta))
-    lam = 1.0 / float(theta[idx])
-    coef = vecs[:, idx]
+    a_mat = (q[wp > 0].T * wp[wp > 0]) @ q[wp > 0]
+    a_mat[np.diag_indices(N)] += problem.domain.h * np.concatenate([psi, psi[1:-1]])
+    b_mat = (q[wm > 0].T * wm[wm > 0]) @ q[wm > 0]
+    # eigh reads the lower triangles only
+    theta, vecs = eigh(b_mat, a_mat, subset_by_index=[N - 1, N - 1])
+    lam = 1.0 / float(theta[0])
+    coef = vecs[:, 0]
     residual = float(np.linalg.norm(a_mat @ coef - lam * (b_mat @ coef)) / np.linalg.norm(coef))
     return _finalize(problem, lam, q @ coef, residual, 0, 0)
 

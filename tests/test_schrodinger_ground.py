@@ -194,7 +194,7 @@ def _torus_problem(alpha, L, N):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_ground_state_cg_steps_flat_in_n(alpha):
-    # the diagonal preconditioner with fixed inner tolerance took 570-2271 steps here
+    # the geometry of the torus benchmark; a diagonal preconditioner needs 570-2271 here
     counts = {}
     for L, N in ((32.0, 1024), (128.0, 16384)):
         res = solve_ground_state(_torus_problem(alpha, L, N), tol=1e-10)
@@ -249,8 +249,8 @@ def test_ground_state_matches_dense_property(alpha, N, minus, plus, node):
 
 
 def test_dense_ground_state_single_tiny_node():
-    # lambda from 40-digit inverse iteration (mpmath LU) on the node-basis pencil; the
-    # node-basis Cholesky of h H + W+ was 1.3e-5 off here, eps times its condition number
+    # lambda from 40-digit inverse iteration (mpmath LU) on the node-basis pencil; a
+    # node-basis Cholesky of h H + W+ is 1.3e-5 off here, eps times its condition number
     dom = GridDomain(16.0, 64)
     weights = np.zeros(64)
     weights[35] = 1e-9

@@ -487,10 +487,14 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
     psi = torus_symbol(problem)
     N = problem.domain.N
     q = _real_fourier_modes(N)
-    wp, wm = problem.mu_plus.weights, problem.mu_minus.weights
-    a_mat = (q[wp > 0].T * wp[wp > 0]) @ q[wp > 0]
+
+    def gram(w):  # Q^T diag(w) Q from the rows where w > 0
+        rows = q[w > 0]
+        return (rows.T * w[w > 0]) @ rows
+
+    a_mat = gram(problem.mu_plus.weights)
     a_mat[np.diag_indices(N)] += problem.domain.h * np.concatenate([psi, psi[1:-1]])
-    b_mat = (q[wm > 0].T * wm[wm > 0]) @ q[wm > 0]
+    b_mat = gram(problem.mu_minus.weights)
     # eigh reads the lower triangles only
     theta, vecs = eigh(b_mat, a_mat, subset_by_index=[N - 1, N - 1])
     lam = 1.0 / float(theta[0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geostable import (GridDomain, MeasureOnGrid, ProcessSpec,
@@ -184,20 +184,12 @@ def test_ground_state_matches_dense_oracle(prob, ground):
     assert np.linalg.norm(hi - hd) < 1e-6
 
 
-def _torus_problem(alpha, L, N):
-    dom = GridDomain(L, N)
-    return SchrodingerProblem(
-        ProcessSpec(alpha, 1), dom,
-        MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0, height=0.5),
-        MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0, height=1.0))
-
-
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_ground_state_cg_steps_flat_in_n(alpha):
     # the geometry of the torus benchmark; a diagonal preconditioner needs 570-2271 here
     counts = {}
     for L, N in ((32.0, 1024), (128.0, 16384)):
-        res = solve_ground_state(_torus_problem(alpha, L, N), tol=1e-10)
+        res = solve_ground_state(_bump_problem(alpha, GridDomain(L, N)), tol=1e-10)
         assert 0 < res.cg_iterations <= 60, (N, res.cg_iterations)
         assert res.iterations <= 13, (N, res.iterations)
         counts[N] = res.cg_iterations
@@ -220,23 +212,19 @@ _profiles = st.tuples(st.sampled_from(["indicator", "triangle", "gaussian"]),
                       st.floats(-2.0, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 5.0))
 
 
-@st.composite
-def _single_node(draw, N):
-    offset = draw(st.integers(-N // 8, N // 8))
-    weight = 10.0 ** draw(st.floats(-9.0, 1.0))
-    return N // 2 + offset, weight
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@example(alpha=2.0, N=256, minus=("triangle", 0.5, 2.0, 1.0), plus=None, node=(3, -9.0))
+@example(alpha=1.0, N=64, minus=("gaussian", -1.0, 1.0, 0.05), plus=None, node=(-32, 1.0))
 @given(alpha=st.floats(1.0, 2.0), N=st.sampled_from([64, 128, 256]),
-       minus=_profiles, plus=_profiles, node=st.one_of(st.none(), _single_node(256)))
+       minus=_profiles, plus=_profiles,
+       node=st.one_of(st.none(), st.tuples(st.integers(-32, 32), st.floats(-9.0, 1.0))))
 def test_ground_state_matches_dense_property(alpha, N, minus, plus, node):
     dom = GridDomain(16.0, N)
     if node is None:
         mu_plus = _bump(dom, *plus)
-    else:
+    else:  # all of mu_plus on one node within L/4 of the origin, weight 1e-9 to 10
         weights = np.zeros(N)
-        weights[node[0] * N // 256] = node[1]
+        weights[N // 2 + node[0] * N // 256] = 10.0 ** node[1]
         mu_plus = MeasureOnGrid(dom, weights)
     problem = SchrodingerProblem(ProcessSpec(alpha, 1), dom, mu_plus, _bump(dom, *minus))
     it = solve_ground_state(problem, tol=1e-11)

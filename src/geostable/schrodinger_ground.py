@@ -24,6 +24,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConfigError, ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
-from .stable_kernel import RngStream, sample_increment
+from .stable_kernel import RngStream, _stable_into
 
 
 @dataclass(frozen=True)
@@ -507,16 +511,44 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
 # Feynman-Kac and Kato diagnostics
 
 def _rho_lookup(domain: GridDomain, weights: np.ndarray):
-    rho = weights / domain.h
+    """rho_into(x, out, scratch, idx): density of mu_plus at the node nearest x, into out.
 
-    def rho_of(x):
-        idx = np.rint((np.asarray(x) + domain.L) / domain.h).astype(int)
-        ok = (idx >= 0) & (idx < domain.N)
-        out = np.zeros(np.shape(x))
-        out[ok] = rho[idx[ok]]
-        return out
+    Allocation-free: positions are clipped to node indices -1..N, and both ends
+    read the zero appended to the table (take wraps -1 onto index N).  scratch
+    is a float buffer of x's shape and idx an intp buffer of x's shape.
+    """
+    table = np.append(weights / domain.h, 0.0)
 
-    return rho_of
+    def rho_into(x, out, scratch, idx):
+        np.add(x, domain.L, out=scratch)
+        scratch /= domain.h
+        np.rint(scratch, out=scratch)
+        np.clip(scratch, -1.0, domain.N, out=scratch)
+        np.copyto(idx, scratch, casting="unsafe")
+        np.take(table, idx, out=out, mode="wrap")
+
+    return rho_into
+
+
+class _PathBatch:
+    """One batch of Feynman-Kac paths: positions, clocks and three scratch vectors.
+
+    Built in the calling thread, so its buffers come from that thread's heap,
+    where the batch's f(X_t) temporaries can reuse them once it is released.
+    """
+
+    def __init__(self, n: int, x0: float):
+        self.x = np.full(n, x0)
+        self.clock = np.zeros(n)
+        self.scratch = np.empty((3, n))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_function(domain: GridDomain, f):
@@ -537,8 +569,14 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     Paths advance by exact subordinated increments (no time-discretization of
     the process itself); the only bias is the left-endpoint quadrature of the
     clock integral, O(dt).  rho defaults to the density of mu_plus; pass an
-    explicit callable (for instance the zero function) to override.  Batches
-    use split substreams, so the result depends only on seed and batch plan.
+    explicit callable (for instance the zero function) to override.
+
+    Batches of batch_size paths run in parallel, one thread per usable core
+    and at most as many batches in memory as threads.  Each batch draws from
+    its own split substream and is summed in batch order, so the result
+    depends only on seed and batch plan, not on the number of cores.  An
+    explicit rho runs in those worker threads and must be pure; f runs in
+    the calling thread.  A non-finite x0 raises ConfigError.
 
     free_mean, when given, is the exact mean E_x0[f(X_t)] of the unkilled
     process.  f(X_t) then serves as a control variate: the estimate is the mean
@@ -554,31 +592,61 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
         raise ConfigError(f"t/dt must be an integer, got t={t}, dt={dt}")
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    rho_of = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else rho
+    if n_paths < 1 or batch_size < 1:
+        raise ConfigError(f"n_paths and batch_size must be >= 1, got {n_paths}, {batch_size}")
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0}")
+    lookup = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else None
     f_of = _as_function(problem.domain, f)
-    n_batches = int(np.ceil(n_paths / batch_size))
-    streams = rng.split(n_batches)
+    alpha = problem.spec.alpha
+
+    def advance(batch, gen):
+        x, clock = batch.x, batch.clock
+        inc, s1, s2 = batch.scratch
+        batch.scratch = None  # freed when the walk returns, before f runs on the batch
+        idx = s1.view(np.intp)
+        for _ in range(steps):
+            if lookup is None:
+                np.multiply(rho(x), dt, out=s2)
+            else:
+                lookup(x, s2, inc, idx)
+                s2 *= dt
+            clock += s2
+            _stable_into(alpha, dt, gen, inc, s1, s2)
+            x += inc
+
     total = 0.0
     total_sq = 0.0
     cv_sums = np.zeros(3)  # sums of g, g^2 and Y g with g = f(X_t) - free_mean
-    done = 0
-    for stream in streams:
-        nb = min(batch_size, n_paths - done)
-        x = np.full(nb, float(x0))
-        clock = np.zeros(nb)
-        for _ in range(steps):
-            clock += dt * rho_of(x)
-            x = x + sample_increment(problem.spec, dt, stream, size=nb)
+
+    def finish(batch, future):
+        nonlocal total, total_sq, cv_sums
+        future.result()
+        x, clock = batch.x, batch.clock
         fx = f_of(x)
-        vals = np.exp(-clock) * fx
-        total += float(vals.sum())
-        total_sq += float((vals ** 2).sum())
+        np.negative(clock, out=clock)
+        np.exp(clock, out=clock)
+        clock *= fx  # Y = e^(-clock) f(X_t)
+        total += float(clock.sum())
         if free_mean is not None:
             g = fx - free_mean
-            cv_sums += (g.sum(), g @ g, vals @ g)
-        done += nb
+            cv_sums += (g.sum(), g @ g, clock @ g)
+        np.square(clock, out=x)  # f(X_t) is spent, even where f returned x itself
+        total_sq += float(x.sum())
+
+    n_batches = int(np.ceil(n_paths / batch_size))
+    streams = rng.split(n_batches)
+    workers = min(n_batches, _usable_cores())
+    running = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for i, stream in enumerate(streams):
+            if len(running) == workers:
+                finish(*running.popleft())
+            batch = _PathBatch(min(batch_size, n_paths - i * batch_size), float(x0))
+            running.append((batch, pool.submit(advance, batch, stream.gen)))
+            del batch  # the window alone holds it, so finish releases it
+        while running:
+            finish(*running.popleft())
     mean = total / n_paths
     if free_mean is None:
         var = max(total_sq / n_paths - mean ** 2, 0.0) * n_paths / max(n_paths - 1, 1)

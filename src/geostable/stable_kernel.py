@@ -420,25 +420,78 @@ def _maybe_item(arr, size):
     return float(arr[0]) if size is None else arr
 
 
+def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
+                 u: np.ndarray, w: np.ndarray) -> None:
+    """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no allocation.
+
+    G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
+    with characteristic function exp(-|xi|^alpha) by Chambers, Mallows & Stuck
+    (1976) from a uniform angle u on (-pi/2, pi/2) and an exponential W:
+
+        G^(1/a) Z = sin(a u) exp(log G / a - log cos(u) / a
+                                 + ((1 - a)/a) (log cos((1 - a) u) - log W)),
+
+    one exp of a sum of logs, so no power over- or underflows on its own.
+    alpha = 2 is sqrt(2 G) N and alpha = 1 is G tan(u).  The generator is
+    called for gamma, then uniform (normal at alpha = 2), then exponential.
+    u and w are scratch buffers of out's shape.
+    """
+    a = alpha
+    if t is None:
+        out.fill(1.0)
+    else:
+        gen.standard_gamma(t, out=out)
+    if a == 2.0:
+        gen.standard_normal(out=u)
+        u *= math.sqrt(2.0)
+        np.sqrt(out, out=out)
+        out *= u
+        return
+    gen.random(out=u)
+    u -= 0.5
+    u *= np.pi
+    if a == 1.0:
+        np.tan(u, out=u)
+        out *= u
+        return
+    c = (1.0 - a) / a
+    with np.errstate(divide="ignore"):  # G underflows to 0 at small t: a 0 draw
+        np.log(out, out=out)
+    out /= a
+    np.multiply(u, 1.0 - a, out=w)
+    np.cos(w, out=w)
+    np.log(w, out=w)
+    w *= c
+    out += w
+    np.cos(u, out=w)
+    np.log(w, out=w)
+    w /= a
+    out -= w
+    u *= a
+    np.sin(u, out=u)
+    gen.standard_exponential(out=w)
+    np.log(w, out=w)
+    w *= c
+    out -= w
+    np.exp(out, out=out)
+    out *= u
+
+
+def _stable_draws(alpha, t, rng, size):
+    n = 1 if size is None else int(size)
+    out = np.empty(n)
+    _stable_into(alpha, t, rng.gen, out, np.empty(n), np.empty(n))
+    return _maybe_item(out, size)
+
+
 def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
     """Scalar symmetric alpha-stable draw(s) with char. function exp(-|xi|^alpha).
 
-    Polar construction from a uniform angle and an exponential clock; alpha = 2
-    reduces to sqrt(2) times a standard normal, alpha = 1 to tan(U).
+    Chambers-Mallows-Stuck from a uniform angle and an exponential clock
+    (`_stable_into` with G = 1); alpha = 2 reduces to sqrt(2) times a standard
+    normal, alpha = 1 to tan(U).
     """
-    n = 1 if size is None else int(size)
-    a = spec.alpha
-    g = rng.gen
-    if a == 2.0:
-        out = math.sqrt(2.0) * g.standard_normal(n)
-    elif a == 1.0:
-        out = np.tan(np.pi * (g.random(n) - 0.5))
-    else:
-        u = np.pi * (g.random(n) - 0.5)
-        w = g.standard_exponential(n)
-        out = (np.sin(a * u) / np.cos(u) ** (1.0 / a)
-               * (np.cos((1.0 - a) * u) / w) ** ((1.0 - a) / a))
-    return _maybe_item(out, size)
+    return _stable_draws(spec.alpha, None, rng, size)
 
 
 def _sample_positive_stable(beta: float, rng: RngStream, n: int) -> np.ndarray:
@@ -470,22 +523,24 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
     """Increment draw(s) with characteristic function (1 + |xi|^alpha)^(-t).
 
     Gamma-subordinated stable: G ~ Gamma(t, 1), X = G^(1/alpha) Z with Z
-    symmetric alpha-stable.  For dim > 1 and alpha < 2, Z = sqrt(2A) N(0, I)
-    with A a one-sided (alpha/2)-stable draw; for alpha = 2 directly
-    X = sqrt(2G) N(0, I).
+    symmetric alpha-stable.  For dim = 1, Z is Chambers-Mallows-Stuck and the
+    draw is formed in log space (`_stable_into`): sin(alpha u) times one exp
+    of log G / alpha plus the logs of cos(u), cos((1 - alpha) u) and the
+    exponential W, written into preallocated buffers; alpha in {1, 2} keep
+    the closed forms G tan(u) and sqrt(2G) N.  For dim > 1 and alpha < 2,
+    Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw; for
+    alpha = 2 directly X = sqrt(2G) N(0, I).
 
     Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
+    if spec.dim == 1:
+        return _stable_draws(spec.alpha, t, rng, size)
     n = 1 if size is None else int(size)
     a = spec.alpha
     g = rng.gen
     gam = g.gamma(shape=t, scale=1.0, size=n)
-    if spec.dim == 1:
-        z = np.asarray(sample_stable(spec, rng, size=n))
-        out = gam ** (1.0 / a) * z
-        return _maybe_item(out, size)
     if a == 2.0:
         out = np.sqrt(2.0 * gam)[:, None] * g.standard_normal((n, spec.dim))
     else:

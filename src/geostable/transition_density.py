@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma, j0 as _j0
 
-from .errors import InversionNotIntegrableError, UnsupportedDimensionError
+from .errors import ConfigError, InversionNotIntegrableError, UnsupportedDimensionError
 from .process_core import ProcessSpec, inversion_integrable
 from .stable_kernel import RngStream, _panel_nodes, sample_increment
 
 _TAIL_EPS = 1e-10
+# float64 entries of density_mc's working block: 16 MB
+_KDE_BLOCK = 2 ** 21
 
 
 def _density_at_zero(spec: ProcessSpec, t: float) -> float:
@@ -159,12 +161,13 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
 
     Bandwidth 1.06 sigma n^(-1/5) with the interquartile-range scale
     sigma = IQR / 1.349 (moment-based scales diverge for alpha < 2),
-    clipped to [1e-3, 1].
+    clipped to [1e-3, 1].  The kernel sums run through one reusable block of
+    about 2^21 floats, whatever the grid and sample sizes.
     """
     if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+        raise ConfigError(f"t must be positive, got {t}")
     if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+        raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     x_grid = np.asarray(x_grid, dtype=float)
     samples = np.asarray(sample_increment(spec, t, rng, size=n_samples))
     if spec.dim == 1:
@@ -180,10 +183,26 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     bw = float(np.clip(1.06 * sigma * n_samples ** (-0.2), 1e-3, 1.0))
     norm = (2.0 * np.pi) ** (-spec.dim / 2.0) * bw ** (-spec.dim)
     values = np.empty(len(pts))
-    chunk = max(1, int(2e7) // max(n_samples, 1))
-    for i0 in range(0, len(pts), chunk):
-        d2 = ((pts[i0:i0 + chunk, None, :] - smp[None, :, :]) ** 2).sum(axis=2)
-        values[i0:i0 + chunk] = norm * np.exp(-0.5 * d2 / bw ** 2).mean(axis=1)
+    # one reusable block: squared distances of `rows` grid points, and for
+    # d > 1 a second part that holds one coordinate's squares at a time
+    parts = 1 if spec.dim == 1 else 2
+    rows = max(1, min(len(pts), _KDE_BLOCK // (parts * n_samples)))
+    block = np.empty((parts, rows, n_samples))
+    d2_all, sq_all = block[0], block[-1]
+    for i0 in range(0, len(pts), rows):
+        p = pts[i0:i0 + rows]
+        d2 = d2_all[:len(p)]
+        sq = sq_all[:len(p)]
+        for k in range(spec.dim):
+            out = d2 if k == 0 else sq
+            np.subtract(p[:, k, None], smp[None, :, k], out=out)
+            np.square(out, out=out)
+            if k:
+                d2 += sq
+        d2 *= -0.5
+        d2 /= bw ** 2
+        np.exp(d2, out=d2)
+        values[i0:i0 + rows] = norm * d2.mean(axis=1)
     return DensityTable(spec=spec, t=t, method="MonteCarlo", x_grid=x_grid,
                         values=values, n_samples=n_samples, bandwidth=bw,
                         seed=rng.seed)

@@ -190,6 +190,18 @@ def test_feynman_kac_bad_steps_are_config_errors(tmp_path, capsys, flags, messag
     assert message in capsys.readouterr().err
 
 
+def test_feynman_kac_non_finite_start_is_config_error(tmp_path, capsys):
+    assert run(["feynman-kac", "--seed", "1", "--x0", "nan", "--output-path", str(tmp_path)]) == 2
+    assert "x0" in capsys.readouterr().err
+    assert not (tmp_path / "feynman_kac.json").exists()
+
+
+def test_density_mc_too_few_samples_is_config_error(tmp_path, capsys):
+    assert run(["density", "--method", "mc", "--seed", "1", "--n-samples", "500",
+                "--output-path", str(tmp_path)]) == 2
+    assert "n_samples" in capsys.readouterr().err
+
+
 def test_feynman_kac_run(tmp_path, capsys):
     code = run(["feynman-kac", "--alpha", "1.5", "--t", "0.25", "--dt", "0.03125",
                 "--n-paths", "2000", "--seed", "5", "--output-path", str(tmp_path)])

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geostable import (GridDomain, MeasureOnGrid, ProcessSpec,
+from geostable import (ConfigError, GridDomain, MeasureOnGrid, ProcessSpec,
                        RngStream, SchrodingerProblem, apply_generator,
                        dense_ground_state, energy_form, feynman_kac_estimate,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
 from geostable.acceptance import gaussian_free_mean, killed_oracle, reference_problem
 from geostable.levy_structure import small_x_constant
+from geostable import schrodinger_ground
 from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
 
 # jump-kernel energy of exp(-x^2) on (L, N) = (16, 1024), summed lag by lag
@@ -324,6 +326,10 @@ def test_feynman_kac_validates_steps(prob):
         feynman_kac_estimate(prob, lambda x: x, 0.0, 0.5, 100, 0.3, RngStream(1))
     with pytest.raises(ValueError):
         feynman_kac_estimate(prob, lambda x: x, 0.0, 0.0, 100, 0.1, RngStream(1))
+    with pytest.raises(ConfigError, match="batch_size"):
+        feynman_kac_estimate(prob, lambda x: x, 0.0, 0.5, 100, 0.1, RngStream(1), batch_size=0)
+    with pytest.raises(ConfigError, match="x0"):
+        feynman_kac_estimate(prob, lambda x: x, math.inf, 0.5, 100, 0.1, RngStream(1))
 
 
 def test_feynman_kac_deterministic_given_seed(prob):
@@ -337,6 +343,45 @@ def test_feynman_kac_deterministic_given_seed(prob):
     b = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77),
                              batch_size=2_000, free_mean=free_mean)
     assert a == b
+
+
+def test_feynman_kac_independent_of_core_count(prob, monkeypatch):
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    free_mean = gaussian_free_mean(prob.spec, 0.125)
+    started = []
+
+    class Pool(schrodinger_ground.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(schrodinger_ground, "ThreadPoolExecutor", Pool)
+
+    def run(cores, n_paths, **kwargs):
+        monkeypatch.setattr(schrodinger_ground, "_usable_cores", lambda: cores)
+        return feynman_kac_estimate(prob, f, 0.0, 0.125, n_paths, 1.0 / 32, RngStream(9),
+                                    batch_size=2_000, **kwargs)
+
+    assert run(1, 4_000) == run(2, 4_000)
+    # three batches on two workers: the third starts once the first is summed
+    assert run(1, 5_000) == run(2, 5_000) == run(3, 5_000)
+    assert run(1, 5_000, free_mean=free_mean) == run(2, 5_000, free_mean=free_mean)
+    assert started == [1, 2, 1, 2, 3, 1, 2]
+
+
+def test_feynman_kac_memory_per_path(prob, monkeypatch):
+    # each batch holds 5 vectors, and no more batches are alive than workers
+    monkeypatch.setattr(schrodinger_ground, "_usable_cores", lambda: 2)
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    feynman_kac_estimate(prob, f, 0.0, 1.0 / 32, 100, 1.0 / 32, RngStream(3))
+    tracemalloc.start()
+    try:
+        feynman_kac_estimate(prob, f, 0.0, 0.125, 100_000, 1.0 / 32, RngStream(3),
+                             batch_size=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 8 / 100_000 <= 8.0
 
 
 def test_kato_diagnostic_contracts(prob):

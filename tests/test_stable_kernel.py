@@ -4,13 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import gamma
 
-from geostable import (ConfigError, ProcessSpec, RngStream,
+from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        UnsupportedDimensionError, radial_profile, sample_gamma,
                        sample_increment, sample_stable, stable_density,
                        stable_density_radial)
 from geostable import stable_kernel as sk
+from geostable.acceptance import density_gamma_mixture
 from geostable.stable_kernel import (StableRadialProfile, _fourier_head, _mixture_head,
                                      _sample_positive_stable, q1_at_zero)
 
@@ -254,3 +256,46 @@ def test_increment_near_gaussian_rows_finite(alpha, dim):
         c = np.cos(xi * x[:, 0])
         se = c.std() / math.sqrt(len(c))
         assert abs(c.mean() - (1.0 + xi ** alpha) ** -1.0) < 6.0 * se
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_small_step_increments_match_characteristic_function(alpha):
+    # one Feynman-Kac step at t = 1/256, where most Gamma clocks underflow,
+    # and the sum of 256 such steps, which must be the t = 1 law
+    spec = ProcessSpec(alpha, 1)
+    rng = RngStream(41)
+    n = 20_000
+    step = sample_increment(spec, 1.0 / 256, rng, size=n)
+    total = step.copy()
+    for _ in range(255):
+        total += sample_increment(spec, 1.0 / 256, rng, size=n)
+    for x, t in ((step, 1.0 / 256), (total, 1.0)):
+        assert np.isfinite(x).all()
+        for xi in (0.5, 1.0, 2.0):
+            c = np.cos(xi * x)
+            se = c.std() / math.sqrt(n)
+            assert abs(c.mean() - (1.0 + xi ** alpha) ** -t) < 5.0 * se, (t, xi)
+
+
+def _radial_cdf(spec, t):
+    """P(|X_t| <= r): the shell integral of the gamma-mixture density.
+
+    Gauss-Legendre(10) on 8 panels a decade over [1e-3, 1e3], cumulated at the
+    panel edges and splined in log r; the mass outside stays below 1e-4.
+    """
+    edges = np.geomspace(1e-3, 1e3, 49)
+    r, w = sk._panel_nodes(edges)
+    d = spec.dim
+    shell = 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0) * r ** (d - 1) * w
+    mass = (shell * density_gamma_mixture(spec, t, r)).reshape(-1, 10).sum(axis=1)
+    spline = CubicSpline(np.log(edges), np.concatenate([[0.0], np.cumsum(mass)]))
+    return lambda x: spline(np.log(np.clip(x, edges[0], edges[-1])))
+
+
+@pytest.mark.parametrize("alpha, dim", [(1.99, 2), (1.5, 3)])
+def test_increment_radius_matches_radial_cdf(alpha, dim):
+    spec = ProcessSpec(alpha, dim)
+    n = 50_000
+    radius = np.linalg.norm(sample_increment(spec, 1.0, RngStream(12), size=n), axis=1)
+    ks = EmpiricalCdf.from_samples(radius).ks_distance(_radial_cdf(spec, 1.0))
+    assert ks < 3.0 / math.sqrt(n)

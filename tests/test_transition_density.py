@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ def test_density_mc_matches_laplace_ks():
     draws = np.sort(sample_increment(spec, 1.0, RngStream(21), size=50_000))
     ks = EmpiricalCdf.from_samples(draws).ks_distance(laplace_cdf)
     assert ks < 0.01
+
+
+def test_density_mc_memory_is_bounded():
+    # the kernel sums run through one reusable block, not a grid-by-sample array
+    grid = np.linspace(-4.0, 4.0, 161)
+    tracemalloc.start()
+    try:
+        density_mc(ProcessSpec(1.5, 1), 2.0, grid, 100_000, RngStream(25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_density_mc_mean_symmetric():

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import SingularPointError
-from .process_core import ProcessSpec
+from .process_core import ProcessSpec, point_radii
 from .stable_kernel import _envelope_columns, _panel_nodes, radial_profile
 
 # exp(-w) below this is dropped from the head window
@@ -163,24 +163,14 @@ def k_radial(spec: ProcessSpec, r):
 def levy_density(spec: ProcessSpec, x):
     """Jump density j(x) = k(|x|)/|x|^d (isotropic), at one point or a batch.
 
-    One point (a scalar for d = 1, a 1-d array of d coordinates otherwise)
-    gives a float.  An (n, d) array of points, or for d = 1 a 1-d array of n
-    abscissae, gives an array of n values from one k_radial call; for d = 1 a
-    1-element array is therefore a batch of one, not a point.
+    One point gives a float, and a batch (see point_radii) an array of values
+    from one k_radial call.
     """
-    xv = np.asarray(x, dtype=float)
-    d = spec.dim
-    if d == 1 and xv.ndim <= 1:
-        r = np.abs(np.atleast_1d(xv))
-    elif xv.ndim in (1, 2) and xv.shape[-1] == d:
-        r = np.linalg.norm(np.atleast_2d(xv), axis=-1)
-    else:
-        raise ValueError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
-                         f"got shape {xv.shape}")
+    r, point = point_radii(spec, x)
     if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    j = k_radial(spec, r) / r ** d
-    return float(j[0]) if xv.ndim == (0 if d == 1 else 1) else j
+    j = k_radial(spec, r) / r ** spec.dim
+    return float(j[0]) if point else j
 
 
 def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:

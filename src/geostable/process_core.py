@@ -11,6 +11,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class RecurrenceClass(Enum):
     RECURRENT = "Recurrent"
@@ -35,6 +37,26 @@ class ProcessSpec:
 
 def _maybe_scalar(arr, scalar_input):
     return float(arr) if scalar_input else arr
+
+
+def point_radii(spec: ProcessSpec, x):
+    """Norms of one point or a batch of points, and whether x was one point.
+
+    One point is a scalar for d = 1 or a 1-d array of d coordinates; a batch is
+    an (n, d) array or, for d = 1, any 1-d array.  NaN raises ConfigError.
+    """
+    xv = np.asarray(x, dtype=float)
+    d = spec.dim
+    if d == 1 and xv.ndim <= 1:
+        r = np.abs(np.atleast_1d(xv))
+    elif xv.ndim in (1, 2) and xv.shape[-1] == d:
+        r = np.linalg.norm(np.atleast_2d(xv), axis=-1)
+    else:
+        raise ValueError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
+                         f"got shape {xv.shape}")
+    if np.isnan(r).any():
+        raise ConfigError("x must not be NaN")
+    return r, xv.ndim == (0 if d == 1 else 1)
 
 
 def symbol(spec: ProcessSpec, xi_norm):

@@ -576,7 +576,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     its own split substream and is summed in batch order, so the result
     depends only on seed and batch plan, not on the number of cores.  An
     explicit rho runs in those worker threads and must be pure; f runs in
-    the calling thread.  A non-finite x0 raises ConfigError.
+    the calling thread.  A non-finite x0 or n_paths < 2 raises ConfigError.
 
     free_mean, when given, is the exact mean E_x0[f(X_t)] of the unkilled
     process.  f(X_t) then serves as a control variate: the estimate is the mean
@@ -592,8 +592,8 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
         raise ConfigError(f"t/dt must be an integer, got t={t}, dt={dt}")
-    if n_paths < 1 or batch_size < 1:
-        raise ConfigError(f"n_paths and batch_size must be >= 1, got {n_paths}, {batch_size}")
+    if n_paths < 2 or batch_size < 1:
+        raise ConfigError(f"need n_paths >= 2 and batch_size >= 1, got {n_paths}, {batch_size}")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0}")
     lookup = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else None
@@ -649,7 +649,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
             finish(*running.popleft())
     mean = total / n_paths
     if free_mean is None:
-        var = max(total_sq / n_paths - mean ** 2, 0.0) * n_paths / max(n_paths - 1, 1)
+        var = max(total_sq / n_paths - mean ** 2, 0.0) * n_paths / (n_paths - 1)
         return mean, float(np.sqrt(var / n_paths))
     g_mean = cv_sums[0] / n_paths
     s_yy = total_sq - n_paths * mean ** 2
@@ -657,7 +657,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     s_yg = cv_sums[2] - n_paths * mean * g_mean
     c = s_yg / s_gg if s_gg > 0 else 0.0
     # sum of (Z - Zbar)^2 = s_yy - 2 c s_yg + c^2 s_gg = s_yy - c s_yg at the optimal c
-    var = max(s_yy - c * s_yg, 0.0) / max(n_paths - 1, 1)
+    var = max(s_yy - c * s_yg, 0.0) / (n_paths - 1)
     return float(mean - c * g_mean), float(np.sqrt(var / n_paths))
 
 

@@ -1,12 +1,12 @@
 """Transition density of the subordinated process: Fourier inversion and Monte Carlo.
 
-Inversion applies only when the characteristic function (1+r^alpha)^(-t) is
-integrable, i.e. alpha*t > d; the integrand then decays like r^(-alpha t),
-barely integrable near the threshold.  The radial integrals are computed with
-oscillation-resolving panel quadrature up to a cutoff R plus a two-term
-integration-by-parts correction of the oscillatory tail, with R sized so the
-neglected remainder stays below 1e-10.  At x = 0 the integral is a Beta
-function: p_t(0) = omega_{d-1} (2 pi)^(-d) B(d/alpha, t - d/alpha) / alpha.
+Inversion needs an integrable characteristic function f(r) = (1+r^alpha)^(-t),
+i.e. alpha*t > d; the CDF's sine integral of f(r)/r converges for all t > 0.
+These radial integrals use Ooura & Mori's double-exponential rule for Fourier
+integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and no tail
+correction; for d = 2, J0(z) = (2/pi) int_0^(pi/2) cos(z cos theta) dtheta
+turns the Hankel integral into cosine integrals.  At x = 0 it is a Beta function:
+p_t(0) = omega_{d-1} (2 pi)^(-d) B(d/alpha, t - d/alpha) / alpha.
 
 Monte Carlo estimation via exact subordinated increments works for every
 t > 0, which is precisely the regime where inversion is unavailable for
@@ -20,13 +20,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _j0
+from scipy.special import gamma as _gamma
 
 from .errors import ConfigError, InversionNotIntegrableError, UnsupportedDimensionError
-from .process_core import ProcessSpec, inversion_integrable
-from .stable_kernel import RngStream, _panel_nodes, sample_increment
+from .process_core import ProcessSpec, inversion_integrable, point_radii
+from .stable_kernel import RngStream, sample_increment
 
-_TAIL_EPS = 1e-10
+# steps of the Fourier rule (681 nodes on |tau| <= 4.25) and of the d = 2 tanh-sinh
+# rule (321 nodes on |tau| <= 4); past those spans terms fall below 1e-18 of the sum
+_DE_H, _TS_H = 1.0 / 80.0, 1.0 / 40.0
+# (point, node) pairs per block of the Fourier rule: 2 MB
+_PAIR_BLOCK = 2 ** 18
 # float64 entries of density_mc's working block: 16 MB
 _KDE_BLOCK = 2 ** 21
 
@@ -38,26 +42,60 @@ def _density_at_zero(spec: ProcessSpec, t: float) -> float:
     return omega * beta / (a * (2.0 * np.pi) ** d)
 
 
-def _panel_edges(x: float, R: float) -> np.ndarray:
-    """Union of oscillation-resolving and envelope-resolving panel edges on [0, R]."""
-    parts = [np.geomspace(1e-8, min(2.0, R), 40)]
-    if R > 2.0:
-        parts.append(np.geomspace(2.0, R, max(2, int(25 * np.log10(R / 2.0)) + 2)))
-    if x > 0:
-        n_osc = int(x * R / (np.pi / 2.0)) + 1
-        if n_osc > 300_000:
-            raise ValueError("oscillation count too large; x out of supported range")
-        parts.append(np.linspace(0.0, R, n_osc + 1))
-    edges = np.unique(np.concatenate(parts))
-    if edges[-1] < R:
-        edges = np.append(edges, R)
-    return edges
+def _fourier_rule(kernel: str):
+    """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
+
+    K = sin or cos, y_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h,
+    tau_k = k h, shifted by h/2 for cos so that M tau_k falls on its zeros.
+    """
+    k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
+    tau = (k if kernel == "sin" else k - 0.5) * _DE_H
+    s = 6.0 * np.sinh(tau)
+    with np.errstate(invalid="ignore"):  # 0/0 at tau = 0, set to the limits below
+        phi = tau / -np.expm1(-s)
+        dphi = (1.0 - 6.0 * tau * np.cosh(tau) / np.expm1(s)) / -np.expm1(-s)
+        shift = tau / np.expm1(s)  # phi - tau, without cancellation
+    at_zero = tau == 0.0
+    phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
+    m = np.pi / _DE_H
+    # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
+    # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
+    near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
+    direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
+    return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
 
 
-def density_inversion(spec: ProcessSpec, t: float, x) -> float:
-    """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t); needs t > d/alpha."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+def _arcsine_rule():
+    """Tanh-sinh nodes u in (0, 1) and weights for int_0^1 c(u) (1-u^2)^(-1/2) du."""
+    tau = np.arange(-round(4.0 / _TS_H), round(4.0 / _TS_H) + 1) * _TS_H
+    v = np.pi * np.sinh(tau)
+    u, one_minus_u = 1.0 / (1.0 + np.exp(-v)), 1.0 / (1.0 + np.exp(v))
+    return u, _TS_H * np.pi * np.cosh(tau) * u * np.sqrt(one_minus_u / (1.0 + u))
+
+
+def _char_integral(kernel: str, power: int, alpha: float, t: float, r: np.ndarray) -> np.ndarray:
+    """int_0^inf p^power (1+p^alpha)^(-t) K(r p) dp at each r > 0 of a 1-d array.
+
+    Blocks hold at most _PAIR_BLOCK (point, node) pairs, and each point is
+    summed on its own row, so its value does not depend on the rest of the batch.
+    """
+    y, w = _fourier_rule(kernel)
+    y_alpha, wy = y ** alpha, w * y ** power
+    sums = np.empty(r.size)
+    rows = max(1, _PAIR_BLOCK // y.size)
+    for i0 in range(0, r.size, rows):
+        z = np.log1p(np.multiply.outer(r[i0:i0 + rows] ** -alpha, y_alpha))
+        z *= -t
+        sums[i0:i0 + rows] = (np.exp(z, out=z) * wy).sum(axis=1)
+    return np.pi * r ** (-1.0 - power) * sums
+
+
+def density_inversion(spec: ProcessSpec, t: float, x):
+    """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t); needs t > d/alpha.
+
+    One point gives a float, and a batch (see point_radii) an array whose
+    values are bit-equal to their single-point values.
+    """
     if spec.dim > 3:
         raise UnsupportedDimensionError(
             f"inversion supports dim in {{1, 2, 3}}, got {spec.dim}")
@@ -65,92 +103,42 @@ def density_inversion(spec: ProcessSpec, t: float, x) -> float:
         raise InversionNotIntegrableError(
             f"(1+r^alpha)^(-t) is not integrable for t={t} <= d/alpha="
             f"{spec.dim / spec.alpha:.6g}; use density_mc, which covers all t > 0")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != spec.dim:
-        raise ValueError(f"x must have {spec.dim} coordinates, got {xv.size}")
-    r = float(np.linalg.norm(xv))
-    a, d, at = spec.alpha, spec.dim, spec.alpha * t
-
-    if r == 0.0:
-        return _density_at_zero(spec, t)
-
-    def f(rho):
-        return np.exp(-t * np.log1p(rho ** a))
-
-    def f_prime(rho):
-        return -a * t * rho ** (a - 1.0) * np.exp(-(t + 1.0) * np.log1p(rho ** a))
-
+    r, point = point_radii(spec, x)
+    a, d, rp = spec.alpha, spec.dim, r[r > 0]
+    out = np.full(r.size, _density_at_zero(spec, t))
     if d == 1:
-        # tail remainder ~ alpha t R^(-alpha t - 1) / (pi x^2)
-        R = max(40.0, (at / (np.pi * _TAIL_EPS * r * r)) ** (1.0 / (at + 1.0)))
-        rho, w = _panel_nodes(_panel_edges(r, R))
-        head = float(np.cos(r * rho) @ (f(rho) * w))
-        tail = -np.sin(r * R) * f(R) / r - np.cos(r * R) * f_prime(R) / r ** 2
-        return (head + tail) / np.pi
-    if d == 3:
-        # g = rho f(rho); remainder ~ (alpha t - 1) R^(-alpha t) / (2 pi^2 x^3)
-        R = max(40.0, ((at - 1.0) / (2.0 * np.pi ** 2 * _TAIL_EPS * r ** 3)) ** (1.0 / at))
-        rho, w = _panel_nodes(_panel_edges(r, R))
-        head = float(np.sin(r * rho) @ (rho * f(rho) * w))
-        g_r = R * f(R)
-        g_prime = f(R) + R * f_prime(R)
-        tail = np.cos(r * R) * g_r / r - np.sin(r * R) * g_prime / r ** 2
-        return (head + tail) / (2.0 * np.pi ** 2 * r)
-    # d == 2: Bessel kernel; tail via the leading J0 asymptote
-    amp = np.sqrt(2.0 / (np.pi * r))
-    R = max(40.0, ((at - 0.5) * amp / (2.0 * np.pi * _TAIL_EPS * r * r)) ** (1.0 / (at - 0.5)),
-            (amp / (16.0 * np.pi * _TAIL_EPS * r * (at + 0.5))) ** (1.0 / (at + 0.5)))
-    rho, w = _panel_nodes(_panel_edges(r, R))
-    head = float(_j0(r * rho) @ (rho * f(rho) * w))
-    g_r = amp * R ** 0.5 * f(R)
-    g_prime = amp * (0.5 * R ** -0.5 * f(R) + R ** 0.5 * f_prime(R))
-    phase = r * R - np.pi / 4.0
-    tail = -np.sin(phase) * g_r / r - np.cos(phase) * g_prime / r ** 2
-    return (head + tail) / (2.0 * np.pi)
+        out[r > 0] = _char_integral("cos", 0, a, t, rp) / np.pi
+    elif d == 3:
+        out[r > 0] = _char_integral("sin", 1, a, t, rp) / (2.0 * np.pi ** 2 * rp)
+    else:  # p = pi^(-2) int_0^1 C(r u) (1-u^2)^(-1/2) du, C the cos integral of p f(p)
+        u, wu = _arcsine_rule()
+        c = _char_integral("cos", 1, a, t, np.multiply.outer(rp, u).ravel())
+        out[r > 0] = (c.reshape(rp.size, u.size) * wu).sum(axis=1) / np.pi ** 2
+    return float(out[0]) if point else out
 
 
-def cdf_numeric(spec: ProcessSpec, t: float, x: float) -> float:
-    """CDF of the one-dimensional time-t marginal, from the inversion integral.
+def cdf_numeric(spec: ProcessSpec, t: float, x):
+    """CDF of the one-dimensional time-t marginal, for every t > 0.
 
     Integrating the inversion formula in x and swapping integrals gives
-    F(x) = 1/2 + (1/pi) int_0^inf sin(x r) (1+r^alpha)^(-t) / r dr, the same
-    object as the running integral of density_inversion but one quadrature
-    instead of nested ones.  Requires inversion integrability.
+    F(x) = 1/2 + (1/pi) int_0^inf sin(x r) (1+r^alpha)^(-t) / r dr, below d/alpha
+    too.  A scalar x gives a float and a 1-d array an array of bit-equal values.
     """
     if spec.dim != 1:
         raise UnsupportedDimensionError("cdf_numeric is one-dimensional")
-    if not inversion_integrable(spec, t):
-        raise InversionNotIntegrableError(
-            f"cdf_numeric needs t > d/alpha = {spec.dim / spec.alpha:.6g}, got t={t}")
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    r = abs(x)
-    a, at = spec.alpha, spec.alpha * t
-
-    def f(rho):
-        return np.exp(-t * np.log1p(rho ** a))
-
-    # h = f/rho; remainder ~ (alpha t + 1) R^(-alpha t - 2) / (pi x^2)
-    R = max(40.0, ((at + 1.0) / (np.pi * _TAIL_EPS * r * r)) ** (1.0 / (at + 2.0)),
-            (1.0 / (np.pi * _TAIL_EPS * at * r)) ** (1.0 / at) / 4.0)
-    rho, w = _panel_nodes(_panel_edges(r, R))
-    head = float(np.sin(r * rho) @ (f(rho) / rho * w))
-    h_r = f(R) / R
-    h_prime = (-a * t * R ** (a - 1.0) / (1.0 + R ** a) - 1.0 / R) * h_r
-    tail = np.cos(r * R) * h_r / r - np.sin(r * R) * h_prime / r ** 2
-    half = (head + tail) / np.pi
-    return 0.5 + half if x > 0 else 0.5 - half
+    if t <= 0:
+        raise ConfigError(f"t must be positive, got {t}")
+    r, point = point_radii(spec, x)
+    half = np.zeros(r.size)
+    half[r > 0] = _char_integral("sin", -1, spec.alpha, t, r[r > 0]) / np.pi
+    out = 0.5 + np.sign(np.ravel(x)) * half
+    return float(out[0]) if point else out
 
 
 def inversion_table(spec: ProcessSpec, t: float, x_grid) -> "DensityTable":
     """Tabulate density_inversion on a grid (d = 1: radii are the |x| values)."""
     x_grid = np.asarray(x_grid, dtype=float)
-    if spec.dim == 1:
-        pts = x_grid[:, None]
-    else:
-        pts = np.atleast_2d(x_grid)
-    vals = np.array([density_inversion(spec, t, p) for p in pts])
+    vals = density_inversion(spec, t, x_grid if spec.dim == 1 else np.atleast_2d(x_grid))
     vals = np.where((vals < 0) & (vals > -1e-8), 0.0, vals)
     return DensityTable(spec=spec, t=t, method="Inversion", x_grid=x_grid, values=vals)
 
@@ -241,6 +229,7 @@ class DensityTable:
                 raise ValueError(f"tabulated mass {mass} exceeds 1 + 1e-3")
 
     def header(self) -> dict:
+        inversion = self.method == "Inversion"
         return {
             "alpha": self.spec.alpha,
             "dim": self.spec.dim,
@@ -249,6 +238,8 @@ class DensityTable:
             "n_samples": self.n_samples,
             "bandwidth": self.bandwidth,
             "seed": self.seed,
+            "quadrature_h": _DE_H if inversion else None,
+            "quadrature_nodes": _fourier_rule("cos")[0].size if inversion else None,
         }
 
     def to_csv(self, path) -> None:

@@ -46,6 +46,7 @@ def test_density_inversion_writes_table_and_manifest(tmp_path):
     assert len(table) == 42
     header = json.loads((tmp_path / "density_header.json").read_text())
     assert header["method"] == "Inversion"
+    assert header["quadrature_h"] == 1.0 / 80.0 and header["quadrature_nodes"] == 681
     manifest = json.loads((tmp_path / "density_manifest.json").read_text())
     assert manifest["subcommand"] == "density"
     assert manifest["config"]["t"] == 1.0
@@ -193,6 +194,14 @@ def test_feynman_kac_bad_steps_are_config_errors(tmp_path, capsys, flags, messag
 def test_feynman_kac_non_finite_start_is_config_error(tmp_path, capsys):
     assert run(["feynman-kac", "--seed", "1", "--x0", "nan", "--output-path", str(tmp_path)]) == 2
     assert "x0" in capsys.readouterr().err
+    assert not (tmp_path / "feynman_kac.json").exists()
+
+
+def test_feynman_kac_one_path_is_config_error(tmp_path, capsys):
+    # one path has no sample variance: its standard error would read 0.0
+    assert run(["feynman-kac", "--seed", "1", "--n-paths", "1", "--t", "0.5", "--dt", "0.5",
+                "--output-path", str(tmp_path)]) == 2
+    assert "n_paths" in capsys.readouterr().err
     assert not (tmp_path / "feynman_kac.json").exists()
 
 

@@ -330,6 +330,8 @@ def test_feynman_kac_validates_steps(prob):
         feynman_kac_estimate(prob, lambda x: x, 0.0, 0.5, 100, 0.1, RngStream(1), batch_size=0)
     with pytest.raises(ConfigError, match="x0"):
         feynman_kac_estimate(prob, lambda x: x, math.inf, 0.5, 100, 0.1, RngStream(1))
+    with pytest.raises(ConfigError, match="n_paths"):
+        feynman_kac_estimate(prob, lambda x: x, 0.0, 0.5, 1, 0.5, RngStream(1))
 
 
 def test_feynman_kac_deterministic_given_seed(prob):

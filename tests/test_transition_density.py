@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from geostable import (EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
+from geostable import (ConfigError, EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
                        RngStream, cdf_numeric, density_inversion, density_mc,
                        inversion_table, sample_increment)
 from geostable.acceptance import density_gamma_mixture, gridded_cdf
@@ -19,11 +19,11 @@ def laplace_cdf(v):
 def test_inversion_laplace_oracle():
     spec = ProcessSpec(2.0, 1)
     for x in np.linspace(-10.0, 10.0, 41):
-        assert abs(density_inversion(spec, 1.0, x) - 0.5 * math.exp(-abs(x))) < 1e-8
+        assert abs(density_inversion(spec, 1.0, x) - 0.5 * math.exp(-abs(x))) < 1e-12
 
 
 def test_inversion_tail_correction_sign_d1_d2():
-    # the second integration-by-parts term of the cos / J0 tail is -cos(.) g'(R) / r^2
+    # pinned where the panel rule's cos / J0 tail correction once had the wrong sign
     spec = ProcessSpec(2.0, 1)
     for x in (0.3, 1.0, 3.0):
         assert abs(density_inversion(spec, 1.0, x) - 0.5 * math.exp(-x)) < 1e-12, x
@@ -32,6 +32,23 @@ def test_inversion_tail_correction_sign_d1_d2():
     for r in (0.3, 1.0, 3.0):
         want = (r / 2.0) ** (t - 1.0) * kv(t - 1.0, r) / (2.0 * math.pi * math.gamma(t))
         assert abs(density_inversion(spec, t, [r, 0.0]) - want) < 5e-13, r
+
+
+def test_inversion_d2_near_threshold_matches_bessel_potential():
+    # alpha t = 2.1 and 2.4 against d = 2: the J0 integrand decays like r^(-1.1)
+    spec = ProcessSpec(2.0, 2)
+    r = np.array([0.05, 0.3, 1.0, 3.0, 10.0])
+    for t in (1.05, 1.2):
+        want = (r / 2.0) ** (t - 1.0) * kv(t - 1.0, r) / (2.0 * math.pi * math.gamma(t))
+        got = density_inversion(spec, t, np.c_[r, np.zeros_like(r)])
+        assert np.max(np.abs(got - want)) < 1e-12, t
+
+
+def test_inversion_d3_near_threshold_matches_mixture():
+    spec, t = ProcessSpec(1.5, 3), 2.1
+    r = np.array([0.05, 0.5, 2.0, 5.0])
+    got = density_inversion(spec, t, np.c_[r, np.zeros((r.size, 2))])
+    assert np.max(np.abs(got - density_gamma_mixture(spec, t, r))) < 1e-8
 
 
 def test_inversion_zero_point_beta_value():
@@ -49,8 +66,7 @@ def test_inversion_refuses_subthreshold_t():
 
 
 def test_inversion_near_integrability_threshold():
-    # alpha*t barely above d: the integrand decays like r^(-1.05); the panel
-    # cutoff grows accordingly and the tail correction must still control it
+    # alpha*t barely above d: the integrand decays like r^(-1.05)
     spec = ProcessSpec(1.5, 1)
     t = 0.7  # alpha*t = 1.05 vs threshold 1.0
     vals = [density_inversion(spec, t, x) for x in (0.1, 1.0, 3.0)]
@@ -114,7 +130,7 @@ def test_chapman_kolmogorov_convolution():
 def test_cdf_values_and_monotonicity():
     spec = ProcessSpec(2.0, 1)
     assert cdf_numeric(spec, 1.0, 0.0) == 0.5
-    assert abs(cdf_numeric(spec, 1.0, 1.0) - (1.0 - 0.5 * math.exp(-1.0))) < 1e-10
+    assert abs(cdf_numeric(spec, 1.0, 1.0) - (1.0 - 0.5 * math.exp(-1.0))) < 1e-14
     assert abs(cdf_numeric(spec, 1.0, 60.0) - 1.0) < 1e-3
     xs = np.linspace(-8.0, 8.0, 33)
     vals = [cdf_numeric(ProcessSpec(1.5, 1), 2.0, x) for x in xs]
@@ -131,9 +147,41 @@ def test_cdf_matches_density_quadrature():
         assert abs(cdf_numeric(spec, 2.0, x) - (0.5 + direct)) < 1e-8
 
 
-def test_cdf_requires_integrability():
-    with pytest.raises(InversionNotIntegrableError):
-        cdf_numeric(ProcessSpec(1.5, 1), 0.5, 1.0)
+def test_cdf_below_threshold_matches_variance_gamma():
+    # t <= d/alpha: no density inversion, but the CDF integral still converges;
+    # at alpha = 2 the density is |x|^nu K_nu(|x|) / (sqrt(pi) Gamma(t) 2^nu)
+    from scipy.integrate import quad
+    spec = ProcessSpec(2.0, 1)
+    for t in (0.25, 0.5):
+        nu = t - 0.5
+        c = 1.0 / (math.sqrt(math.pi) * math.gamma(t) * 2.0 ** nu)
+        for x in (0.1, 1.0, 3.0, 8.0):
+            mass, _ = quad(lambda y: c * y ** nu * kv(nu, y), 0.0, x,
+                           limit=200, epsabs=1e-14, epsrel=0.0)
+            assert abs(cdf_numeric(spec, t, x) - (0.5 + mass)) < 1e-11, (t, x)
+            assert abs(cdf_numeric(spec, t, -x) - (0.5 - mass)) < 1e-11, (t, x)
+
+
+@pytest.mark.parametrize("t", [0.7, 0.8, 0.9, 1.0])
+def test_cdf_far_point_near_threshold(t):
+    # the panel rule stopped here on an untyped "oscillation count" error
+    spec = ProcessSpec(1.5, 1)
+    right, left = cdf_numeric(spec, t, 10.0), cdf_numeric(spec, t, -10.0)
+    assert math.isfinite(right) and 0.5 < right < 1.0
+    assert abs(left - (1.0 - right)) < 1e-15
+
+
+def test_inversion_refuses_nan_and_nonpositive_t():
+    spec = ProcessSpec(1.5, 1)
+    with pytest.raises(ConfigError):
+        cdf_numeric(spec, 0.0, 1.0)
+    with pytest.raises(ConfigError):
+        cdf_numeric(spec, 1.0, np.array([1.0, np.nan]))
+    with pytest.raises(ConfigError):
+        density_inversion(spec, 1.0, np.nan)
+    # infinite x is a limit, not an error
+    assert density_inversion(spec, 1.0, np.inf) == 0.0
+    assert np.allclose(cdf_numeric(spec, 1.0, [-np.inf, np.inf]), [0.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def test_density_mc_matches_laplace_ks():
@@ -209,6 +257,8 @@ def test_table_serialization(tmp_path):
     assert header["method"] == "Inversion"
     assert header["alpha"] == 2.0
     assert header["seed"] is None
+    assert header["quadrature_h"] == 1.0 / 80.0
+    assert header["quadrature_nodes"] == 681
 
 
 def test_table_rejects_supercritical_mass_and_wrong_method():

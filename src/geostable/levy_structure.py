@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as _gamma, gammainc as _gammainc
 
-from .errors import SingularPointError
+from .errors import ConfigError, SingularPointError
 from .process_core import ProcessSpec, point_radii
 from .stable_kernel import _envelope_columns, _panel_nodes, radial_profile
 
@@ -139,7 +139,7 @@ def k_radial(spec: ProcessSpec, r):
     r_arr = np.asarray(r, dtype=float)
     flat = r_arr.ravel()
     if not np.all(flat > 0):
-        raise ValueError(f"r must be positive, got {flat[~(flat > 0)][0]}")
+        raise ConfigError(f"r must be positive, got {flat[~(flat > 0)][0]}")
     a = spec.alpha
     prof = radial_profile(a, spec.dim)
     depth = np.log(prof.tail_start) - np.log(flat * _EXP_FLOOR ** (-1.0 / a))
@@ -180,7 +180,7 @@ def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:
     panels (at least 24 per e-fold of r_outer/r_inner).
     """
     if not (0.0 < r_inner < r_outer):
-        raise ValueError("need 0 < r_inner < r_outer")
+        raise ConfigError("need 0 < r_inner < r_outer")
     n_panels = max(24, int(np.ceil(24 * np.log(r_outer / r_inner))))
     r, w = _panel_nodes(np.geomspace(r_inner, r_outer, n_panels + 1))
     return surface_measure(spec.dim) * float(np.sum(k_radial(spec, r) / r * w))
@@ -223,11 +223,11 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     the direction of x only through |x|, so one radial table covers every
     direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ConfigError(f"t must be positive, got {t}")
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0):
-        raise ValueError("r_grid must be strictly increasing")
+        raise ConfigError("r_grid must be strictly increasing")
     vals = t * k_radial(spec, r_grid)
     certificate = bool(np.all(vals[1:] <= vals[:-1] + _MONOTONE_SLACK * vals[:-1]))
     return KFunctionTable(spec=spec, r_grid=r_grid, values=vals,

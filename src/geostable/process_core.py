@@ -28,9 +28,9 @@ class ProcessSpec:
 
     def __post_init__(self):
         if not (0.0 < float(self.alpha) <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
+            raise ConfigError(f"alpha must lie in (0, 2], got {self.alpha}")
         if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+            raise ConfigError(f"dim must be a positive integer, got {self.dim}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "dim", int(self.dim))
 
@@ -52,7 +52,7 @@ def point_radii(spec: ProcessSpec, x):
     elif xv.ndim in (1, 2) and xv.shape[-1] == d:
         r = np.linalg.norm(np.atleast_2d(xv), axis=-1)
     else:
-        raise ValueError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
+        raise ConfigError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
                          f"got shape {xv.shape}")
     if np.isnan(r).any():
         raise ConfigError("x must not be NaN")
@@ -63,19 +63,19 @@ def symbol(spec: ProcessSpec, xi_norm):
     """Characteristic exponent log(1 + |xi|^alpha) at radial frequency xi_norm >= 0."""
     scalar = np.isscalar(xi_norm)
     xi = np.asarray(xi_norm, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("xi_norm must be nonnegative")
+    if not np.all(xi >= 0):
+        raise ConfigError("xi_norm must be nonnegative")
     return _maybe_scalar(np.log1p(xi ** spec.alpha), scalar)
 
 
 def char_function(spec: ProcessSpec, t: float, xi_norm):
     """Characteristic function (1 + |xi|^alpha)^(-t) of the time-t marginal."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ConfigError(f"t must be positive, got {t}")
     scalar = np.isscalar(xi_norm)
     xi = np.asarray(xi_norm, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("xi_norm must be nonnegative")
+    if not np.all(xi >= 0):
+        raise ConfigError("xi_norm must be nonnegative")
     return _maybe_scalar(np.exp(-t * np.log1p(xi ** spec.alpha)), scalar)
 
 
@@ -90,8 +90,8 @@ def inversion_integrable(spec: ProcessSpec, t: float) -> bool:
     (1 + |xi|^alpha)^(-t) decays like |xi|^(-alpha t), so integrability over R^d
     requires alpha*t > d; the boundary t = d/alpha is excluded.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ConfigError(f"t must be positive, got {t}")
     return t > spec.dim / spec.alpha
 
 
@@ -102,6 +102,6 @@ def hartman_wintner_ratio(spec: ProcessSpec, xi_norms):
     divergence condition sufficient for smooth densities fails here.
     """
     xi = np.asarray(xi_norms, dtype=float)
-    if np.any(xi <= 0):
-        raise ValueError("xi_norms must be strictly positive")
+    if not np.all(xi > 0):
+        raise ConfigError("xi_norms must be strictly positive")
     return np.log1p(xi ** spec.alpha) / np.log1p(xi)

@@ -49,11 +49,11 @@ class GridDomain:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not self.L > 0:
+            raise ConfigError(f"L must be positive, got {self.L}")
         n = int(self.N)
         if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 64, got {self.N}")
+            raise ConfigError(f"N must be a power of two >= 64, got {self.N}")
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "L", float(self.L))
 
@@ -78,9 +78,9 @@ class MeasureOnGrid:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.domain.N,):
-            raise ValueError(f"weights must have length {self.domain.N}")
-        if np.any(w < 0):
-            raise ValueError("measure weights must be nonnegative")
+            raise ConfigError(f"weights must have length {self.domain.N}")
+        if not np.all(w >= 0):
+            raise ConfigError("measure weights must be nonnegative")
         self.weights = w
 
     @property
@@ -113,8 +113,8 @@ class MeasureOnGrid:
     def from_profile(cls, domain: GridDomain, profile: str, center: float = 0.0,
                      half_width: float = 1.0, height: float = 1.0) -> "MeasureOnGrid":
         """Named bump: 'indicator', 'gaussian' (scale = half_width) or 'triangle'."""
-        if half_width <= 0 or height < 0:
-            raise ValueError("half_width must be positive and height nonnegative")
+        if not (half_width > 0 and height >= 0):
+            raise ConfigError("half_width must be positive and height nonnegative")
         x = domain.nodes()
         z = (x - center) / half_width
         if profile == "indicator":
@@ -124,7 +124,7 @@ class MeasureOnGrid:
         elif profile == "triangle":
             rho = height * np.maximum(0.0, 1.0 - np.abs(z))
         else:
-            raise ValueError(f"unknown profile {profile!r}")
+            raise ConfigError(f"unknown profile {profile!r}")
         return cls(domain, rho * domain.h)
 
     @classmethod
@@ -135,14 +135,14 @@ class MeasureOnGrid:
             reader = csv.reader(fh)
             header = next(reader)
             if [c.strip().lower() for c in header[:2]] != ["x", "weight"]:
-                raise ValueError("measure CSV must have header x,weight")
+                raise ConfigError("measure CSV must have header x,weight")
             for row in reader:
                 if not row:
                     continue
                 x, weight = float(row[0]), float(row[1])
                 idx = int(round((x + domain.L) / domain.h))
                 if not (0 <= idx < domain.N):
-                    raise ValueError(f"measure point x={x} falls outside the grid")
+                    raise ConfigError(f"measure point x={x} falls outside the grid")
                 w[idx] += weight
         return cls(domain, w)
 
@@ -166,16 +166,16 @@ class SchrodingerProblem:
 
     def __post_init__(self):
         if self.spec.dim != 1:
-            raise ValueError("the ground-state solver is one-dimensional")
+            raise ConfigError("the ground-state solver is one-dimensional")
         if classify_recurrence(self.spec) is not RecurrenceClass.RECURRENT:
-            raise ValueError("ground states require the recurrent regime alpha >= dim")
+            raise ConfigError("ground states require the recurrent regime alpha >= dim")
         for name, mu in (("mu_plus", self.mu_plus), ("mu_minus", self.mu_minus)):
             if mu.domain != self.domain:
-                raise ValueError(f"{name} lives on a different grid")
+                raise ConfigError(f"{name} lives on a different grid")
             if not mu.nontrivial:
-                raise ValueError(f"{name} must be non-trivial (total mass > 1e-14)")
+                raise ConfigError(f"{name} must be non-trivial (total mass > 1e-14)")
             if mu.support_radius() > self.domain.L / 4.0 + 1e-12:
-                raise ValueError(
+                raise ConfigError(
                     f"{name} support radius {mu.support_radius():.3g} exceeds L/4; "
                     "enlarge the domain")
 
@@ -407,7 +407,7 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
     exactly computed pencil residual ||(h H + W+) v - lambda W- v|| / ||v|| < tol;
     the result's cg_iterations counts the inner steps.
     """
-    if tol <= 0 or max_iter < 1:
+    if not tol > 0 or max_iter < 1:
         raise ConfigError(f"tol must be positive and max_iter >= 1, got tol={tol}, "
                           f"max_iter={max_iter}")
     psi = torus_symbol(problem)
@@ -587,7 +587,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
 
     Returns (mean, standard_error).
     """
-    if t <= 0 or dt <= 0 or dt > t:
+    if not 0 < dt <= t:
         raise ConfigError(f"need 0 < dt <= t, got dt={dt}, t={t}")
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
@@ -671,11 +671,11 @@ def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size == 0:
-        raise ValueError("t_values must be a nonempty 1-d sequence")
-    if np.any(t_values <= 0):
-        raise ValueError("t_values must be positive")
+        raise ConfigError("t_values must be a nonempty 1-d sequence")
+    if not np.all(t_values > 0):
+        raise ConfigError("t_values must be positive")
     if t_values.size > 1 and np.any(np.diff(t_values) >= 0):
-        raise ValueError("t_values must be strictly decreasing")
+        raise ConfigError("t_values must be strictly decreasing")
     measure = problem.mu_plus if mu is None else mu
     rho = measure.weights / problem.domain.h
     psi = torus_symbol(problem)

@@ -32,7 +32,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rgamma as _rgamma
 
 from .errors import ConfigError, ConsistencyError, UnsupportedDimensionError
-from .process_core import ProcessSpec
+from .process_core import ProcessSpec, point_radii
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -266,7 +266,7 @@ class StableRadialProfile:
             raise UnsupportedDimensionError(
                 f"radial stable density supports dim in {{1, 2, 3}}, got {dim}")
         if not (0.0 < alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+            raise ConfigError(f"alpha must lie in (0, 2], got {alpha}")
         if alpha < MIN_NUMERIC_ALPHA:
             raise ConfigError(
                 f"the radial stable profile supports alpha >= {MIN_NUMERIC_ALPHA}, got {alpha}")
@@ -367,28 +367,20 @@ def radial_profile(alpha: float, dim: int) -> StableRadialProfile:
 StableKernelConfig = ProcessSpec
 
 
-def stable_density(spec: ProcessSpec, s: float, x) -> float:
-    """q_s(x) = s^(-d/alpha) q_1(s^(-1/alpha) x) at a single point x.
+def stable_density(spec: ProcessSpec, s: float, x):
+    """q_s(x) = s^(-d/alpha) q_1(s^(-1/alpha) x), for dim <= 3.
 
-    x may be a scalar (dim = 1) or a length-dim vector.  Density evaluation is
-    limited to dim <= 3 (radial inversion kernels: cosine, J0, sine).
+    One point gives a float, and a batch (see point_radii) an array.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if spec.dim > 3:
-        raise UnsupportedDimensionError(
-            f"density evaluation supports dim in {{1, 2, 3}}, got {spec.dim}")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size != spec.dim:
-        raise ValueError(f"x must have {spec.dim} coordinates, got {xv.size}")
-    r = float(np.linalg.norm(xv))
-    return stable_density_radial(spec, s, r)
+    r, point = point_radii(spec, x)
+    q = stable_density_radial(spec, s, r)
+    return float(q[0]) if point else q
 
 
 def stable_density_radial(spec: ProcessSpec, s: float, r):
     """Radial variant of stable_density, vectorized over radii r >= 0."""
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not s > 0:
+        raise ConfigError(f"s must be positive, got {s}")
     prof = radial_profile(spec.alpha, spec.dim)
     scale = s ** (-1.0 / spec.alpha)
     scalar = np.isscalar(r)
@@ -512,8 +504,8 @@ def _sample_positive_stable(beta: float, rng: RngStream, n: int) -> np.ndarray:
 
 def sample_gamma(t: float, rng: RngStream, size=None):
     """Gamma(shape t, rate 1) draw(s), valid for every t > 0."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ConfigError(f"t must be positive, got {t}")
     n = 1 if size is None else int(size)
     out = rng.gen.gamma(shape=t, scale=1.0, size=n)
     return _maybe_item(out, size)
@@ -533,8 +525,8 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
 
     Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ConfigError(f"t must be positive, got {t}")
     if spec.dim == 1:
         return _stable_draws(spec.alpha, t, rng, size)
     n = 1 if size is None else int(size)

@@ -114,6 +114,8 @@ def density_inversion(spec: ProcessSpec, t: float, x):
         u, wu = _arcsine_rule()
         c = _char_integral("cos", 1, a, t, np.multiply.outer(rp, u).ravel())
         out[r > 0] = (c.reshape(rp.size, u.size) * wu).sum(axis=1) / np.pi ** 2
+    # far tails are accurate to about 1e-16 in absolute terms, so rounding can dip below 0
+    out[(out < 0) & (out > -1e-8)] = 0.0
     return float(out[0]) if point else out
 
 
@@ -126,7 +128,7 @@ def cdf_numeric(spec: ProcessSpec, t: float, x):
     """
     if spec.dim != 1:
         raise UnsupportedDimensionError("cdf_numeric is one-dimensional")
-    if t <= 0:
+    if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
     r, point = point_radii(spec, x)
     half = np.zeros(r.size)
@@ -139,7 +141,6 @@ def inversion_table(spec: ProcessSpec, t: float, x_grid) -> "DensityTable":
     """Tabulate density_inversion on a grid (d = 1: radii are the |x| values)."""
     x_grid = np.asarray(x_grid, dtype=float)
     vals = density_inversion(spec, t, x_grid if spec.dim == 1 else np.atleast_2d(x_grid))
-    vals = np.where((vals < 0) & (vals > -1e-8), 0.0, vals)
     return DensityTable(spec=spec, t=t, method="Inversion", x_grid=x_grid, values=vals)
 
 
@@ -152,7 +153,7 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     clipped to [1e-3, 1].  The kernel sums run through one reusable block of
     about 2^21 floats, whatever the grid and sample sizes.
     """
-    if t <= 0:
+    if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +259,52 @@ def test_verify_manifest_times_each_check(tmp_path):
 def test_verify_unknown_suite(tmp_path, capsys):
     assert run(["verify", "--suite", "nope", "--output-path", str(tmp_path)]) == 2
     assert "suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "symbol --x-max -1", "levy --x-min 1 --x-max 0", "levy --x-max nan",
+    "selfdecomp --x-min 1 --x-max 0.5", "density --x-min 5 --x-max -5",
+    "feynman-kac --seed 1 --t nan", "feynman-kac --seed 1 --dt nan", "groundstate --tol nan",
+    "symbol --x-max nan", "kfun --t nan", "selfdecomp --t nan", "sample --seed 1 --t nan",
+    "density --method mc --seed 1 --t nan", "kato --t-values nan,0.1",
+    "symbol --n 0", "levy --n 0", "kfun --n 0", "kfun --t -1",
+])
+def test_bad_grids_and_non_finite_values_are_config_errors(tmp_path, capsys, argv):
+    assert run([*argv.split(), "--output-path", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_classify_takes_no_output_path(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--output-path", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_config_file_values_are_typed_like_flags(tmp_path):
+    argv = ["feynman-kac", "--t", "0.25", "--dt", "0.125", "--n-paths", "200"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\n")
+    assert run([*argv, "--seed", "7", "--output-path", str(tmp_path / "flag")]) == 0
+    assert run([*argv, "--config", str(cfg), "--output-path", str(tmp_path / "file")]) == 0
+    flag, file = (tmp_path / "flag", tmp_path / "file")
+    assert (flag / "feynman_kac.json").read_bytes() == (file / "feynman_kac.json").read_bytes()
+    flag_cfg = json.loads((flag / "feynman_kac_manifest.json").read_text())["config"]
+    file_cfg = json.loads((file / "feynman_kac_manifest.json").read_text())["config"]
+    del flag_cfg["output_path"], file_cfg["output_path"]
+    assert flag_cfg == file_cfg and file_cfg["seed"] == 7
+
+
+def _readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 11
+    for argv in commands:
+        assert argv[0] == "geostable"
+        assert run(argv[1:]) == 0, argv

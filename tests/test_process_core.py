@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geostable import (ProcessSpec, RecurrenceClass, char_function,
+import geostable as gs
+from geostable import (ConfigError, ProcessSpec, RecurrenceClass, char_function,
                        classify_recurrence, hartman_wintner_ratio,
                        inversion_integrable, symbol)
 
@@ -17,6 +18,36 @@ def test_spec_validation():
         ProcessSpec(2.5, 1)
     with pytest.raises(ValueError):
         ProcessSpec(1.0, 0)
+
+
+_S = ProcessSpec(1.5, 1)
+_DOMAIN = gs.GridDomain(16.0, 64)
+_BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProcessSpec(math.nan, 1),
+    lambda: char_function(_S, math.nan, 1.0),
+    lambda: inversion_integrable(_S, 0.0),
+    lambda: gs.GridDomain(math.nan, 64),
+    lambda: gs.MeasureOnGrid(_DOMAIN, np.full(64, math.nan)),
+    lambda: gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator", half_width=math.nan),
+    lambda: gs.SchrodingerProblem(ProcessSpec(1.5, 2), _DOMAIN, _BUMP, _BUMP),
+    lambda: gs.kato_diagnostic(gs.SchrodingerProblem(_S, _DOMAIN, _BUMP, _BUMP), [math.nan]),
+    lambda: gs.verify_selfdecomposable(_S, math.nan, [1.0, 2.0]),
+    lambda: gs.k_radial(_S, [1.0, -1.0]),
+    lambda: gs.polar_levy_mass(_S, 2.0, 1.0),
+    lambda: gs.sample_increment(_S, math.nan, gs.RngStream(1)),
+    lambda: gs.sample_gamma(0.0, gs.RngStream(1)),
+    lambda: gs.stable_density(_S, math.nan, 1.0),
+    lambda: gs.density_mc(_S, math.nan, [0.0], 1000, gs.RngStream(1)),
+], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
+        "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
+        "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
+        "density_mc"])
+def test_argument_checks_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_symbol_values():

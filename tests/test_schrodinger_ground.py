@@ -334,6 +334,13 @@ def test_feynman_kac_validates_steps(prob):
         feynman_kac_estimate(prob, lambda x: x, 0.0, 0.5, 1, 0.5, RngStream(1))
 
 
+def test_nan_settings_are_config_errors(prob):
+    with pytest.raises(ConfigError, match="dt"):
+        feynman_kac_estimate(prob, lambda x: x, 0.0, math.nan, 100, 0.1, RngStream(1))
+    with pytest.raises(ConfigError, match="tol"):
+        solve_ground_state(prob, tol=math.nan)
+
+
 def test_feynman_kac_deterministic_given_seed(prob):
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     a = feynman_kac_estimate(prob, f, 0.0, 0.125, 5_000, 1.0 / 32, RngStream(77))

@@ -60,6 +60,15 @@ def test_density_radial_symmetry():
     assert abs(c / b - 1.0) < 1e-9
 
 
+def test_density_batch_matches_single_points():
+    for dim in (1, 2, 3):
+        spec = ProcessSpec(1.5, dim)
+        x = np.random.default_rng(dim).normal(scale=2.0, size=(6, dim))
+        batch = stable_density(spec, 0.7, x if dim > 1 else x[:, 0])
+        assert batch.shape == (6,)
+        assert np.array_equal(batch, [stable_density(spec, 0.7, p if dim > 1 else p[0]) for p in x])
+
+
 def test_density_positive_and_normalized_d1():
     # grid mass on [-50, 50] plus the power-tail mass beyond: the tail holds
     # 2 sum_k c_k 50^{-k alpha} / (k alpha), which is 4.7% of the total at

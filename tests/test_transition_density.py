@@ -34,6 +34,16 @@ def test_inversion_tail_correction_sign_d1_d2():
         assert abs(density_inversion(spec, t, [r, 0.0]) - want) < 5e-13, r
 
 
+def test_inversion_far_tail_is_never_negative():
+    # the rule is accurate to about 1e-16 in absolute terms, where these tails are smaller
+    x = np.array([20.0, 30.0, 40.0, 50.0])
+    got = density_inversion(ProcessSpec(2.0, 1), 1.0, x)
+    assert np.all(got >= 0.0)
+    assert np.max(np.abs(got - 0.5 * np.exp(-x))) < 1e-15
+    r = np.geomspace(1.0, 200.0, 60)
+    assert np.all(density_inversion(ProcessSpec(2.0, 2), 1.5, np.c_[r, np.zeros_like(r)]) >= 0.0)
+
+
 def test_inversion_d2_near_threshold_matches_bessel_potential():
     # alpha t = 2.1 and 2.4 against d = 2: the J0 integrand decays like r^(-1.1)
     spec = ProcessSpec(2.0, 2)

@@ -3,7 +3,8 @@
 Config precedence is flag > config file > default; the resolved values are
 recorded in a `<subcommand>_manifest.json` written next to the outputs of every
 subcommand that writes files.  Config files are flat `key = value` text whose
-keys are the subcommand's flags.  Monte Carlo subcommands require an
+keys are the subcommand's flags.  This is the only module that reads or writes
+files: the library returns plain data (`header()`, `to_dict()`, arrays).  Monte Carlo subcommands require an
 explicit --seed so reruns reproduce bit for bit.  Exit codes: 0 success,
 1 numerical failure, 2 configuration error.
 """
@@ -32,17 +33,39 @@ from .stable_kernel import RngStream, sample_increment
 from .transition_density import density_mc, inversion_table
 
 
-def _read_config_file(path):
+def _read_file(path, parse):
+    """parse(open file) for a config or csv: measure file; a file that cannot
+    be opened or parsed is a ConfigError."""
+    try:
+        with open(path, newline="") as fh:
+            return parse(fh)
+    except ConfigError:  # a ValueError, but already says what is wrong
+        raise
+    except (OSError, ValueError, IndexError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def _config_values(fh):
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(fh.read().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{fh.name}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
         values[key.strip().replace("-", "_")] = val.strip()
     return values
+
+
+def _measure_points(fh):
+    """(x, weight) columns of a csv: measure file with header x,weight."""
+    rows = csv.reader(fh)
+    header = next(rows, [])
+    if [c.strip().lower() for c in header[:2]] != ["x", "weight"]:
+        raise ConfigError("measure CSV must have header x,weight")
+    points = np.array([(float(row[0]), float(row[1])) for row in rows if row]).reshape(-1, 2)
+    return points[:, 0], points[:, 1]
 
 
 _FLAGS = {
@@ -82,7 +105,7 @@ def _cast(typ, text: str, what: str):
 
 def _resolve(args, defaults):
     """flag > config file > default; file values are typed like their flags."""
-    file_vals = _read_config_file(args.config) if args.config else {}
+    file_vals = _read_file(args.config, _config_values) if args.config else {}
     unknown = set(file_vals) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -97,6 +120,23 @@ def _resolve(args, defaults):
     return resolved
 
 
+# the only two writers: each creates the output directory on first write, so a
+# run that fails before writing leaves nothing behind
+
+def _write_json(path: Path, obj):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: float,
                     timings=None):
     manifest = {
@@ -108,16 +148,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: f
     }
     if timings is not None:
         manifest["timings"] = timings
-    path = out_dir / f"{subcommand.replace('-', '_')}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_json(out_dir / f"{subcommand.replace('-', '_')}_manifest.json", manifest)
 
 
 def _measure_from_config(domain: GridDomain, text: str) -> MeasureOnGrid:
@@ -126,7 +157,7 @@ def _measure_from_config(domain: GridDomain, text: str) -> MeasureOnGrid:
     if kind == "csv":
         if not rest:
             raise ConfigError("csv measure needs a path: csv:<file>")
-        return MeasureOnGrid.from_csv(domain, rest)
+        return MeasureOnGrid.from_points(domain, *_read_file(rest, _measure_points))
     params = {}
     if rest:
         for item in rest.split(","):
@@ -185,7 +216,7 @@ def _cmd_levy(cfg, out):
     _write_csv(outputs[0], ["r", "j"], zip(rs, k_radial(spec, rs) / rs ** spec.dim))
     if cfg["asymptotics"]:
         outputs.append(out / "asymptotic_report.json")
-        asymptotic_report(spec, regimes[cfg["asymptotics"]]).to_json(outputs[1])
+        _write_json(outputs[1], asymptotic_report(spec, regimes[cfg["asymptotics"]]).to_dict())
     print(*outputs, sep="\n")
     return outputs
 
@@ -206,12 +237,10 @@ def _cmd_selfdecomp(cfg, out):
     spec = ProcessSpec(cfg["alpha"], cfg["dim"])
     table = verify_selfdecomposable(spec, cfg["t"], _grid(cfg, geometric=True))
     csv_path = out / "kfunction_table.csv"
-    table.to_csv(csv_path)
+    _write_csv(csv_path, ["r", "k_value"], zip(table.r_grid, table.values))
     cert_path = out / "selfdecomp_certificate.json"
-    cert_path.write_text(json.dumps({
-        "alpha": spec.alpha, "dim": spec.dim, "t": cfg["t"],
-        "monotone_certificate": table.monotone_certificate,
-    }, indent=2, sort_keys=True) + "\n")
+    _write_json(cert_path, {"alpha": spec.alpha, "dim": spec.dim, "t": cfg["t"],
+                            "monotone_certificate": table.monotone_certificate})
     print(f"monotone_certificate: {table.monotone_certificate}")
     return [csv_path, cert_path]
 
@@ -229,8 +258,8 @@ def _cmd_density(cfg, out):
         table = density_mc(spec, cfg["t"], grid, cfg["n_samples"], _require_seed(cfg))
     csv_path = out / "density.csv"
     header_path = out / "density_header.json"
-    table.to_csv(csv_path)
-    table.header_json(header_path)
+    _write_csv(csv_path, ["x", "p"], zip(table.x_grid, table.values))
+    _write_json(header_path, table.header())
     print(csv_path)
     return [csv_path, header_path]
 
@@ -261,8 +290,8 @@ def _cmd_groundstate(cfg, out):
     result = solve_ground_state(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     csv_path = out / "ground_state.csv"
     json_path = out / "ground_state.json"
-    result.to_csv(csv_path, problem.domain)
-    result.to_json(json_path, problem=problem, seed=None)
+    _write_csv(csv_path, ["x", "h"], zip(problem.domain.nodes(), result.h))
+    _write_json(json_path, result.to_dict(problem))
     print(f"lambda = {result.lambda_!r} (residual {result.residual:.2e}, "
           f"{result.iterations} iterations, {result.cg_iterations} CG steps)")
     return [csv_path, json_path]
@@ -275,10 +304,8 @@ def _cmd_feynman_kac(cfg, out):
     mean, stderr = feynman_kac_estimate(problem, f_vals, cfg["x0"], cfg["t"],
                                         cfg["n_paths"], cfg["dt"], rng)
     path = out / "feynman_kac.json"
-    path.write_text(json.dumps({
-        "estimate": mean, "std_error": stderr, "t": cfg["t"], "dt": cfg["dt"],
-        "n_paths": cfg["n_paths"], "x0": cfg["x0"], "seed": cfg["seed"],
-    }, indent=2, sort_keys=True) + "\n")
+    _write_json(path, {"estimate": mean, "std_error": stderr, "t": cfg["t"], "dt": cfg["dt"],
+                       "n_paths": cfg["n_paths"], "x0": cfg["x0"], "seed": cfg["seed"]})
     print(f"estimate = {mean!r} +- {stderr!r}")
     return [path]
 
@@ -297,9 +324,8 @@ def _cmd_verify(cfg, out):
         raise ConfigError(f"unknown suite {cfg['suite']!r}; choose from {sorted(SUITES)}")
     results = run_suite(cfg["suite"], seed=cfg["seed"])
     report_path = out / f"verify_{cfg['suite']}.json"
-    report_path.write_text(json.dumps([{
-        "name": r.name, "passed": r.passed, "detail": r.detail,
-    } for r in results], indent=2, sort_keys=True) + "\n")
+    _write_json(report_path, [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                              for r in results])
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.detail}")
@@ -368,7 +394,6 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, defaults)
         out = Path(cfg.get("output_path") or ".")
-        out.mkdir(parents=True, exist_ok=True)
         result = body(cfg, out)
         outputs, timings, code = result if isinstance(result, tuple) else (result, None, 0)
         if "output_path" in cfg:

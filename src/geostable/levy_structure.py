@@ -26,8 +26,6 @@ with P the regularized lower incomplete gamma.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,13 +204,6 @@ class KFunctionTable:
         if np.any(self.values <= 0):
             raise ValueError("k values must be positive")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "k_value"])
-            for r, v in zip(self.r_grid, self.values):
-                writer.writerow([repr(float(r)), repr(float(v))])
-
 
 def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTable:
     """Tabulate t*k over r_grid and certify it is nonincreasing.
@@ -275,13 +266,6 @@ class AsymptoticReport:
             "relative_gap_oracle": self.relative_gap_oracle,
             "converged": self.converged,
         }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
 
 
 def _printed_constant(spec: ProcessSpec, regime: Regime) -> float:

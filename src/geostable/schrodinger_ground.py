@@ -22,8 +22,6 @@ one FFT of the lag table.  In the continuum the two coincide: cos(xi_k z) is
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from collections import deque
@@ -79,8 +77,8 @@ class MeasureOnGrid:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.domain.N,):
             raise ConfigError(f"weights must have length {self.domain.N}")
-        if not np.all(w >= 0):
-            raise ConfigError("measure weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ConfigError("measure weights must be finite and nonnegative")
         self.weights = w
 
     @property
@@ -105,11 +103,6 @@ class MeasureOnGrid:
         return {"total_mass": self.total_mass, "support": support}
 
     @classmethod
-    def from_density(cls, domain: GridDomain, rho) -> "MeasureOnGrid":
-        vals = np.asarray([rho(x) for x in domain.nodes()], dtype=float)
-        return cls(domain, vals * domain.h)
-
-    @classmethod
     def from_profile(cls, domain: GridDomain, profile: str, center: float = 0.0,
                      half_width: float = 1.0, height: float = 1.0) -> "MeasureOnGrid":
         """Named bump: 'indicator', 'gaussian' (scale = half_width) or 'triangle'."""
@@ -128,31 +121,19 @@ class MeasureOnGrid:
         return cls(domain, rho * domain.h)
 
     @classmethod
-    def from_csv(cls, domain: GridDomain, path) -> "MeasureOnGrid":
-        """Read rows (x, weight); each weight lands on the nearest grid node."""
+    def from_points(cls, domain: GridDomain, x, weights) -> "MeasureOnGrid":
+        """Point masses weights[i] at x[i], each on its nearest grid node."""
+        x = np.asarray(x, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if x.ndim != 1 or x.shape != weights.shape:
+            raise ConfigError("x and weights must be 1-D arrays of the same length")
+        idx = np.rint((x + domain.L) / domain.h)
+        outside = ~((idx >= 0) & (idx < domain.N))
+        if outside.any():
+            raise ConfigError(f"measure point x={x[outside][0]} falls outside the grid")
         w = np.zeros(domain.N)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [c.strip().lower() for c in header[:2]] != ["x", "weight"]:
-                raise ConfigError("measure CSV must have header x,weight")
-            for row in reader:
-                if not row:
-                    continue
-                x, weight = float(row[0]), float(row[1])
-                idx = int(round((x + domain.L) / domain.h))
-                if not (0 <= idx < domain.N):
-                    raise ConfigError(f"measure point x={x} falls outside the grid")
-                w[idx] += weight
+        np.add.at(w, idx.astype(int), weights)
         return cls(domain, w)
-
-    def to_csv(self, path) -> None:
-        nodes = self.domain.nodes()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "weight"])
-            for x, wv in zip(nodes, self.weights):
-                writer.writerow([repr(float(x)), repr(float(wv))])
 
 
 @dataclass
@@ -356,20 +337,6 @@ class GroundStateResult:
                 "mu_minus": problem.mu_minus.describe(),
             })
         return out
-
-    def to_json(self, path=None, problem=None, seed=None) -> str:
-        text = json.dumps(self.to_dict(problem, seed), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
-    def to_csv(self, path, domain: GridDomain) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "h"])
-            for x, v in zip(domain.nodes(), self.h):
-                writer.writerow([repr(float(x)), repr(float(v))])
 
 
 def _finalize(problem, lam, vec, residual, iterations, cg_iterations):

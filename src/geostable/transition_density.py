@@ -15,8 +15,6 @@ on pointwise kernel estimates.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,50 +241,30 @@ class DensityTable:
             "quadrature_nodes": _fourier_rule("cos")[0].size if inversion else None,
         }
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.spec.dim == 1:
-                writer.writerow(["x", "p"])
-                for x, p in zip(self.x_grid, self.values):
-                    writer.writerow([repr(float(x)), repr(float(p))])
-            else:
-                writer.writerow([f"x{i}" for i in range(self.spec.dim)] + ["p"])
-                for pt, p in zip(np.atleast_2d(self.x_grid), self.values):
-                    writer.writerow([repr(float(c)) for c in pt] + [repr(float(p))])
-
-    def header_json(self, path=None) -> str:
-        text = json.dumps(self.header(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
 
 @dataclass
 class EmpiricalCdf:
     """Sorted sample values with step-function evaluation."""
 
     values: np.ndarray
-    count: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.count != self.values.size or self.count < 1:
-            raise ValueError("count must equal the number of samples (>= 1)")
+        if self.values.size < 1:
+            raise ValueError("an empirical CDF needs at least one sample")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be sorted ascending")
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalCdf":
-        v = np.sort(np.asarray(samples, dtype=float))
-        return cls(values=v, count=v.size)
+        return cls(values=np.sort(np.asarray(samples, dtype=float)))
 
     def evaluate(self, x):
-        return np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.count
+        return np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.values.size
 
     def ks_distance(self, cdf) -> float:
         """Kolmogorov-Smirnov distance against a callable reference CDF."""
         f = np.asarray(cdf(self.values), dtype=float)
-        i = np.arange(1, self.count + 1)
-        return float(max(np.max(i / self.count - f), np.max(f - (i - 1) / self.count)))
+        n = self.values.size
+        i = np.arange(1, n + 1)
+        return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

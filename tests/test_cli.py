@@ -1,3 +1,4 @@
+import ast
 import json
 import shlex
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geostable import GridDomain, MeasureOnGrid, ProcessSpec, verify_selfdecomposable
 from geostable.cli import main
 
 
@@ -57,6 +59,20 @@ def test_density_inversion_writes_table_and_manifest(tmp_path):
     mid = table[21].split(",")
     assert abs(float(mid[0])) < 1e-12
     assert abs(float(mid[1]) - 0.5) < 1e-8
+
+
+def test_density_table_and_header_files(tmp_path):
+    assert run(["density", "--alpha", "2", "--dim", "1", "--t", "1", "--x-min", "-2",
+                "--x-max", "2", "--n", "9", "--output-path", str(tmp_path)]) == 0
+    lines = (tmp_path / "density.csv").read_text().strip().splitlines()
+    assert lines[0] == "x,p"
+    assert len(lines) == 10
+    header = json.loads((tmp_path / "density_header.json").read_text())
+    assert header["method"] == "Inversion"
+    assert header["alpha"] == 2.0
+    assert header["seed"] is None
+    assert header["quadrature_h"] == 1.0 / 80.0
+    assert header["quadrature_nodes"] == 681
 
 
 def test_mc_subcommands_require_seed(tmp_path, capsys):
@@ -124,10 +140,25 @@ def test_selfdecomp_certificate(tmp_path, capsys):
     assert cert["monotone_certificate"] is True
 
 
+def test_selfdecomp_kfunction_table_file(tmp_path):
+    assert run(["selfdecomp", "--alpha", "1.5", "--dim", "1", "--t", "1", "--x-min", "0.1",
+                "--x-max", "2", "--n", "5", "--output-path", str(tmp_path)]) == 0
+    lines = (tmp_path / "kfunction_table.csv").read_text().strip().splitlines()
+    assert lines[0] == "r,k_value"
+    assert len(lines) == 6
+    r0, k0 = (float(v) for v in lines[1].split(","))
+    assert r0 == pytest.approx(0.1)
+    table = verify_selfdecomposable(ProcessSpec(1.5, 1), 1.0, np.geomspace(0.1, 2.0, 5))
+    assert k0 == pytest.approx(table.values[0])
+
+
 def test_levy_with_asymptotics_report(tmp_path):
     assert run(["levy", "--alpha", "1.5", "--dim", "1", "--n", "8",
                 "--asymptotics", "smallx", "--output-path", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "asymptotic_report.json").read_text())
+    assert set(rep) == {"alpha", "dim", "regime", "paper_constant", "oracle_constant",
+                        "empirical_limit", "relative_gap_paper", "relative_gap_oracle",
+                        "converged"}
     assert rep["regime"] == "SmallX"
     assert rep["relative_gap_paper"] > 0.0
     assert rep["relative_gap_oracle"] < 0.02
@@ -166,6 +197,33 @@ def test_groundstate_run(tmp_path, capsys):
     csv_lines = (tmp_path / "ground_state.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "x,h"
     assert len(csv_lines) == 129
+
+
+def test_groundstate_files(tmp_path):
+    # the default problem: alpha 1.5 on (L, N) = (16, 256), 0.5*1_[-1,1] and 1_[-2,2]
+    assert run(["groundstate", "--output-path", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "ground_state.json").read_text())
+    assert set(data) >= {"alpha", "L", "N", "lambda", "residual", "iterations",
+                         "cg_iterations", "h", "mu_plus", "mu_minus", "seed"}
+    assert len(data["h"]) == 256
+    assert data["mu_minus"]["support"] == [-2.0, 2.0]
+    lines = (tmp_path / "ground_state.csv").read_text().strip().splitlines()
+    assert lines[0] == "x,h"
+    assert len(lines) == 257
+
+
+def test_groundstate_csv_measure_matches_profile(tmp_path):
+    spec = "indicator:half_width=1,height=0.5"
+    m = MeasureOnGrid.from_profile(GridDomain(16.0, 256), "indicator", half_width=1.0, height=0.5)
+    path = tmp_path / "mu_plus.csv"
+    path.write_text("x,weight\n" + "".join(
+        f"{float(x)!r},{float(w)!r}\n" for x, w in zip(m.domain.nodes(), m.weights)))
+    lambdas = []
+    for name, mu_plus in (("profile", spec), ("csv", f"csv:{path}")):
+        assert run(["groundstate", "--mu-plus", mu_plus, "--output-path",
+                    str(tmp_path / name)]) == 0
+        lambdas.append(json.loads((tmp_path / name / "ground_state.json").read_text())["lambda"])
+    assert lambdas[0] == lambdas[1]
 
 
 def test_groundstate_bad_measure_is_config_error(tmp_path, capsys):
@@ -308,3 +366,55 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert argv[0] == "geostable"
         assert run(argv[1:]) == 0, argv
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--config", None), ("--config", "directory"),
+    ("--mu-plus", None), ("--mu-plus", ""), ("--mu-plus", "x,weight\n0.5\n"),
+    ("--mu-plus", "x,weight\n0,abc\n"), ("--mu-plus", "x,weight\nnan,1\n"),
+    ("--mu-plus", "x,weight\n0,inf\n"),
+], ids=["config-missing", "config-directory", "csv-missing", "csv-empty", "csv-one-column",
+        "csv-not-a-number", "csv-nan-x", "csv-inf-weight"])
+def test_file_errors_are_config_errors(tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    value = str(path) if flag == "--config" else f"csv:{path}"
+    out = tmp_path / "out"
+    assert run(["groundstate", flag, value, "--output-path", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
+    assert run(["groundstate", "--mu-plus", "indicator:half_width=100",
+                "--output-path", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "new").exists()
+
+
+def test_only_cli_touches_files():
+    # the library returns data; cli.py owns every file format and every open()
+    file_methods = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    offenders = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "geostable").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = ["open()"] if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr in file_methods) else []
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names
+                          if n.split(".")[0] in ("csv", "json", "open()")]
+    assert not offenders

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -164,18 +163,6 @@ def test_selfdecomposable_certificate_and_theta_independence():
         assert levy_density(table2.spec, r * theta) * r ** 2 == pytest.approx(v, rel=1e-14)
 
 
-def test_kfunction_table_csv(tmp_path):
-    table = verify_selfdecomposable(ProcessSpec(1.5, 1), 1.0, np.geomspace(0.1, 2.0, 5))
-    path = tmp_path / "k.csv"
-    table.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,k_value"
-    assert len(lines) == 6
-    r0, k0 = (float(v) for v in lines[1].split(","))
-    assert r0 == pytest.approx(0.1)
-    assert k0 == pytest.approx(table.values[0])
-
-
 def test_asymptotic_small_x_reports():
     for alpha, dim in ((1.0, 1), (1.5, 1), (2.0, 1), (1.5, 2)):
         spec = ProcessSpec(alpha, dim)
@@ -203,15 +190,3 @@ def test_asymptotic_large_x_alpha2_exponential_profile():
     assert exponential_tail_constant(1) == 1.0
     assert rep.paper_constant == pytest.approx(2.0 ** -0.5, rel=1e-12)
     assert rep.relative_gap_paper > 0.4
-
-
-def test_asymptotic_report_json(tmp_path):
-    rep = asymptotic_report(ProcessSpec(1.5, 1), Regime.SMALL_X)
-    path = tmp_path / "rep.json"
-    rep.to_json(path)
-    data = json.loads(path.read_text())
-    assert set(data) == {"alpha", "dim", "regime", "paper_constant", "oracle_constant",
-                         "empirical_limit", "relative_gap_paper", "relative_gap_oracle",
-                         "converged"}
-    assert data["regime"] == "SmallX"
-    assert data["relative_gap_paper"] > 0

@@ -62,13 +62,30 @@ def test_measure_profiles_and_masses():
         MeasureOnGrid(dom, -np.ones(dom.N))
 
 
-def test_measure_csv_roundtrip(tmp_path):
+def test_measure_from_points_uses_nearest_node():
     dom = GridDomain(16.0, 256)
     m = MeasureOnGrid.from_profile(dom, "triangle", half_width=1.5, height=2.0)
-    path = tmp_path / "m.csv"
-    m.to_csv(path)
-    again = MeasureOnGrid.from_csv(dom, path)
-    assert np.allclose(again.weights, m.weights)
+    again = MeasureOnGrid.from_points(dom, dom.nodes(), m.weights)
+    assert np.array_equal(again.weights, m.weights)
+    # 0.4 h and -0.4 h both round to the node at 0, where the masses add
+    nudged = MeasureOnGrid.from_points(dom, [0.4 * dom.h, -0.4 * dom.h], [1.0, 2.0])
+    assert nudged.weights[dom.N // 2] == 3.0 and nudged.total_mass == 3.0
+    for x in (-16.6, 16.0, math.nan):
+        with pytest.raises(ConfigError, match="outside the grid"):
+            MeasureOnGrid.from_points(dom, [x], [1.0])
+    with pytest.raises(ConfigError):
+        MeasureOnGrid.from_points(dom, [0.0, 1.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_measure_refuses_non_finite_weights(bad):
+    dom = GridDomain(16.0, 256)
+    weights = np.zeros(dom.N)
+    weights[3] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        MeasureOnGrid(dom, weights)
+    with pytest.raises(ConfigError, match="finite"):
+        MeasureOnGrid.from_points(dom, [0.0], [bad])
 
 
 def test_problem_validation():
@@ -423,19 +440,3 @@ def test_cross_term_identity_and_sign(prob):
     assert irreducibility_cross_term(prob, np.array([], dtype=int), u) == 0.0
     with pytest.raises(ValueError):
         irreducibility_cross_term(prob, left, np.zeros(prob.domain.N))
-
-
-def test_ground_state_serialization(tmp_path, prob, ground):
-    json_path = tmp_path / "gs.json"
-    csv_path = tmp_path / "gs.csv"
-    ground.to_json(json_path, problem=prob, seed=None)
-    ground.to_csv(csv_path, prob.domain)
-    import json as _json
-    data = _json.loads(json_path.read_text())
-    assert set(data) >= {"alpha", "L", "N", "lambda", "residual", "iterations",
-                         "cg_iterations", "h", "mu_plus", "mu_minus", "seed"}
-    assert len(data["h"]) == prob.domain.N
-    assert data["mu_minus"]["support"] == [-2.0, 2.0]
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "x,h"
-    assert len(lines) == prob.domain.N + 1

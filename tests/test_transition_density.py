@@ -252,25 +252,6 @@ def test_density_mc_validates_inputs():
         density_mc(spec, 0.0, np.linspace(-1, 1, 5), 2000, RngStream(1))
 
 
-def test_table_serialization(tmp_path):
-    spec = ProcessSpec(2.0, 1)
-    table = inversion_table(spec, 1.0, np.linspace(-2, 2, 9))
-    csv_path = tmp_path / "d.csv"
-    json_path = tmp_path / "d.json"
-    table.to_csv(csv_path)
-    table.header_json(json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "x,p"
-    assert len(lines) == 10
-    import json as _json
-    header = _json.loads(json_path.read_text())
-    assert header["method"] == "Inversion"
-    assert header["alpha"] == 2.0
-    assert header["seed"] is None
-    assert header["quadrature_h"] == 1.0 / 80.0
-    assert header["quadrature_nodes"] == 681
-
-
 def test_table_rejects_supercritical_mass_and_wrong_method():
     spec = ProcessSpec(2.0, 1)
     xs = np.linspace(-1, 1, 11)
@@ -286,8 +267,10 @@ def test_table_rejects_supercritical_mass_and_wrong_method():
 
 def test_empirical_cdf_basics():
     e = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
-    assert e.count == 3
     assert np.array_equal(e.values, [1.0, 2.0, 3.0])
     assert e.evaluate(2.5) == pytest.approx(2.0 / 3.0)
+    assert e.ks_distance(lambda v: np.clip(v / 3.0, 0.0, 1.0)) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
-        EmpiricalCdf(values=np.array([2.0, 1.0]), count=2)
+        EmpiricalCdf(values=np.array([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        EmpiricalCdf.from_samples([])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -190,3 +191,14 @@ def test_asymptotic_large_x_alpha2_exponential_profile():
     assert exponential_tail_constant(1) == 1.0
     assert rep.paper_constant == pytest.approx(2.0 ** -0.5, rel=1e-12)
     assert rep.relative_gap_paper > 0.4
+
+
+def test_asymptotic_report_json():
+    rep = asymptotic_report(ProcessSpec(1.5, 1), Regime.SMALL_X)
+    data = json.loads(json.dumps(rep.to_dict()))
+    assert set(data) == {"alpha", "dim", "regime", "paper_constant", "oracle_constant",
+                         "empirical_limit", "relative_gap_paper", "relative_gap_oracle",
+                         "converged"}
+    assert data["regime"] == "SmallX"
+    assert data["relative_gap_paper"] > 0
+    assert data["empirical_limit"] == rep.empirical_limit

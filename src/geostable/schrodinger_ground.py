@@ -318,25 +318,21 @@ class GroundStateResult:
         if self.h.size and float(self.h.min()) < -1e-8 * float(np.abs(self.h).max()):
             raise ConsistencyError("ground state is not positive up to numerical noise")
 
-    def to_dict(self, problem: SchrodingerProblem | None = None, seed=None) -> dict:
-        out = {
+    def to_dict(self, problem: SchrodingerProblem) -> dict:
+        return {
+            "alpha": problem.spec.alpha,
+            "L": problem.domain.L,
+            "N": problem.domain.N,
+            "mu_plus": problem.mu_plus.describe(),
+            "mu_minus": problem.mu_minus.describe(),
             "lambda": self.lambda_,
             "residual": self.residual,
             "iterations": self.iterations,
             "cg_iterations": self.cg_iterations,
             "normalization_check": self.normalization_check,
             "h": [float(v) for v in self.h],
-            "seed": seed,
+            "seed": None,  # the solve draws nothing; the key keeps the file's layout
         }
-        if problem is not None:
-            out.update({
-                "alpha": problem.spec.alpha,
-                "L": problem.domain.L,
-                "N": problem.domain.N,
-                "mu_plus": problem.mu_plus.describe(),
-                "mu_minus": problem.mu_minus.describe(),
-            })
-        return out
 
 
 def _finalize(problem, lam, vec, residual, iterations, cg_iterations):

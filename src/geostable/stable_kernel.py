@@ -106,7 +106,7 @@ def _fourier_head(alpha, dim, u):
 
 
 def _kanter_log_a(beta, u):
-    """log A(pi - u) for Kanter's function, the one `_sample_positive_stable` draws with:
+    """log A(pi - u) for Kanter's function, the one `_log_positive_stable_into` draws with:
 
         A(theta) = sin(beta theta)^(beta/(1-beta)) sin((1-beta) theta) / sin(theta)^(1/(1-beta)).
 
@@ -412,61 +412,157 @@ def _maybe_item(arr, size):
     return float(arr[0]) if size is None else arr
 
 
-def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
-                 u: np.ndarray, w: np.ndarray) -> None:
-    """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no allocation.
+# a uniform's cell of width 2^-53 at which one of the sines below vanishes
+# (r = 0, or U = 0 at r = 1/2) is represented by its midpoint, so every log is finite
+_R_FLOOR = 2.0 ** -54
+# entries whose GS rejections are finished together: this bounds the scratch
+# when rejections are common (about a quarter of the entries near t = 1)
+_GS_BLOCK = 1 << 16
 
-    G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
-    with characteristic function exp(-|xi|^alpha) by Chambers, Mallows & Stuck
-    (1976) from a uniform angle u on (-pi/2, pi/2) and an exponential W:
 
-        G^(1/a) Z = sin(a u) exp(log G / a - log cos(u) / a
-                                 + ((1 - a)/a) (log cos((1 - a) u) - log W)),
+def _neg_log_sin2(x: np.ndarray) -> None:
+    """Overwrite angles x in (0, pi/2) with -log sin(2x) = log cosh(log tan x).
 
-    one exp of a sum of logs, so no power over- or underflows on its own.
-    alpha = 2 is sqrt(2 G) N and alpha = 1 is G tan(u).  The generator is
-    called for gamma, then uniform (normal at alpha = 2), then exponential.
+    sin 2x = 2 tan x / (1 + tan^2 x) = 1 / cosh(log tan x), a chain of unary
+    ufuncs that runs in place; numpy's float64 tan, log and cosh are SIMD,
+    its sin and cos are not.
+    """
+    np.tan(x, out=x)
+    np.log(x, out=x)
+    np.cosh(x, out=x)
+    np.log(x, out=x)
+
+
+def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
+                    w: np.ndarray) -> None:
+    """Write log G, G ~ Gamma(t, 1), into out (log G = 0 when t is None).
+
+    For t >= 1 numpy's standard_gamma, then log.  For t < 1 the GS rejection
+    of Ahrens & Dieter (1974), drawn in log space, where G itself underflows
+    at small t: with b = 1 + t/e and P = b U, a candidate P <= 1 is
+    X = P^(1/t), accepted when an exponential E >= X, so log X = log(P)/t is
+    compared with log E; a candidate P > 1 is X = -log((b - P)/t), accepted
+    when E >= (1 - t) log X.  One uniform, one exponential and two logs per
+    entry; the rejections and the P > 1 candidates (a fraction t/(e + t)) are
+    finished on their own indices, from the same generator, until every entry
+    is accepted.
     u and w are scratch buffers of out's shape.
     """
-    a = alpha
     if t is None:
-        out.fill(1.0)
-    else:
+        out.fill(0.0)
+        return
+    if t >= 1.0:
         gen.standard_gamma(t, out=out)
-    if a == 2.0:
+        np.log(out, out=out)
+        return
+    b = 1.0 + t / math.e
+    gen.random(out=u)
+    gen.standard_exponential(out=w)
+    u *= b
+    np.log(u, out=out)
+    out *= 1.0 / t
+    np.log(w, out=w)
+    # log X > 0 exactly when P > 1, so min(log E, 0) < log X flags both the
+    # rejections and the other branch
+    np.minimum(w, 0.0, out=w)
+    for start in range(0, out.size, _GS_BLOCK):
+        stop = start + _GS_BLOCK
+        idx = start + np.flatnonzero(w[start:stop] < out[start:stop])
+        p = u[idx]
+        lo = np.flatnonzero(p <= 1.0)
+        p[lo] = b * gen.random(lo.size)  # a rejection draws anew; P > 1 takes its own test
+        while idx.size:
+            e = gen.standard_exponential(idx.size)
+            log_x = np.log(p) / t
+            hi = np.flatnonzero(p > 1.0)
+            log_x[hi] = np.log(-np.log((b - p[hi]) / t))
+            ok = e >= np.exp(log_x)
+            ok[hi] = e[hi] >= (1.0 - t) * log_x[hi]
+            acc = np.flatnonzero(ok)
+            out[idx[acc]] = log_x[acc]
+            idx = idx[np.flatnonzero(~ok)]
+            p = b * gen.random(idx.size)
+
+
+def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
+    """Chambers-Mallows-Stuck in place: G^(1/alpha) Z into out, for 0 < alpha < 2.
+
+    On entry out holds log G, u uniforms r on [0, 1) and w exponentials W;
+    u and w are overwritten.  With the angle U = pi (r - 1/2),
+
+        G^(1/a) Z = sin(a U) exp(log G / a - log cos(U) / a
+                                 + ((1 - a)/a) (log cos((1 - a) U) - log W)),
+
+    one exp of a sum of logs, so no power over- or underflows on its own.
+    Every sine and cosine is a sine of an angle in (0, pi) and comes from
+    `_neg_log_sin2`: cos U = sin(pi s) with s = min(r, 1 - r), so no angle
+    difference cancels near U = +-pi/2; cos((1 - a) U) = sin(pi m/2 + pi |1 - a| s)
+    with m = min(a, 2 - a); |sin(a U)| = sin(a pi |r - 1/2|), whose sign is
+    that of r - 1/2.  Against the formula above in extended precision the
+    result is within 1.1e-13 relative for r in [1e-6, 1 - 1e-6] and
+    alpha in [0.3, 2).
+    """
+    a = alpha
+    # out accumulates alpha log|X| = log G + N1 - (1 - a)(log W + N2) - a N3,
+    # with N1, N2, N3 = -log of cos U, cos((1 - a) U), |sin(a U)|
+    np.log(w, out=w)
+    w *= a - 1.0
+    out += w
+    np.subtract(1.0, u, out=w)
+    np.minimum(u, w, out=w)
+    np.maximum(w, _R_FLOOR, out=w)
+    u -= 0.5
+    np.copysign(w, u, out=w)  # w = +-s, signed like U
+    np.abs(u, out=u)
+    np.maximum(u, _R_FLOOR, out=u)
+    u *= 0.5 * a * np.pi
+    _neg_log_sin2(u)
+    u *= -a
+    out += u
+    np.abs(w, out=u)
+    u *= 0.5 * np.pi
+    _neg_log_sin2(u)
+    out += u
+    np.abs(w, out=u)
+    u *= 0.5 * np.pi * abs(1.0 - a)
+    u += 0.25 * np.pi * min(a, 2.0 - a)
+    _neg_log_sin2(u)
+    u *= a - 1.0
+    out += u
+    out *= 1.0 / a
+    np.exp(out, out=out)
+    np.copysign(out, w, out=out)
+
+
+def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
+                 u: np.ndarray, w: np.ndarray) -> None:
+    """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no full-size allocation.
+
+    G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
+    with characteristic function exp(-|xi|^alpha).  log G comes from
+    `_log_gamma_into`; then alpha = 2 is sqrt(2 G) N, alpha = 1 is G tan(U),
+    and every other alpha sends a uniform and an exponential to `_cms_into`.
+    The generator is called for log G, then uniform (normal at alpha = 2),
+    then exponential.  u and w are scratch buffers of out's shape.
+    """
+    _log_gamma_into(t, gen, out, u, w)
+    if alpha == 2.0:
         gen.standard_normal(out=u)
-        u *= math.sqrt(2.0)
-        np.sqrt(out, out=out)
+        out += math.log(2.0)
+        out *= 0.5
+        np.exp(out, out=out)
         out *= u
         return
     gen.random(out=u)
-    u -= 0.5
-    u *= np.pi
-    if a == 1.0:
+    if alpha == 1.0:  # G tan(U)
+        np.exp(out, out=out)
+        u -= 0.5
+        u *= np.pi
         np.tan(u, out=u)
         out *= u
         return
-    c = (1.0 - a) / a
-    with np.errstate(divide="ignore"):  # G underflows to 0 at small t: a 0 draw
-        np.log(out, out=out)
-    out /= a
-    np.multiply(u, 1.0 - a, out=w)
-    np.cos(w, out=w)
-    np.log(w, out=w)
-    w *= c
-    out += w
-    np.cos(u, out=w)
-    np.log(w, out=w)
-    w /= a
-    out -= w
-    u *= a
-    np.sin(u, out=u)
     gen.standard_exponential(out=w)
-    np.log(w, out=w)
-    w *= c
-    out -= w
-    np.exp(out, out=out)
-    out *= u
+    _cms_into(alpha, out, u, w)
 
 
 def _stable_draws(alpha, t, rng, size):
@@ -480,26 +576,43 @@ def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
     """Scalar symmetric alpha-stable draw(s) with char. function exp(-|xi|^alpha).
 
     Chambers-Mallows-Stuck from a uniform angle and an exponential clock
-    (`_stable_into` with G = 1); alpha = 2 reduces to sqrt(2) times a standard
-    normal, alpha = 1 to tan(U).
+    (`_stable_into` with G = 1), every sine and cosine taken from SIMD tan
+    through sin 2x = 1/cosh(log tan x); alpha = 2 reduces to sqrt(2) times a
+    standard normal, alpha = 1 to tan(U).
     """
     return _stable_draws(spec.alpha, None, rng, size)
 
 
-def _sample_positive_stable(beta: float, rng: RngStream, n: int) -> np.ndarray:
-    """One-sided stable draw(s), Laplace transform exp(-lambda^beta), 0 < beta < 1.
+def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.ndarray,
+                              u: np.ndarray, w: np.ndarray) -> None:
+    """Write log S into out, S one-sided stable with Laplace transform exp(-lambda^beta).
 
-    Kanter's representation (A(theta)/W)^((1-beta)/beta) with
+    Kanter's representation S = (A(theta)/W)^((1-beta)/beta), theta = pi r, with
     A(theta) = sin(beta theta)^(beta/(1-beta)) sin((1-beta) theta) / sin(theta)^(1/(1-beta)),
-    evaluated in log space: as beta -> 1 the powers 1/(1-beta) underflow
-    separately although the draw itself stays near 1.
+    in log space: as beta -> 1 the powers 1/(1-beta) underflow separately
+    although the draw itself stays near 1.  The three sines come from
+    `_neg_log_sin2`, sin(theta) as sin(pi min(r, 1 - r)).  The generator is
+    called for the uniform r, then the exponential W; u and w are scratch.
     """
-    g = rng.gen
-    th = np.pi * g.random(n)
-    w = g.standard_exponential(n)
-    return np.exp(np.log(np.sin(beta * th))
-                  + (1.0 - beta) / beta * (np.log(np.sin((1.0 - beta) * th)) - np.log(w))
-                  - np.log(np.sin(th)) / beta)
+    c = (1.0 - beta) / beta
+    gen.random(out=u)
+    gen.standard_exponential(out=w)
+    np.log(w, out=out)
+    out *= -c
+    np.maximum(u, _R_FLOOR, out=u)
+    np.multiply(u, 0.5 * beta * np.pi, out=w)
+    _neg_log_sin2(w)
+    out -= w
+    np.multiply(u, 0.5 * (1.0 - beta) * np.pi, out=w)
+    _neg_log_sin2(w)
+    w *= c
+    out -= w
+    np.subtract(1.0, u, out=w)
+    np.minimum(u, w, out=u)
+    u *= 0.5 * np.pi
+    _neg_log_sin2(u)
+    u *= 1.0 / beta
+    out += u
 
 
 def sample_gamma(t: float, rng: RngStream, size=None):
@@ -515,13 +628,16 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
     """Increment draw(s) with characteristic function (1 + |xi|^alpha)^(-t).
 
     Gamma-subordinated stable: G ~ Gamma(t, 1), X = G^(1/alpha) Z with Z
-    symmetric alpha-stable.  For dim = 1, Z is Chambers-Mallows-Stuck and the
-    draw is formed in log space (`_stable_into`): sin(alpha u) times one exp
-    of log G / alpha plus the logs of cos(u), cos((1 - alpha) u) and the
-    exponential W, written into preallocated buffers; alpha in {1, 2} keep
-    the closed forms G tan(u) and sqrt(2G) N.  For dim > 1 and alpha < 2,
-    Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw; for
-    alpha = 2 directly X = sqrt(2G) N(0, I).
+    symmetric alpha-stable.  log G is drawn directly (`_log_gamma_into`: the
+    GS rejection of Ahrens & Dieter 1974 in log space for t < 1, numpy's
+    gamma for t >= 1).  For dim = 1, Z is Chambers-Mallows-Stuck and the draw
+    is formed in log space (`_cms_into`): sin(alpha U) times one exp of
+    log G / alpha plus the logs of cos(U), cos((1 - alpha) U) and the
+    exponential W, every sine and cosine from SIMD tan through
+    sin 2x = 1/cosh(log tan x), written into preallocated buffers; alpha in
+    {1, 2} keep the closed forms G tan(U) and sqrt(2G) N.  For dim > 1 and
+    alpha < 2, Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw
+    (`_log_positive_stable_into`); for alpha = 2 directly X = sqrt(2G) N(0, I).
 
     Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
@@ -532,10 +648,18 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
     n = 1 if size is None else int(size)
     a = spec.alpha
     g = rng.gen
-    gam = g.gamma(shape=t, scale=1.0, size=n)
-    if a == 2.0:
-        out = np.sqrt(2.0 * gam)[:, None] * g.standard_normal((n, spec.dim))
-    else:
-        sub = _sample_positive_stable(a / 2.0, rng, n)
-        out = (gam ** (1.0 / a) * np.sqrt(2.0 * sub))[:, None] * g.standard_normal((n, spec.dim))
+    scale, u, w = np.empty(n), np.empty(n), np.empty(n)
+    _log_gamma_into(t, g, scale, u, w)
+    scale *= 1.0 / a
+    if a < 2.0:
+        log_a = np.empty(n)
+        _log_positive_stable_into(a / 2.0, g, log_a, u, w)
+        log_a *= 0.5
+        scale += log_a
+        del log_a
+    del u, w
+    scale += 0.5 * math.log(2.0)
+    np.exp(scale, out=scale)  # sqrt(2 G) at alpha = 2, G^(1/alpha) sqrt(2 A) else
+    out = g.standard_normal((n, spec.dim))
+    out *= scale[:, None]
     return out[0] if size is None else out

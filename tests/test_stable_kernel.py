@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma
+from scipy.special import digamma, gamma, polygamma
+from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        UnsupportedDimensionError, radial_profile, sample_gamma,
@@ -13,8 +15,9 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        stable_density_radial)
 from geostable import stable_kernel as sk
 from geostable.acceptance import density_gamma_mixture
-from geostable.stable_kernel import (StableRadialProfile, _fourier_head, _mixture_head,
-                                     _sample_positive_stable, q1_at_zero)
+from geostable.stable_kernel import (StableRadialProfile, _cms_into, _fourier_head,
+                                     _log_gamma_into, _log_positive_stable_into, _mixture_head,
+                                     q1_at_zero)
 
 
 def test_config_validation():
@@ -215,7 +218,10 @@ def test_gamma_sampler_moments_and_exponential_case():
 
 
 def test_positive_stable_laplace_transform():
-    s = _sample_positive_stable(0.75, RngStream(6), 100_000)
+    n = 100_000
+    s = np.empty(n)
+    _log_positive_stable_into(0.75, RngStream(6).gen, s, np.empty(n), np.empty(n))
+    np.exp(s, out=s)
     assert np.all(s > 0)
     for lam in (0.5, 1.0, 2.0):
         emp = np.exp(-lam * s).mean()
@@ -269,8 +275,9 @@ def test_increment_near_gaussian_rows_finite(alpha, dim):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_small_step_increments_match_characteristic_function(alpha):
-    # one Feynman-Kac step at t = 1/256, where most Gamma clocks underflow,
-    # and the sum of 256 such steps, which must be the t = 1 law
+    # one Feynman-Kac step at t = 1/256, where about 6% of the Gamma clocks
+    # lie below the smallest double and only log G is drawn, and the sum of
+    # 256 such steps, which must be the t = 1 law
     spec = ProcessSpec(alpha, 1)
     rng = RngStream(41)
     n = 20_000
@@ -308,3 +315,80 @@ def test_increment_radius_matches_radial_cdf(alpha, dim):
     radius = np.linalg.norm(sample_increment(spec, 1.0, RngStream(12), size=n), axis=1)
     ks = EmpiricalCdf.from_samples(radius).ks_distance(_radial_cdf(spec, 1.0))
     assert ks < 3.0 / math.sqrt(n)
+
+
+_CMS_ALPHAS = (0.3, 0.5, 0.99, 1.01, 1.5, 1.99, 1.999)
+
+
+def _cms_sin_cos(alpha, log_g, r, w):
+    """Chambers-Mallows-Stuck from sin and cos, evaluated in long double.
+
+    In float64 the rounding of U = pi (r - 1/2) alone moves cos U by up to
+    2e-10 relative at r = 1e-6 and alpha = 0.3, which the oracle must not add.
+    """
+    a = np.longdouble(alpha)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    u = pi * (np.asarray(r, dtype=np.longdouble) - np.longdouble(0.5))
+    return np.sin(a * u) * np.exp(
+        np.asarray(log_g, dtype=np.longdouble) / a - np.log(np.cos(u)) / a
+        + (1 - a) / a * (np.log(np.cos((1 - a) * u)) - np.log(np.asarray(w, dtype=np.longdouble))))
+
+
+def _cms(alpha, log_g, r, w):
+    out = np.array(log_g, dtype=float)
+    _cms_into(alpha, out, np.array(r, dtype=float), np.array(w, dtype=float))
+    return out
+
+
+@pytest.mark.parametrize("alpha", _CMS_ALPHAS)
+def test_cms_transform_matches_sin_cos_formula(alpha):
+    rng = np.random.default_rng(17)
+    ends = np.geomspace(1e-6, 0.4, 400)
+    r = np.concatenate([1e-6 + (1.0 - 2e-6) * rng.random(20_000), ends, 1.0 - ends])
+    w = rng.standard_exponential(r.size)
+    log_g = rng.uniform(-30.0, 3.0, r.size)
+    got = _cms(alpha, log_g, r, w)
+    want = _cms_sin_cos(alpha, log_g, r, w)
+    assert float(np.max(np.abs(got / want - 1.0))) <= 1e-10
+    edges = np.array([0.0, 1e-17, 1.0 - 2.0 ** -53, 0.5])
+    assert np.isfinite(_cms(alpha, np.zeros(4), edges, np.full(4, 0.7))).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.3, 1.999), r=st.floats(1e-6, 1.0 - 1e-6),
+       w=st.floats(1e-3, 30.0), log_g=st.floats(-50.0, 5.0))
+def test_cms_transform_property(alpha, r, w, log_g):
+    assume(r != 0.5)
+    got = _cms(alpha, [log_g], [r], [w])[0]
+    want = _cms_sin_cos(alpha, log_g, r, w)
+    assert abs(got / want - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("s", [1.0 / 256, 1.0 / 32, 0.3, 0.9])
+def test_log_gamma_draws_are_exact(s):
+    n = 2_000_000
+    log_g = np.empty(n)
+    _log_gamma_into(s, RngStream(31).gen, log_g, np.empty(n), np.empty(n))
+    assert np.isfinite(log_g).all()
+    assert abs(np.exp(log_g).mean() - s) < 4.0 * math.sqrt(s / n)
+    assert abs(log_g.mean() - digamma(s)) < 4.0 * math.sqrt(polygamma(1, s) / n)
+    # an independent route: Gamma(s) = Gamma(1 + s) U^(1/s)
+    gen = RngStream(32).gen
+    other = np.log(gen.standard_gamma(1.0 + s, n)) + np.log1p(-gen.random(n)) / s
+    assert ks_2samp(log_g, other).statistic < 3.0 * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("dim, per_draw", [(1, 3.25), (2, 4.25)])
+def test_increment_memory_per_draw(dim, per_draw):
+    # d = 1: the draws and two scratch vectors; d = 2: the (n, 2) draws, the
+    # scale and three scratch vectors for log G and the Kanter draw
+    spec = ProcessSpec(1.5, dim)
+    sample_increment(spec, 1.0 / 256, RngStream(1), size=10)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        sample_increment(spec, 1.0 / 256, RngStream(1), size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 8 / n <= per_draw

@@ -418,6 +418,8 @@ _R_FLOOR = 2.0 ** -54
 # entries whose GS rejections are finished together: this bounds the scratch
 # when rejections are common (about a quarter of the entries near t = 1)
 _GS_BLOCK = 1 << 16
+# entries whose bound decides whether `_advance_into` bounds the whole step
+_STEP_SAMPLE = 1 << 12
 
 
 def _neg_log_sin2(x: np.ndarray) -> None:
@@ -487,8 +489,11 @@ def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
 def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
     """Chambers-Mallows-Stuck in place: G^(1/alpha) Z into out, for 0 < alpha < 2.
 
-    On entry out holds log G, u uniforms r on [0, 1) and w exponentials W;
-    u and w are overwritten.  With the angle U = pi (r - 1/2),
+    On entry out holds log G + (a - 1) log W, with log W taken by the caller,
+    and u uniforms r on [0, 1); u and w are overwritten, w serving as
+    scratch.  Folding log W in first frees w, which lets `_advance_into`
+    bound the draws with the same log pass and no further vector.  With the
+    angle U = pi (r - 1/2),
 
         G^(1/a) Z = sin(a U) exp(log G / a - log cos(U) / a
                                  + ((1 - a)/a) (log cos((1 - a) U) - log W)),
@@ -505,9 +510,6 @@ def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> No
     a = alpha
     # out accumulates alpha log|X| = log G + N1 - (1 - a)(log W + N2) - a N3,
     # with N1, N2, N3 = -log of cos U, cos((1 - a) U), |sin(a U)|
-    np.log(w, out=w)
-    w *= a - 1.0
-    out += w
     np.subtract(1.0, u, out=w)
     np.minimum(u, w, out=w)
     np.maximum(w, _R_FLOOR, out=w)
@@ -534,6 +536,21 @@ def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> No
     np.copysign(out, w, out=out)
 
 
+def _cms_inputs_into(alpha: float, t, gen: np.random.Generator, log_gw: np.ndarray,
+                     u: np.ndarray, w: np.ndarray) -> None:
+    """Draw what `_cms_into` takes: log G + (alpha - 1) log W into log_gw, r into u.
+
+    The generator is called for log G (`_log_gamma_into`), then the uniforms
+    r, then the exponentials W, each on the full vector; w is scratch.
+    """
+    _log_gamma_into(t, gen, log_gw, u, w)
+    gen.random(out=u)
+    gen.standard_exponential(out=w)
+    np.log(w, out=w)
+    w *= alpha - 1.0
+    log_gw += w
+
+
 def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
                  u: np.ndarray, w: np.ndarray) -> None:
     """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no full-size allocation.
@@ -541,10 +558,15 @@ def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
     G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
     with characteristic function exp(-|xi|^alpha).  log G comes from
     `_log_gamma_into`; then alpha = 2 is sqrt(2 G) N, alpha = 1 is G tan(U),
-    and every other alpha sends a uniform and an exponential to `_cms_into`.
-    The generator is called for log G, then uniform (normal at alpha = 2),
-    then exponential.  u and w are scratch buffers of out's shape.
+    and every other alpha sends a uniform and the log of an exponential to
+    `_cms_into` (`_cms_inputs_into`).  The generator is called for log G, then
+    uniform (normal at alpha = 2), then exponential.  u and w are scratch
+    buffers of out's shape.
     """
+    if alpha not in (1.0, 2.0):
+        _cms_inputs_into(alpha, t, gen, out, u, w)
+        _cms_into(alpha, out, u, w)
+        return
     _log_gamma_into(t, gen, out, u, w)
     if alpha == 2.0:
         gen.standard_normal(out=u)
@@ -553,16 +575,85 @@ def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
         np.exp(out, out=out)
         out *= u
         return
-    gen.random(out=u)
-    if alpha == 1.0:  # G tan(U)
-        np.exp(out, out=out)
-        u -= 0.5
-        u *= np.pi
-        np.tan(u, out=u)
-        out *= u
+    gen.random(out=u)  # alpha = 1: G tan(U)
+    np.exp(out, out=out)
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
+    out *= u
+
+
+def _movers(alpha: float, x: np.ndarray, log_gw: np.ndarray, u: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """Indices of the entries of x that their increments may move; w is scratch.
+
+    log_gw and u hold log G + (alpha - 1) log W and the uniforms r, as
+    `_cms_into` takes them.  With s = max(min(r, 1 - r), 2^-54),
+    |sin(alpha U)| <= 1, cos U = sin(pi s) >= 2 s and
+    |(1 - alpha) U| <= |alpha - 1| pi/2,
+
+        alpha log|G^(1/alpha) Z| <= B = log G - log(2 s) + (alpha - 1) log W + c,
+
+    c = -(alpha - 1) log cos((alpha - 1) pi/2) for alpha > 1 and 0 below.
+    An entry stays where B < alpha (log|x| - 55 log 2), that is where
+    V = exp(B / alpha + 55 log 2) < |x|: its increment is then below
+    2^-55 |x|, under a quarter of the spacing of the floats around x, so
+    x + increment rounds to x.  An entry at x = 0 always moves.
+    """
+    a = alpha
+    c = -(a - 1.0) * math.log(math.cos((a - 1.0) * math.pi / 2.0)) if a > 1.0 else 0.0
+    np.subtract(1.0, u, out=w)
+    np.minimum(u, w, out=w)
+    np.maximum(w, _R_FLOOR, out=w)
+    np.log(w, out=w)
+    np.subtract(log_gw, w, out=w)
+    w += c - math.log(2.0) + 55.0 * a * math.log(2.0)
+    w *= 1.0 / a
+    with np.errstate(over="ignore"):
+        np.exp(w, out=w)
+    move = np.less_equal(x, w)
+    np.negative(w, out=w)
+    move &= np.greater_equal(x, w)
+    return np.flatnonzero(move)
+
+
+def _advance_into(alpha: float, t: float, gen: np.random.Generator, x: np.ndarray,
+                  log_gw: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
+    """Add one increment G^(1/alpha) Z, G ~ Gamma(t, 1), to every entry of x.
+
+    The generator is called as `_stable_into` calls it, and x ends
+    bit-identical to `_stable_into` followed by x += increment; log_gw, u and
+    w are scratch buffers of x's shape.  For alpha in {1, 2} that is what
+    runs.  Otherwise only the entries that `_movers` cannot prove unmoved are
+    transformed: they are gathered into w, which the folded log W leaves
+    free, and their sums with x are scattered back.  When more than half the
+    entries move, all of them are transformed in place instead, which leaves
+    the others unchanged as well; the first _STEP_SAMPLE entries decide
+    whether to bound the whole step, so a coarse step, where most entries
+    move, pays only for that sample.
+    """
+    if alpha in (1.0, 2.0):
+        _stable_into(alpha, t, gen, log_gw, u, w)
+        x += log_gw
         return
-    gen.standard_exponential(out=w)
-    _cms_into(alpha, out, u, w)
+    _cms_inputs_into(alpha, t, gen, log_gw, u, w)
+    n = x.size
+    k = min(n, _STEP_SAMPLE)
+    if 2 * _movers(alpha, x[:k], log_gw[:k], u[:k], w[:k]).size <= k:
+        move = _movers(alpha, x, log_gw, u, w)
+        m = move.size
+        if 2 * m <= n:
+            inc, r = w[:m], w[m:2 * m]
+            # mode "clip" writes into out directly; the default "raise" buffers it
+            np.take(log_gw, move, out=inc, mode="clip")
+            np.take(u, move, out=r, mode="clip")
+            _cms_into(alpha, inc, r, u[:m])
+            np.take(x, move, out=log_gw[:m], mode="clip")
+            log_gw[:m] += inc
+            x[move] = log_gw[:m]
+            return
+    _cms_into(alpha, log_gw, u, w)
+    x += log_gw
 
 
 def _stable_draws(alpha, t, rng, size):
@@ -616,7 +707,13 @@ def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.nda
 
 
 def sample_gamma(t: float, rng: RngStream, size=None):
-    """Gamma(shape t, rate 1) draw(s), valid for every t > 0."""
+    """Gamma(shape t, rate 1) draw(s), valid for every t > 0.
+
+    The draws are correctly rounded floats, so at small t a share of them is
+    exactly 0.0: the draws below 2^-1075, of mass about
+    (2^-1075)^t / Gamma(1 + t), 5.5% at t = 1/256.  A caller that needs
+    log G draws it in log space with `_log_gamma_into`, as the samplers do.
+    """
     if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
     n = 1 if size is None else int(size)

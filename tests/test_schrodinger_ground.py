@@ -407,7 +407,7 @@ def test_feynman_kac_memory_per_path(prob, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 8 / 100_000 <= 8.0
+    assert peak / 8 / 100_000 <= 6.0
 
 
 def test_kato_diagnostic_contracts(prob):

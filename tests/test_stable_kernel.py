@@ -15,9 +15,9 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        stable_density_radial)
 from geostable import stable_kernel as sk
 from geostable.acceptance import density_gamma_mixture
-from geostable.stable_kernel import (StableRadialProfile, _cms_into, _fourier_head,
-                                     _log_gamma_into, _log_positive_stable_into, _mixture_head,
-                                     q1_at_zero)
+from geostable.stable_kernel import (StableRadialProfile, _advance_into, _cms_into,
+                                     _fourier_head, _log_gamma_into, _log_positive_stable_into,
+                                     _mixture_head, _stable_into, q1_at_zero)
 
 
 def test_config_validation():
@@ -217,6 +217,14 @@ def test_gamma_sampler_moments_and_exponential_case():
     assert ks < 0.01
 
 
+def test_gamma_sampler_zeros_are_rounded_tiny_draws():
+    # G < 2^-1075 rounds to 0.0, and P(G < e) = e^t / Gamma(1 + t) to first order
+    t, n = 1.0 / 256, 1_000_000
+    zero_share = np.mean(sample_gamma(t, RngStream(1), size=n) == 0.0)
+    mass = 2.0 ** (-1075 * t) / gamma(1.0 + t)
+    assert abs(zero_share - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / n)
+
+
 def test_positive_stable_laplace_transform():
     n = 100_000
     s = np.empty(n)
@@ -335,8 +343,8 @@ def _cms_sin_cos(alpha, log_g, r, w):
 
 
 def _cms(alpha, log_g, r, w):
-    out = np.array(log_g, dtype=float)
-    _cms_into(alpha, out, np.array(r, dtype=float), np.array(w, dtype=float))
+    out = np.array(log_g, dtype=float) + (alpha - 1.0) * np.log(np.array(w, dtype=float))
+    _cms_into(alpha, out, np.array(r, dtype=float), np.empty_like(out))
     return out
 
 
@@ -362,6 +370,49 @@ def test_cms_transform_property(alpha, r, w, log_g):
     got = _cms(alpha, [log_g], [r], [w])[0]
     want = _cms_sin_cos(alpha, log_g, r, w)
     assert abs(got / want - 1.0) <= 1e-10
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.3, 1.999), r=st.floats(0.0, 1.0, exclude_max=True),
+       w=st.floats(1e-300, 1e3), log_g=st.floats(-2000.0, 5.0))
+def test_skip_bound_property(alpha, r, w, log_g):
+    # the bound _movers skips by: alpha log|X| <= B with
+    # B = log G - log(2 s) + (alpha - 1) log W + c
+    assume(alpha != 1.0)
+    s = max(min(r, 1.0 - r), 2.0 ** -54)
+    c = -(alpha - 1.0) * math.log(math.cos((alpha - 1.0) * math.pi / 2.0)) if alpha > 1.0 else 0.0
+    bound = log_g - math.log(2.0 * s) + (alpha - 1.0) * math.log(w) + c
+    with np.errstate(over="ignore"):
+        x = _cms(alpha, [log_g], [r], [w])[0]
+    if np.isfinite(x) and abs(x) >= np.finfo(float).tiny:
+        assert math.log(abs(x)) <= bound / alpha + 1e-12
+    # the smallest position the bound lets an increment skip is left unmoved
+    log_edge = bound / alpha + 55.0 * math.log(2.0)
+    if log_edge < 709.0:
+        edge = np.nextafter(math.exp(log_edge), np.inf)
+        assert edge + x == edge and -edge + x == -edge
+    # and _movers skips exactly above that edge: positions 1e-9 below it and
+    # at 0 move, 1e-9 above it stays
+    if -690.0 < log_edge < 690.0:
+        pos = math.exp(log_edge) * np.array([1.0 - 1e-9, 1.0 + 1e-9, 0.0])
+        log_gw = np.full(3, log_g + (alpha - 1.0) * math.log(w))
+        assert sk._movers(alpha, pos, log_gw, np.full(3, r), np.empty(3)).tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.01, 1.5, 1.99, 1.999, 2.0])
+def test_path_step_matches_draw_then_add(alpha):
+    # 5000 paths: the skip test's first sample (4096 entries) is not the whole step
+    n = 5000
+    scratch = [np.empty(n) for _ in range(3)]
+    for dt in (1.0 / 256, 1.0 / 32):
+        for x0 in (0.0, 1e-300, 0.3, -5.0):
+            gen_a, gen_b = RngStream(21).gen, RngStream(21).gen
+            x_a, x_b = np.full(n, x0), np.full(n, x0)
+            for _ in range(128):
+                _stable_into(alpha, dt, gen_a, *scratch)
+                x_a += scratch[0]
+                _advance_into(alpha, dt, gen_b, x_b, *scratch)
+                assert np.array_equal(x_a, x_b)
 
 
 @pytest.mark.parametrize("s", [1.0 / 256, 1.0 / 32, 0.3, 0.9])

@@ -17,14 +17,14 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma, k1 as _k1
 
 from .errors import InversionNotIntegrableError, SingularPointError
-from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
-                             verify_selfdecomposable)
+from .levy_structure import (Regime, _polar_integral, asymptotic_report, k_radial,
+                             levy_density, verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  dense_ground_state, energy_form, feynman_kac_estimate,
                                  generator_matrix, irreducibility_cross_term,
                                  kato_diagnostic, solve_ground_state)
-from .stable_kernel import RngStream, _panel_nodes, radial_profile, sample_increment
+from .stable_kernel import RngStream, _panel_nodes, sample_increment
 from .transition_density import EmpiricalCdf, _density_at_zero, cdf_numeric, density_inversion
 
 
@@ -57,32 +57,22 @@ def reference_problem(L: float = 16.0, N: int = 256, c_minus: float = 1.0) -> Sc
 def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     """Independent density oracle: p_t(x) = int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds.
 
-    Valid for every t > 0 and x != 0 (unlike Fourier inversion); the
-    quadrature runs over a log-spaced panel grid in the subordinator variable.
-    At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there the value is
-    the Beta closed form for t > d/alpha, and p_t(0) = inf is refused with
-    SingularPointError for t <= d/alpha.
+    Valid for every t > 0 and x != 0 (unlike Fourier inversion).  The
+    substitution u = s^(-1/alpha)|x| makes it the polar integral of the jump
+    kernel at time t, p_t(x) = t K_t(|x|)/|x|^d (see levy_structure): one
+    log-u grid whose depth follows |x|, plus the incomplete-gamma tail of the
+    power series.  At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there
+    the value is the Beta closed form for t > d/alpha, and p_t(0) = inf is
+    refused with SingularPointError for t <= d/alpha.
     """
     xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     at_zero = xs == 0.0
     if at_zero.any() and t <= spec.dim / spec.alpha:
         raise SingularPointError(
             f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
-    prof = radial_profile(spec.alpha, spec.dim)
-    # the s -> 0 end contributes ~ s_min^(t - d/alpha) near x = 0, and the mass
-    # s_min^t / Gamma(1 + t) is lost: keep that below 1e-12, at 24.75 panels a
-    # decade, while s^(t - 1 - d/alpha) stays finite
-    s_min = min(1e-20, max((1e-12 * _gamma(1.0 + t)) ** (1.0 / t),
-                           1e-300 ** (1.0 / (1.0 + spec.dim / spec.alpha))))
-    n_panels = round(539 * math.log(60.0 / s_min) / math.log(60.0 / 1e-20))
-    s, w = _panel_nodes(np.geomspace(s_min, 60.0, n_panels + 1))
-    gw = s ** (t - 1.0 - spec.dim / spec.alpha) * np.exp(-s) / _gamma(t) * w
-    scale = s ** (-1.0 / spec.alpha)
-    out = np.empty(xs.shape)
-    for i0 in range(0, xs.size, 256):
-        radii = xs[i0:i0 + 256, None] * scale[None, :]
-        out[i0:i0 + 256] = prof.density(radii.ravel()).reshape(radii.shape) @ gw
-    out[at_zero] = _density_at_zero(spec, t)
+    out = np.full(xs.shape, _density_at_zero(spec, t))
+    r = xs[~at_zero]
+    out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
     return out
 
 
@@ -340,7 +330,7 @@ def check_feynman_kac(seed: int = 2024) -> CheckResult:
     ok1 = abs(est - oracle) < budget
 
     est0, se0 = feynman_kac_estimate(prob, f, 0.0, t, 200_000, dt, RngStream(seed + 1),
-                                     rho=lambda z: np.zeros(np.shape(z)))
+                                     rho=lambda z: 0.0)
     ok2 = abs(est0 - free_mean) < 3.0 * se0
     return _result("feynman-kac-crosscheck", t0, ok1 and ok2,
                    f"killed (control variate): |{est:.5f} - {oracle:.5f}| vs budget {budget:.5f}; "

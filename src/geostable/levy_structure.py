@@ -1,31 +1,30 @@
-"""Jump density of the gamma-subordinated stable process and its polar kernel.
+"""Jump density and transition density of the gamma-subordinated stable process.
 
-The jump density is the subordination mixture
+Both are subordination mixtures, j(x) = int_0^inf q_s(x) e^(-s)/s ds and
+p_t(x) = int_0^inf q_s(x) s^(t-1) e^(-s)/Gamma(t) ds.  The substitution
+u = s^(-1/alpha)|x| turns them into j(x) = K_0(|x|)/|x|^d and
+p_t(x) = t K_t(|x|)/|x|^d, with one polar integral
 
-    j(x) = int_0^inf q_s(x) e^(-s)/s ds ,
+    K_t(r) = alpha/Gamma(1+t) int_0^inf u^(d-1) q_1(u) (r/u)^(alpha t) e^(-(r/u)^alpha) du .
 
-evaluated through the substitution u = s^(-1/alpha)|x|, which turns it into
-
-    j(x) = k(|x|) / |x|^d,    k(r) = alpha int_0^inf u^(d-1) q_1(u) e^(-(r/u)^alpha) du .
-
-k is the radial kernel of the polar representation J(B) = int lambda(dtheta)
+k = K_0 is the radial kernel of the polar representation J(B) = int lambda(dtheta)
 int 1_B(r theta) k(r)/r dr; it is nonincreasing in r by construction (the
 integrand's only r-dependence is the decreasing factor e^(-(r/u)^alpha)),
 which is the self-decomposability certificate this module tabulates.
 
-Quadrature: the u-integral is split at the kernel switch radius; on the head
-the integrand is smooth in log u and Gauss-Legendre applies on one fixed
-log-u panel grid shared by every radius of a batch, while the
-tail beyond the switch radius reduces, term by term of the q_1 power series,
-to lower incomplete gamma functions:
+Quadrature: the u-integral is split at the kernel switch radius U.  The head
+is smooth in log u: Gauss-Legendre on one fixed log-u panel grid shared by
+every radius of a batch.  The tail reduces, term by term of the q_1 power
+series, to lower incomplete gamma functions:
 
-    alpha int_U^inf u^(d-1) [c_k u^(-d-k a)] e^(-(r/u)^a) du
-        = c_k r^(-k a) Gamma(k) P(k, (r/U)^a) * Gamma(k)-normalized,
+    alpha int_U^inf u^(d-1) [c_k u^(-d-k a)] (r/u)^(a t) e^(-(r/u)^a) du
+        = c_k r^(-k a) gamma(k+t, (r/U)^a) ,
 
-with P the regularized lower incomplete gamma.
+with gamma the lower incomplete gamma function, Gamma(k+t) P(k+t, .).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +35,7 @@ from .errors import ConfigError, SingularPointError
 from .process_core import ProcessSpec, point_radii
 from .stable_kernel import _envelope_columns, _panel_nodes, radial_profile
 
-# exp(-w) below this is dropped from the head window
+# w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
 # head panel width in log u, times 1/alpha; a 10x finer grid moves k by under
 # 1e-10 relative for alpha >= 0.5, d <= 3
@@ -97,8 +96,8 @@ def _head_grid(prof, n_panels):
     return u, prof.alpha * u ** (prof.dim - 1) * prof.density(u.ravel()).reshape(u.shape) * w
 
 
-def _tail_sum(prof, r, head):
-    """Incomplete-gamma tail of k beyond tail_start, each row cut like its scalar series.
+def _tail_sum(prof, t, r, head):
+    """Tail of Gamma(1+t) K_t beyond tail_start, each row cut like its scalar series.
 
     Row i keeps its nonzero-coefficient terms up to the first one whose
     magnitude envelope grows (asymptotic breakdown; a nearly vanishing
@@ -114,7 +113,7 @@ def _tail_sum(prof, r, head):
     w_hi = (r / prof.tail_start) ** a
     with np.errstate(all="ignore"):
         terms = (prof.coeffs[nz] * r[:, None] ** (-k * a)
-                 * _gammainc(k, w_hi[:, None]) * _gamma(k))
+                 * _gammainc(k + t, w_hi[:, None]) * _gamma(k + t))
         mag = np.abs(terms)[:, _envelope_columns(prof.coeffs[nz], k)]
         partial = np.cumsum(terms, axis=1)
         stop = ~np.isfinite(terms)
@@ -124,15 +123,14 @@ def _tail_sum(prof, r, head):
     return np.where(n_keep > 0, partial[np.arange(r.size), np.maximum(n_keep - 1, 0)], 0.0)
 
 
-def k_radial(spec: ProcessSpec, r):
-    """Polar kernel k(r) = alpha int_0^inf u^(d-1) q_1(u) e^(-(r/u)^alpha) du, r > 0.
+def _polar_integral(spec: ProcessSpec, t: float, r):
+    """K_t(r) of the module docstring at radii r > 0 of any shape, for t >= 0.
 
-    r may be a scalar (returns a float) or an array of any shape (returns an
-    array of that shape).  Radius r integrates the head over the top panels of
-    one fixed log-u grid, down to u = r 690^(-1/alpha) where e^(-(r/u)^alpha)
-    underflows, and sums its panels in a fixed order, so its value does not
-    depend on the other radii of the batch.  Sorted radii run in blocks of at
-    most _BLOCK_ELEMS (radius, node) pairs, which bounds every temporary.
+    Each radius sums the head over the top panels of one fixed log-u grid in a
+    fixed order, so its value does not depend on the batch.  The grid stops
+    where w = (r/u)^alpha reaches the larger root of w - t log w = 690, past
+    which w^t e^(-w) < e^(-690); t = 0 skips the log pass of w^t.  Radii run
+    sorted, in place, in blocks of at most _BLOCK_ELEMS (radius, node) pairs.
     """
     r_arr = np.asarray(r, dtype=float)
     flat = r_arr.ravel()
@@ -140,7 +138,8 @@ def k_radial(spec: ProcessSpec, r):
         raise ConfigError(f"r must be positive, got {flat[~(flat > 0)][0]}")
     a = spec.alpha
     prof = radial_profile(a, spec.dim)
-    depth = np.log(prof.tail_start) - np.log(flat * _EXP_FLOOR ** (-1.0 / a))
+    w_floor = _EXP_FLOOR + t * math.log(_EXP_FLOOR + t * math.log(_EXP_FLOOR))
+    depth = np.log(prof.tail_start) - np.log(flat * w_floor ** (-1.0 / a))
     n_panels = np.maximum(np.ceil(depth / (_LOG_PANEL / a)), 0).astype(int)
     # ascending radii need nonincreasing panel counts; rows with none have no head
     order = np.argsort(flat)[:np.count_nonzero(n_panels)]
@@ -151,11 +150,22 @@ def k_radial(spec: ProcessSpec, r):
         while start < order.size:
             m = n_panels[order[start]]
             idx = order[start:start + max(1, _BLOCK_ELEMS // u[:m].size)]
-            panel = (np.exp(-(flat[idx, None, None] / u[None, :m]) ** a) * g[None, :m]).sum(axis=2)
+            z = flat[idx, None, None] / u[None, :m]  # r/u, then log(w^t e^(-w))
+            z = t * a * np.log(z) - z ** a if t else np.negative(z ** a, out=z)
+            panel = np.multiply(np.exp(z, out=z), g[None, :m], out=z).sum(axis=2)
             head[idx] = np.cumsum(panel, axis=1)[np.arange(idx.size), n_panels[idx] - 1]
             start += idx.size
-    out = head + _tail_sum(prof, flat, head)
+    out = (head + _tail_sum(prof, t, flat, head)) / _gamma(1.0 + t)
     return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
+
+
+def k_radial(spec: ProcessSpec, r):
+    """Polar kernel k = K_0 at radii r > 0 (a float for a scalar, else r's shape).
+
+    K_t(r) = alpha/Gamma(1+t) int_0^inf u^(d-1) q_1(u) (r/u)^(alpha t) e^(-(r/u)^alpha) du
+    gives j(x) = k(|x|)/|x|^d and p_t(x) = t K_t(|x|)/|x|^d; _polar_integral computes it.
+    """
+    return _polar_integral(spec, 0.0, r)
 
 
 def levy_density(spec: ProcessSpec, x):

@@ -531,8 +531,8 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
 
     Paths advance by exact subordinated increments (no time-discretization of
     the process itself); the only bias is the left-endpoint quadrature of the
-    clock integral, O(dt).  rho defaults to the density of mu_plus; pass an
-    explicit callable (for instance the zero function) to override.
+    clock integral, O(dt).  rho defaults to the density of mu_plus; an explicit
+    callable overrides it and may return a scalar (rho=lambda z: 0.0 is free).
 
     Every increment is drawn, but one that rounding absorbs is not
     transformed (`stable_kernel._advance_into`): with the bound

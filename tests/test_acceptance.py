@@ -9,9 +9,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import kv
 
 from geostable import ProcessSpec, SingularPointError, acceptance
-from geostable.stable_kernel import _panel_nodes, q1_at_zero
+from geostable.levy_structure import large_x_constant, surface_measure
+from geostable.stable_kernel import _panel_nodes, q1_at_zero, tail_coefficients
+from geostable.transition_density import _density_at_zero
 
 
 def _run(check, seed=None):
@@ -91,7 +94,7 @@ def test_gaussian_free_mean_oracles():
                                           np.linspace(1.0, 8.0, 15)[1:]]))
     conv = 2.0 * float((np.exp(-ys ** 2) * acceptance.density_gamma_mixture(spec, 0.5, ys)) @ wy)
     assert abs(acceptance.gaussian_free_mean(spec, 0.5) - conv) < 1e-8
-    # at t = 0.25 the mixture mass below s = 1e-20 is 1.1e-5; the s-grid must start deeper
+    # at t = 0.25 the mixture mass below s = 1e-20 is 1.1e-5, all of it at |x| < 1e-13
     ys, wy = _panel_nodes(np.concatenate([[0.0], np.geomspace(1e-60, 1.0, 120),
                                           np.linspace(1.0, 8.0, 15)[1:]]))
     conv = 2.0 * float((np.exp(-ys ** 2) * acceptance.density_gamma_mixture(spec, 0.25, ys)) @ wy)
@@ -108,7 +111,7 @@ def test_gamma_mixture_at_origin():
     spec = ProcessSpec(1.5, 1)
     xs = np.array([0.0, 0.3, 1.0])
     got = acceptance.density_gamma_mixture(spec, 0.7, xs)
-    # p_t(0) = q_1(0) Gamma(t - d/alpha) / Gamma(t) = 6.52; the s-grid read 5.09
+    # p_t(0) = q_1(0) Gamma(t - d/alpha) / Gamma(t) = 6.52; an earlier quadrature read 5.09
     want = q1_at_zero(1.5, 1) * math.gamma(0.7 - 1.0 / 1.5) / math.gamma(0.7)
     assert abs(got[0] / want - 1.0) < 1e-12
     np.testing.assert_allclose(got[1:], acceptance.density_gamma_mixture(spec, 0.7, xs[1:]),
@@ -117,3 +120,62 @@ def test_gamma_mixture_at_origin():
     with pytest.raises(SingularPointError):
         acceptance.density_gamma_mixture(spec, 0.5, xs)
     assert np.all(np.isfinite(acceptance.density_gamma_mixture(spec, 0.5, xs[1:])))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gamma_mixture_gaussian_closed_form(dim):
+    # alpha = 2: p_t(x) = 2 (|x|/2)^nu K_nu(|x|) / ((4 pi)^(d/2) Gamma(t)), nu = t - d/2
+    xs = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 5.0, 20.0, 100.0])
+    for t in (0.25, 0.5, dim / 2.0, dim / 2.0 + 0.5, 2.0, 4.0):
+        nu = t - dim / 2.0
+        want = (2.0 * (xs / 2.0) ** nu * kv(nu, xs)
+                / ((4.0 * math.pi) ** (dim / 2.0) * math.gamma(t)))
+        got = acceptance.density_gamma_mixture(ProcessSpec(2.0, dim), t, xs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"t = {t}")
+
+
+@pytest.mark.parametrize("alpha, dim, t", [
+    (0.3, 1, 3.0), (0.3, 3, 9.5), (0.99, 1, 0.5), (0.99, 3, 2.5), (1.01, 3, 2.5),
+    (1.5, 1, 0.3), (1.5, 3, 1.5), (1.99, 1, 0.25), (1.99, 3, 1.0)])
+def test_gamma_mixture_small_x_law(alpha, dim, t):
+    # t < d/alpha: p_t(x) = C |x|^(alpha t - d) + p_0 + o(1), where p_0 is the
+    # Beta value q_1(0) Gamma(t - d/alpha)/Gamma(t) continued below d/alpha.
+    # With d - alpha t < alpha the o(1) term is smaller still, so the relative gap
+    # to the leading law is (p_0/C) |x|^(d - alpha t) to 1 %; |x|^(d - alpha t) = 1e-6.
+    spec = ProcessSpec(alpha, dim)
+    c = (alpha * t * 2.0 ** (-alpha * t) * math.gamma((dim - alpha * t) / 2.0)
+         / (surface_measure(dim) * math.gamma(dim / 2.0) * math.gamma(1.0 + alpha * t / 2.0)))
+    x = 10.0 ** (-6.0 / (dim - alpha * t))
+    rate = _density_at_zero(spec, t) / c * x ** (dim - alpha * t)
+    rel = acceptance.density_gamma_mixture(spec, t, [x])[0] / (c * x ** (alpha * t - dim)) - 1.0
+    assert abs(rel - rate) <= 1e-2 * abs(rate), (rel, rate)
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.3, 1), (0.99, 1), (1.01, 3), (1.5, 1), (1.5, 3),
+                                        (1.99, 3)])
+def test_gamma_mixture_log_law_at_critical_time(alpha, dim):
+    # t = d/alpha: p_t(x) = alpha q_1(0) log(1/|x|)/Gamma(t) + R + O(|x|^alpha), with
+    # the O(|x|^alpha) term q_1(0) |x|^alpha/Gamma(t) times an O(1) factor; rounding
+    # of the oracle adds 1e-10 relative
+    t = dim / alpha
+    xs = np.array([1e-9, 1e-12])
+    p = acceptance.density_gamma_mixture(ProcessSpec(alpha, dim), t, xs)
+    scale = q1_at_zero(alpha, dim) / math.gamma(t)
+    remainder = p - alpha * scale * np.log(1.0 / xs)
+    tol = 10.0 * scale * xs[0] ** alpha + 1e-10 * p[1]
+    assert abs(remainder[0] - remainder[1]) <= tol, (remainder, tol)
+
+
+@pytest.mark.parametrize("alpha, dim, t", [
+    (0.3, 1, 0.5), (0.99, 1, 0.5), (1.01, 3, 2.0), (1.5, 1, 0.5), (1.5, 3, 1.0),
+    (1.99, 2, 0.5), (1.99, 3, 4.0)])
+def test_gamma_mixture_large_x_law(alpha, dim, t):
+    # p_t(x) ~ t large_x_constant |x|^(-d-alpha); the next power-series term gives
+    # the relative gap (c_2/c_1)(1 + t) |x|^(-alpha), to 1 %; |x|^(-alpha) = 1e-6
+    spec = ProcessSpec(alpha, dim)
+    x = 10.0 ** (6.0 / alpha)
+    c = tail_coefficients(alpha, dim)
+    rate = c[1] / c[0] * (1.0 + t) * x ** -alpha
+    p = acceptance.density_gamma_mixture(spec, t, [x])[0]
+    rel = p / (t * large_x_constant(spec) * x ** (-dim - alpha)) - 1.0
+    assert abs(rel - rate) <= 1e-2 * abs(rate) + 1e-12, (rel, rate)

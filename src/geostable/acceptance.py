@@ -141,7 +141,7 @@ def check_vg_levy(seed: int = 0) -> CheckResult:
 
 
 def check_asymptotics(seed: int = 0) -> CheckResult:
-    """3: empirical limits within 2% of brute-force constants; paper gaps recorded."""
+    """3: empirical limits within 2% of the closed-form constants; paper gaps recorded."""
     t0 = time.perf_counter()
     details = []
     ok = True

@@ -245,8 +245,10 @@ class AsymptoticReport:
     """Empirical limit of j against its profile, with both reference constants.
 
     paper_constant is the constant as printed in the source tables; the
-    oracle_constant is recomputed here by brute-force quadrature.  Spot checks
-    against closed forms show the printed constants are off by fixed factors
+    oracle_constant is the closed-form limit (small_x_constant,
+    large_x_constant or exponential_tail_constant), which shares no code with
+    the k_radial quadrature that gives the empirical limit.  The closed forms
+    show the printed constants are off by fixed factors
     (pi^(-d/2) in the small-x table, 4^(-alpha) and sqrt(2) in the large-x
     ones), so gaps to both are reported and nothing is silently corrected.
     """
@@ -290,22 +292,24 @@ def _printed_constant(spec: ProcessSpec, regime: Regime) -> float:
 def asymptotic_report(spec: ProcessSpec, regime: Regime) -> AsymptoticReport:
     """Track j/profile along a geometric radius sequence and compare constants.
 
-    SmallX: profile r^(-d), sequence 1e-1 -> ~3e-3, oracle = r^d j at r = 1e-3.
+    SmallX: profile r^(-d), sequence 1e-1 -> ~3e-3, oracle = small_x_constant.
     LargeX, alpha < 2: profile r^(-d-alpha), sequence 12.5 -> 50, oracle =
-    r^(d+alpha) j at r = 100. LargeX, alpha = 2: exponential profile
+    large_x_constant. LargeX, alpha = 2: exponential profile
     e^(-r) r^(-(d+1)/2), sequence 5 -> 20, oracle = saddle-point constant.
     """
     regime = Regime(regime)
     a, d = spec.alpha, spec.dim
     if regime is Regime.SMALL_X:
-        *seq, oracle = k_radial(spec, np.append(np.geomspace(1e-1, 3.162e-3, 6), 1e-3))
+        seq = k_radial(spec, np.geomspace(1e-1, 3.162e-3, 6))
+        oracle = small_x_constant(spec)
     elif a == 2.0:
         radii = np.array([5.0, 10.0, 20.0])
         seq = k_radial(spec, radii) / radii ** d * radii ** ((d + 1) / 2.0) * np.exp(radii)
         oracle = exponential_tail_constant(d)
     else:
-        radii = np.array([12.5, 25.0, 50.0, 100.0])
-        *seq, oracle = k_radial(spec, radii) * radii ** a
+        radii = np.array([12.5, 25.0, 50.0])
+        seq = k_radial(spec, radii) * radii ** a
+        oracle = large_x_constant(spec)
     empirical = float(seq[-1])
     converged = bool(abs(seq[-1] / seq[-2] - 1.0) < 0.02)
     printed = _printed_constant(spec, regime)

@@ -170,8 +170,8 @@ def test_asymptotic_small_x_reports():
         rep = asymptotic_report(spec, Regime.SMALL_X)
         assert rep.converged
         assert abs(rep.empirical_limit / rep.oracle_constant - 1.0) < 0.02
-        # oracle agrees with the analytic limit alpha Gamma(d/2) / (2 pi^{d/2})
-        assert abs(rep.oracle_constant / small_x_constant(spec) - 1.0) < 0.01
+        # the oracle is the analytic limit alpha Gamma(d/2) / (2 pi^{d/2}), not k_radial
+        assert rep.oracle_constant == small_x_constant(spec)
         # printed constant differs by exactly pi^{d/2}
         assert rep.paper_constant / small_x_constant(spec) == pytest.approx(
             math.pi ** (dim / 2.0), rel=1e-12)

@@ -41,10 +41,11 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.sample_gamma(0.0, gs.RngStream(1)),
     lambda: gs.stable_density(_S, math.nan, 1.0),
     lambda: gs.density_mc(_S, math.nan, [0.0], 1000, gs.RngStream(1)),
+    lambda: gs.density_mc(_S, 1.0, [0.0, math.nan], 1000, gs.RngStream(1)),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
-        "density_mc"])
+        "density_mc", "density_mc_nan_grid"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import kv
 
 from geostable import (ConfigError, EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
@@ -214,6 +215,61 @@ def test_density_mc_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_density_mc_header_reports_binning():
+    spec = ProcessSpec(1.5, 1)
+    head = density_mc(spec, 1.0, np.linspace(-4, 4, 9), 2_000, RngStream(26)).header()
+    bw = head["bandwidth"]
+    assert head["bin_width"] == bw / 64
+    # max|K''| (bin width)^2 / 8, with max|K''| = (2 pi)^(-1/2) bw^(-3)
+    assert head["binning_error_bound"] == pytest.approx(
+        (bw / 64) ** 2 / 8 / (math.sqrt(2 * math.pi) * bw ** 3), rel=1e-12)
+    for table in (density_mc(ProcessSpec(1.5, 2), 1.0, np.zeros((1, 2)), 2_000, RngStream(26)),
+                  inversion_table(spec, 2.0, np.linspace(-1, 1, 5))):
+        assert table.header()["bin_width"] is None
+        assert table.header()["binning_error_bound"] is None
+
+
+def test_density_mc_infinite_grid_points_are_limits():
+    spec = ProcessSpec(1.5, 1)
+    grid = np.array([-np.inf, 0.0, np.inf])
+    table = density_mc(spec, 1.0, grid, 2_000, RngStream(27))
+    assert table.values[0] == 0.0 and table.values[2] == 0.0
+    assert table.values[1] == density_mc(spec, 1.0, [0.0], 2_000, RngStream(27)).values[0] > 0
+    # the lattice spans the finite points only: none at all leaves every value 0
+    assert np.array_equal(density_mc(spec, 1.0, grid[[0, 2]], 2_000, RngStream(27)).values, [0, 0])
+    assert density_mc(spec, 1.0, [], 2_000, RngStream(27)).values.size == 0
+
+
+def _gaussian_mixture_kde_mean(dim, t, bw, x):
+    """E K_bw(x - X) for X = sqrt(2G) N, G ~ Gamma(t): the Gaussian of variance 2g + bw^2,
+    averaged over g.  With g = u^(1/t), g^(t-1) dg / Gamma(t) = du / Gamma(t+1)."""
+    r2 = float(np.dot(x, x))
+
+    def integrand(u):
+        v = 2.0 * u ** (1.0 / t) + bw ** 2
+        return math.exp(-u ** (1.0 / t)) * (2 * math.pi * v) ** (-dim / 2) * math.exp(-r2 / (2 * v))
+
+    return quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)[0] / math.gamma(t + 1)
+
+
+@pytest.mark.parametrize("dim, t", [(2, 1.0), (3, 0.5)])
+def test_density_mc_gaussian_mixture_in_higher_dims(dim, t):
+    # alpha = 2: X = sqrt(2G) N, so the KDE's mean is one integral over G, and
+    # K_bw^2 = (4 pi bw^2)^(-d/2) K_(bw/sqrt 2) gives its variance the same way;
+    # t = 0.5 in d = 3 is below d/alpha, where inversion is refused
+    n = 20_000
+    pts = np.zeros((5, dim))
+    pts[1, 0], pts[2, :2], pts[3, :2], pts[4, -1] = 0.5, (1.0, 1.0), (2.0, -1.0), 3.0
+    table = density_mc(ProcessSpec(2.0, dim), t, pts, n, RngStream(28))
+    bw = table.bandwidth
+    for x, value in zip(pts, table.values):
+        mean = _gaussian_mixture_kde_mean(dim, t, bw, x)
+        second = (_gaussian_mixture_kde_mean(dim, t, bw / math.sqrt(2), x)
+                  / (4 * math.pi * bw ** 2) ** (dim / 2))
+        se = math.sqrt((second - mean ** 2) / n)
+        assert abs(value - mean) < 6 * se, (x, value, mean, se)
 
 
 def test_density_mc_mean_symmetric():

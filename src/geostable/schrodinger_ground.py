@@ -36,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConfigError, ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
-from .stable_kernel import RngStream, _advance_into
+from .stable_kernel import RngStream, _walk_into, _walk_scratch
 
 
 @dataclass(frozen=True)
@@ -474,36 +474,24 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
 # Feynman-Kac and Kato diagnostics
 
 def _rho_lookup(domain: GridDomain, weights: np.ndarray):
-    """rho_into(x, out, scratch, idx): density of mu_plus at the node nearest x, into out.
+    """rho_into(x, out, scratch): density of mu_plus at the node nearest x, into out.
 
     Allocation-free: positions are clipped to node indices -1..N, and both ends
     read the zero appended to the table (take wraps -1 onto index N).  scratch
-    is a float buffer of x's shape and idx an intp buffer of x's shape.
+    is a float buffer of x's shape, reused for the indices.
     """
     table = np.append(weights / domain.h, 0.0)
 
-    def rho_into(x, out, scratch, idx):
-        np.add(x, domain.L, out=scratch)
-        scratch /= domain.h
-        np.rint(scratch, out=scratch)
-        np.clip(scratch, -1.0, domain.N, out=scratch)
-        np.copyto(idx, scratch, casting="unsafe")
+    def rho_into(x, out, scratch):
+        np.add(x, domain.L, out=out)
+        out /= domain.h
+        np.rint(out, out=out)
+        np.clip(out, -1.0, domain.N, out=out)
+        idx = scratch.view(np.intp)
+        np.copyto(idx, out, casting="unsafe")
         np.take(table, idx, out=out, mode="wrap")
 
     return rho_into
-
-
-class _PathBatch:
-    """One batch of Feynman-Kac paths: positions, clocks and three scratch vectors.
-
-    Built in the calling thread, so its buffers come from that thread's heap,
-    where the batch's f(X_t) temporaries can reuse them once it is released.
-    """
-
-    def __init__(self, n: int, x0: float):
-        self.x = np.full(n, x0)
-        self.clock = np.zeros(n)
-        self.scratch = np.empty((3, n))
 
 
 def _usable_cores() -> int:
@@ -534,13 +522,16 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     clock integral, O(dt).  rho defaults to the density of mu_plus; an explicit
     callable overrides it and may return a scalar (rho=lambda z: 0.0 is free).
 
-    Every increment is drawn, but one that rounding absorbs is not
-    transformed (`stable_kernel._advance_into`): with the bound
-    alpha log|G^(1/alpha) Z| <= B = log G - log(2 s) + (alpha - 1) log W + c
-    on the Chambers-Mallows-Stuck draw, an entry with
-    B < alpha (log|x| - 55 log 2) would move by under a quarter of the float
-    spacing at x, so x + increment = x.  At dt = 1/256 that is about three
-    increments in four.  Results are bit-identical to adding every increment.
+    The walk is event-driven (`stable_kernel._walk_into`): a step whose
+    Gamma(dt) clock has log G < L(x) = min(alpha log|x| + C, -53 log 2)
+    cannot move x by a quarter of its float spacing, whatever the angle and
+    exponential of its Chambers-Mallows-Stuck draw, so x stays put.  Each
+    path draws the geometric number of such still steps before its next
+    event, adds rho(x) dt for each of them and for the event step, and at
+    the event takes one increment with log G drawn conditioned on
+    log G >= L(x).  That is the same estimator, exact in law, with rho
+    looked up once per event: at dt = 1/256 about a third of the steps are
+    events.  At x = 0, alpha in {1, 2} or dt >= 1 every step is an event.
 
     Batches of batch_size paths run in parallel, one thread per usable core
     and at most as many batches in memory as threads.  Each batch draws from
@@ -567,32 +558,21 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         raise ConfigError(f"need n_paths >= 2 and batch_size >= 1, got {n_paths}, {batch_size}")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0}")
-    lookup = _rho_lookup(problem.domain, problem.mu_plus.weights) if rho is None else None
+    if rho is None:
+        rho_into = _rho_lookup(problem.domain, problem.mu_plus.weights)
+    else:
+        def rho_into(z, out, _):
+            np.copyto(out, rho(z))
     f_of = _as_function(problem.domain, f)
     alpha = problem.spec.alpha
-
-    def advance(batch, gen):
-        x, clock = batch.x, batch.clock
-        inc, s1, s2 = batch.scratch
-        batch.scratch = None  # freed when the walk returns, before f runs on the batch
-        idx = s1.view(np.intp)
-        for _ in range(steps):
-            if lookup is None:
-                np.multiply(rho(x), dt, out=s2)
-            else:
-                lookup(x, s2, inc, idx)
-                s2 *= dt
-            clock += s2
-            _advance_into(alpha, dt, gen, x, inc, s1, s2)
 
     total = 0.0
     total_sq = 0.0
     cv_sums = np.zeros(3)  # sums of g, g^2 and Y g with g = f(X_t) - free_mean
 
-    def finish(batch, future):
+    def finish(x, clock, future):
         nonlocal total, total_sq, cv_sums
         future.result()
-        x, clock = batch.x, batch.clock
         fx = f_of(x)
         np.negative(clock, out=clock)
         np.exp(clock, out=clock)
@@ -612,9 +592,14 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         for i, stream in enumerate(streams):
             if len(running) == workers:
                 finish(*running.popleft())
-            batch = _PathBatch(min(batch_size, n_paths - i * batch_size), float(x0))
-            running.append((batch, pool.submit(advance, batch, stream.gen)))
-            del batch  # the window alone holds it, so finish releases it
+            # the batch's buffers are made in the calling thread, so they come
+            # from its heap, where later temporaries can reuse them
+            x = np.full(min(batch_size, n_paths - i * batch_size), float(x0))
+            clock = np.zeros(x.size)
+            future = pool.submit(_walk_into, alpha, dt, steps, stream.gen, x, clock, rho_into,
+                                 _walk_scratch(alpha, dt, x.size))
+            running.append((x, clock, future))
+            del x, clock, future  # the window alone holds them, so finish releases them
         while running:
             finish(*running.popleft())
     mean = total / n_paths

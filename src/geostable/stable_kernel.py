@@ -418,8 +418,10 @@ _R_FLOOR = 2.0 ** -54
 # entries whose GS rejections are finished together: this bounds the scratch
 # when rejections are common (about a quarter of the entries near t = 1)
 _GS_BLOCK = 1 << 16
-# entries whose bound decides whether `_advance_into` bounds the whole step
-_STEP_SAMPLE = 1 << 12
+# fewest slots in a walk's block (`_walk_block`); a block holds a third of its
+# batch if that is more, so the scratch stays within 7/3 vectors a path while
+# each vector pass stays long: two threads of short passes queue on the GIL
+_WALK_BLOCK = 20_480
 
 
 def _neg_log_sin2(x: np.ndarray) -> None:
@@ -436,7 +438,7 @@ def _neg_log_sin2(x: np.ndarray) -> None:
 
 
 def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
-                    w: np.ndarray) -> None:
+                    w: np.ndarray, p_floor=None) -> None:
     """Write log G, G ~ Gamma(t, 1), into out (log G = 0 when t is None).
 
     For t >= 1 numpy's standard_gamma, then log.  For t < 1 the GS rejection
@@ -448,6 +450,13 @@ def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
     entry; the rejections and the P > 1 candidates (a fraction t/(e + t)) are
     finished on their own indices, from the same generator, until every entry
     is accepted.
+
+    p_floor, an array of out's shape with entries in [0, 1], truncates entry
+    i to log G >= L_i, where p_floor_i = e^(t L_i) (t < 1 only): every
+    candidate P of entry i is drawn on [p_floor_i, b), so every candidate
+    has X >= e^(L_i), and GS accepts a candidate with a probability that
+    depends on X alone, so the accepted draw is Gamma(t) conditioned on
+    log G >= L_i.  p_floor_i = 0 leaves entry i untruncated.
     u and w are scratch buffers of out's shape.
     """
     if t is None:
@@ -458,9 +467,22 @@ def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
         np.log(out, out=out)
         return
     b = 1.0 + t / math.e
+
+    def candidates(idx):
+        v = gen.random(idx.size)
+        if p_floor is None:
+            return b * v
+        lo = p_floor[idx]
+        return lo + (b - lo) * v
+
     gen.random(out=u)
+    if p_floor is None:
+        u *= b
+    else:
+        np.subtract(b, p_floor, out=w)
+        u *= w
+        u += p_floor
     gen.standard_exponential(out=w)
-    u *= b
     np.log(u, out=out)
     out *= 1.0 / t
     np.log(w, out=w)
@@ -472,7 +494,7 @@ def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
         idx = start + np.flatnonzero(w[start:stop] < out[start:stop])
         p = u[idx]
         lo = np.flatnonzero(p <= 1.0)
-        p[lo] = b * gen.random(lo.size)  # a rejection draws anew; P > 1 takes its own test
+        p[lo] = candidates(idx[lo])  # a rejection draws anew; P > 1 takes its own test
         while idx.size:
             e = gen.standard_exponential(idx.size)
             log_x = np.log(p) / t
@@ -483,17 +505,15 @@ def _log_gamma_into(t, gen: np.random.Generator, out: np.ndarray, u: np.ndarray,
             acc = np.flatnonzero(ok)
             out[idx[acc]] = log_x[acc]
             idx = idx[np.flatnonzero(~ok)]
-            p = b * gen.random(idx.size)
+            p = candidates(idx)
 
 
-def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
+def _cms_into(alpha: float, out: np.ndarray, uw: np.ndarray) -> None:
     """Chambers-Mallows-Stuck in place: G^(1/alpha) Z into out, for 0 < alpha < 2.
 
     On entry out holds log G + (a - 1) log W, with log W taken by the caller,
-    and u uniforms r on [0, 1); u and w are overwritten, w serving as
-    scratch.  Folding log W in first frees w, which lets `_advance_into`
-    bound the draws with the same log pass and no further vector.  With the
-    angle U = pi (r - 1/2),
+    and uw[0] uniforms r on [0, 1); uw, of shape (2,) + out.shape, is
+    overwritten.  With the angle U = pi (r - 1/2),
 
         G^(1/a) Z = sin(a U) exp(log G / a - log cos(U) / a
                                  + ((1 - a)/a) (log cos((1 - a) U) - log W)),
@@ -502,72 +522,81 @@ def _cms_into(alpha: float, out: np.ndarray, u: np.ndarray, w: np.ndarray) -> No
     Every sine and cosine is a sine of an angle in (0, pi) and comes from
     `_neg_log_sin2`: cos U = sin(pi s) with s = min(r, 1 - r), so no angle
     difference cancels near U = +-pi/2; cos((1 - a) U) = sin(pi m/2 + pi |1 - a| s)
-    with m = min(a, 2 - a); |sin(a U)| = sin(a pi |r - 1/2|), whose sign is
-    that of r - 1/2.  Against the formula above in extended precision the
-    result is within 1.1e-13 relative for r in [1e-6, 1 - 1e-6] and
-    alpha in [0.3, 2).
+    with m = min(a, 2 - a), an angle of at least pi m/2, so s may come from
+    1/2 - |r - 1/2| there; |sin(a U)| = sin(a pi |r - 1/2|), whose sign is
+    that of r - 1/2.  The last two share one pass over both rows of uw.
+    Against the formula above in extended precision the result is within
+    4e-13 relative for r in [1e-6, 1 - 1e-6] and alpha in [0.3, 2).
     """
     a = alpha
+    u, w = uw
     # out accumulates alpha log|X| = log G + N1 - (1 - a)(log W + N2) - a N3,
     # with N1, N2, N3 = -log of cos U, cos((1 - a) U), |sin(a U)|
     np.subtract(1.0, u, out=w)
     np.minimum(u, w, out=w)
     np.maximum(w, _R_FLOOR, out=w)
     u -= 0.5
-    np.copysign(w, u, out=w)  # w = +-s, signed like U
+    negative = np.signbit(u)  # the sign of U
     np.abs(u, out=u)
     np.maximum(u, _R_FLOOR, out=u)
+    w *= 0.5 * np.pi
+    _neg_log_sin2(w)
+    out += w
+    np.subtract(0.5, u, out=w)
+    w *= 0.5 * np.pi * abs(1.0 - a)
+    w += 0.25 * np.pi * min(a, 2.0 - a)
     u *= 0.5 * a * np.pi
-    _neg_log_sin2(u)
-    u *= -a
-    out += u
-    np.abs(w, out=u)
-    u *= 0.5 * np.pi
-    _neg_log_sin2(u)
-    out += u
-    np.abs(w, out=u)
-    u *= 0.5 * np.pi * abs(1.0 - a)
-    u += 0.25 * np.pi * min(a, 2.0 - a)
-    _neg_log_sin2(u)
-    u *= a - 1.0
-    out += u
+    _neg_log_sin2(uw)
+    w *= a - 1.0
+    out += w
     out *= 1.0 / a
+    out -= u
     np.exp(out, out=out)
-    np.copysign(out, w, out=out)
+    np.subtract(0.5, negative, out=u)
+    np.copysign(out, u, out=out)
 
 
 def _cms_inputs_into(alpha: float, t, gen: np.random.Generator, log_gw: np.ndarray,
-                     u: np.ndarray, w: np.ndarray) -> None:
-    """Draw what `_cms_into` takes: log G + (alpha - 1) log W into log_gw, r into u.
+                     uw: np.ndarray, p_floor=None) -> None:
+    """Draw what `_cms_into` takes: log G + (alpha - 1) log W into log_gw, r into uw[0].
 
-    The generator is called for log G (`_log_gamma_into`), then the uniforms
-    r, then the exponentials W, each on the full vector; w is scratch.
+    The generator is called for log G (`_log_gamma_into`, truncated by
+    p_floor), then for the uniforms r and V of W = -log(1 - V) in one call
+    on the C-contiguous uw.  1 - V is exact, so 0 <= W <= 53 log 2, and
+    W = 0 (V = 0) is floored to _R_FLOOR, the midpoint of its cell: log W
+    is finite and W lies in [2^-54, 53 log 2], which `_walk_screen` relies on.
     """
-    _log_gamma_into(t, gen, log_gw, u, w)
-    gen.random(out=u)
-    gen.standard_exponential(out=w)
+    u, w = uw
+    _log_gamma_into(t, gen, log_gw, u, w, p_floor)
+    gen.random(out=uw)
+    np.subtract(1.0, w, out=w)
+    np.log(w, out=w)
+    np.negative(w, out=w)
+    np.maximum(w, _R_FLOOR, out=w)
     np.log(w, out=w)
     w *= alpha - 1.0
     log_gw += w
 
 
 def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
-                 u: np.ndarray, w: np.ndarray) -> None:
+                 uw: np.ndarray, p_floor=None) -> None:
     """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no full-size allocation.
 
     G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
     with characteristic function exp(-|xi|^alpha).  log G comes from
-    `_log_gamma_into`; then alpha = 2 is sqrt(2 G) N, alpha = 1 is G tan(U),
-    and every other alpha sends a uniform and the log of an exponential to
-    `_cms_into` (`_cms_inputs_into`).  The generator is called for log G, then
-    uniform (normal at alpha = 2), then exponential.  u and w are scratch
-    buffers of out's shape.
+    `_log_gamma_into`, truncated by p_floor when that is given; then
+    alpha = 2 is sqrt(2 G) N, alpha = 1 is G tan(U), and every other alpha
+    sends a uniform and the log of an exponential to `_cms_into`
+    (`_cms_inputs_into`).  The generator is called for log G, then uniform
+    (normal at alpha = 2), then, for alpha not in {1, 2}, the uniform of the
+    exponential.  uw is a C-contiguous scratch buffer of shape (2,) + out.shape.
     """
     if alpha not in (1.0, 2.0):
-        _cms_inputs_into(alpha, t, gen, out, u, w)
-        _cms_into(alpha, out, u, w)
+        _cms_inputs_into(alpha, t, gen, out, uw, p_floor)
+        _cms_into(alpha, out, uw)
         return
-    _log_gamma_into(t, gen, out, u, w)
+    u, w = uw
+    _log_gamma_into(t, gen, out, u, w, p_floor)
     if alpha == 2.0:
         gen.standard_normal(out=u)
         out += math.log(2.0)
@@ -583,83 +612,171 @@ def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
     out *= u
 
 
-def _movers(alpha: float, x: np.ndarray, log_gw: np.ndarray, u: np.ndarray,
-            w: np.ndarray) -> np.ndarray:
-    """Indices of the entries of x that their increments may move; w is scratch.
+def _walk_screen(alpha: float, t: float):
+    """Constants (t C, log Gamma(1 + t)) of the walk's screen, or None where it is off.
 
-    log_gw and u hold log G + (alpha - 1) log W and the uniforms r, as
-    `_cms_into` takes them.  With s = max(min(r, 1 - r), 2^-54),
-    |sin(alpha U)| <= 1, cos U = sin(pi s) >= 2 s and
-    |(1 - alpha) U| <= |alpha - 1| pi/2,
+    With s = max(min(r, 1 - r), 2^-54) >= 2^-54 and W in [2^-54, 53 log 2]
+    (`_cms_inputs_into`), the bound on the Chambers-Mallows-Stuck draw,
 
-        alpha log|G^(1/alpha) Z| <= B = log G - log(2 s) + (alpha - 1) log W + c,
+        alpha log|G^(1/alpha) Z| <= log G - log(2 s) + (alpha - 1) log W + c,
 
-    c = -(alpha - 1) log cos((alpha - 1) pi/2) for alpha > 1 and 0 below.
-    An entry stays where B < alpha (log|x| - 55 log 2), that is where
-    V = exp(B / alpha + 55 log 2) < |x|: its increment is then below
-    2^-55 |x|, under a quarter of the spacing of the floats around x, so
-    x + increment rounds to x.  An entry at x = 0 always moves.
+    c = -(alpha - 1) log cos((alpha - 1) pi/2) for alpha > 1 and 0 below,
+    is at most log G + 53 log 2 + max_W (alpha - 1) log W + c for every r
+    and W.  So a step with log G < alpha log|x| + C, where
+    C = -55 alpha log 2 - 53 log 2 - max_W (alpha - 1) log W - c, moves x by
+    under 2^-55 |x|, a quarter of the float spacing at x: x + increment
+    rounds to x.  alpha in {1, 2} has no W and t >= 1 no GS draw, so the
+    screen is off there.
     """
     a = alpha
-    c = -(a - 1.0) * math.log(math.cos((a - 1.0) * math.pi / 2.0)) if a > 1.0 else 0.0
-    np.subtract(1.0, u, out=w)
-    np.minimum(u, w, out=w)
-    np.maximum(w, _R_FLOOR, out=w)
-    np.log(w, out=w)
-    np.subtract(log_gw, w, out=w)
-    w += c - math.log(2.0) + 55.0 * a * math.log(2.0)
-    w *= 1.0 / a
-    with np.errstate(over="ignore"):
-        np.exp(w, out=w)
-    move = np.less_equal(x, w)
-    np.negative(w, out=w)
-    move &= np.greater_equal(x, w)
-    return np.flatnonzero(move)
+    if a in (1.0, 2.0) or t >= 1.0:
+        return None
+    if a > 1.0:
+        c = -(a - 1.0) * math.log(math.cos((a - 1.0) * math.pi / 2.0))
+        log_w = (a - 1.0) * math.log(53.0 * math.log(2.0))
+    else:
+        c = 0.0
+        log_w = (a - 1.0) * math.log(_R_FLOOR)
+    big_c = -55.0 * a * math.log(2.0) - 53.0 * math.log(2.0) - log_w - c
+    return t * big_c, math.lgamma(1.0 + t)
 
 
-def _advance_into(alpha: float, t: float, gen: np.random.Generator, x: np.ndarray,
-                  log_gw: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
-    """Add one increment G^(1/alpha) Z, G ~ Gamma(t, 1), to every entry of x.
+# the screen's level never exceeds log 2^-53: below it, P(log G < L) is
+# e^(t L)/Gamma(1 + t) to a relative 2^-53 (the series of the lower
+# incomplete gamma function)
+_SCREEN_CAP = -53.0 * math.log(2.0)
+# slots closed up at a time when a walk's last paths end: bounds the copies
+_CLOSE_CHUNK = 1 << 12
 
-    The generator is called as `_stable_into` calls it, and x ends
-    bit-identical to `_stable_into` followed by x += increment; log_gw, u and
-    w are scratch buffers of x's shape.  For alpha in {1, 2} that is what
-    runs.  Otherwise only the entries that `_movers` cannot prove unmoved are
-    transformed: they are gathered into w, which the folded log W leaves
-    free, and their sums with x are scattered back.  When more than half the
-    entries move, all of them are transformed in place instead, which leaves
-    the others unchanged as well; the first _STEP_SAMPLE entries decide
-    whether to bound the whole step, so a coarse step, where most entries
-    move, pays only for that sample.
+
+def _walk_block(n: int) -> int:
+    """Slots of an event walk's block for n paths: a third of them, at least _WALK_BLOCK."""
+    return min(n, max(_WALK_BLOCK, -(-n // 3)))
+
+
+def _walk_scratch(alpha: float, t: float, n: int) -> np.ndarray:
+    """Scratch for `_walk_into` on n paths, made by the caller.
+
+    A walk runs in a worker thread, and buffers made there come from that
+    thread's malloc arena, which cannot reuse what the calling thread has
+    freed: the process's peak memory would grow by the scratch.
     """
-    if alpha in (1.0, 2.0):
-        _stable_into(alpha, t, gen, log_gw, u, w)
-        x += log_gw
-        return
-    _cms_inputs_into(alpha, t, gen, log_gw, u, w)
+    if _walk_screen(alpha, t) is None:
+        return np.empty(3 * n)
+    m = _walk_block(n)
+    return np.empty(7 * m + -(-m // 8))
+
+
+def _walk_into(alpha: float, t: float, steps: int, gen: np.random.Generator,
+               x: np.ndarray, clock: np.ndarray, rho_into, scratch: np.ndarray) -> None:
+    """Walk paths (x_i, clock_i) through `steps` d = 1 increments G^(1/alpha) Z, G ~ Gamma(t).
+
+    Each path's clock gains the left-endpoint sum of rho(x_k) t over its
+    steps k; rho_into(x, out, scratch) writes rho at x into out, and may use
+    scratch, a float buffer of x's shape.  x and clock end holding the
+    paths' (endpoint, clock) pairs, in the order the paths finish.  scratch
+    comes from `_walk_scratch`.
+
+    The walk is event-driven.  With L(x) = min(alpha log|x| + C, -53 log 2)
+    (`_walk_screen`), a step with log G < L(x) leaves x unchanged, and it
+    has probability q = e^(t L)/Gamma(1 + t).  So a path draws the number K
+    of still steps before its next event, K = floor(log(1 - V) / log q)
+    from one uniform V, adds rho(x) t (K + 1) to its clock, and at the
+    event takes one increment with G drawn from Gamma(t) truncated to
+    log G >= L(x) (`_stable_into` with p_floor = e^(t L)).  The path then
+    has the law of drawing and adding every increment, and rho is looked up
+    once per event.  At x = 0, L = -inf and K = 0.
+
+    Paths run in the slots of one block (`_walk_block`): each round every
+    slot draws its skip count and an increment, and a path that ends hands
+    its slot to the next path of x, so the vectors stay full until the last
+    paths.  Where the screen is off (alpha in {1, 2}, t >= 1) every step is
+    an event for every path, so a round is one step of all paths at once,
+    taken in place in x and clock.
+    """
     n = x.size
-    k = min(n, _STEP_SAMPLE)
-    if 2 * _movers(alpha, x[:k], log_gw[:k], u[:k], w[:k]).size <= k:
-        move = _movers(alpha, x, log_gw, u, w)
-        m = move.size
-        if 2 * m <= n:
-            inc, r = w[:m], w[m:2 * m]
-            # mode "clip" writes into out directly; the default "raise" buffers it
-            np.take(log_gw, move, out=inc, mode="clip")
-            np.take(u, move, out=r, mode="clip")
-            _cms_into(alpha, inc, r, u[:m])
-            np.take(x, move, out=log_gw[:m], mode="clip")
-            log_gw[:m] += inc
-            x[move] = log_gw[:m]
-            return
-    _cms_into(alpha, log_gw, u, w)
-    x += log_gw
+    screen = _walk_screen(alpha, t)
+    m = n if screen is None else _walk_block(n)
+    seg_buf, uw_buf = scratch[:m], scratch[m:3 * m]
+    if screen is None:
+        xs, cs, left = x, clock, steps
+    else:
+        # position, clock and steps still to take, this round's included
+        state = scratch[3 * m:6 * m].reshape(3, m)
+        state[0], state[1], state[2] = x[:m], clock[:m], steps
+        floor_buf, event_buf = scratch[6 * m:7 * m], scratch[7 * m:].view(bool)[:m]
+        fresh, ended = m, 0  # paths of x put into a slot, and paths written back
+    while m:
+        seg, uw = seg_buf[:m], uw_buf[:2 * m].reshape(2, m)
+        u, w = uw
+        if screen is None:
+            rho_into(xs, u, w)
+            u *= t
+            cs += u
+            _stable_into(alpha, t, gen, seg, uw)
+            xs += seg
+            left -= 1
+            m = m if left else 0
+            continue
+        xs, cs, left = state[:, :m]
+        p_floor, event = floor_buf[:m], event_buf[:m]
+        # t L into p_floor, log q = t L - log Gamma(1 + t) into u
+        np.abs(xs, out=p_floor)
+        with np.errstate(divide="ignore"):
+            np.log(p_floor, out=p_floor)
+        p_floor *= t * alpha
+        p_floor += screen[0]
+        np.minimum(p_floor, t * _SCREEN_CAP, out=p_floor)
+        np.subtract(p_floor, screen[1], out=u)
+        np.exp(p_floor, out=p_floor)
+        # K + 1 = floor(log(1 - V) / log q) + 1, with 1 - V exact; K = 0 where L = -inf
+        gen.random(out=seg)
+        np.subtract(1.0, seg, out=seg)
+        np.log(seg, out=seg)
+        seg /= u
+        np.floor(seg, out=seg)
+        seg += 1.0
+        np.less_equal(seg, left, out=event)
+        np.minimum(seg, left, out=seg)
+        left -= seg
+        rho_into(xs, u, w)
+        seg *= t
+        seg *= u
+        cs += seg
+        _stable_into(alpha, t, gen, seg, uw, p_floor)
+        seg *= event  # a path that ends without an event keeps its position
+        xs += seg
+        np.equal(left, 0.0, out=event)
+        done = np.flatnonzero(event)
+        k = done.size
+        if k == 0:
+            continue
+        # mode "clip" writes into out directly; the default "raise" buffers it
+        np.take(xs, done, out=x[ended:ended + k], mode="clip")
+        np.take(cs, done, out=clock[ended:ended + k], mode="clip")
+        ended += k
+        r = min(k, n - fresh)
+        xs[done[:r]] = x[fresh:fresh + r]
+        cs[done[:r]] = clock[fresh:fresh + r]
+        left[done[:r]] = steps
+        fresh += r
+        if r < k:  # no path left to start: close the open slots up, in order
+            event.fill(True)
+            event[done[r:]] = False
+            del done
+            for row in state[:, :m]:
+                kept = 0
+                for lo in range(0, m, _CLOSE_CHUNK):
+                    part = row[lo:lo + _CLOSE_CHUNK][event[lo:lo + _CLOSE_CHUNK]]
+                    row[kept:kept + part.size] = part
+                    kept += part.size
+            m = kept
 
 
 def _stable_draws(alpha, t, rng, size):
     n = 1 if size is None else int(size)
     out = np.empty(n)
-    _stable_into(alpha, t, rng.gen, out, np.empty(n), np.empty(n))
+    _stable_into(alpha, t, rng.gen, out, np.empty((2, n)))
     return _maybe_item(out, size)
 
 

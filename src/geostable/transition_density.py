@@ -224,14 +224,22 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     onto a lattice of spacing bw / 64 (Wand 1994, JCGS 3:433), so the kernel
     is summed over occupied nodes, not samples; each value then moves by at
     most the header's binning_error_bound.  In d > 1 the kernel is summed over
-    the samples.  Either sum divides by n_samples.  A NaN grid point raises
-    ConfigError; an infinite one gets its limit, 0.
+    the samples.  Either sum divides by n_samples.  x_grid has shape (m,) in
+    d = 1 and (m, d) in d > 1; any other shape, or a NaN grid point, raises
+    ConfigError before anything is drawn.  An infinite grid point gets its
+    limit, 0.
     """
     if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     x_grid = np.asarray(x_grid, dtype=float)
+    if spec.dim == 1:
+        shape, ok = "(m,)", x_grid.ndim == 1
+    else:
+        shape, ok = f"(m, {spec.dim})", x_grid.ndim == 2 and x_grid.shape[1] == spec.dim
+    if not ok:
+        raise ConfigError(f"x_grid must have shape {shape} in d = {spec.dim}, got {x_grid.shape}")
     if np.isnan(x_grid).any():
         raise ConfigError("x_grid must not be NaN")
     samples = np.asarray(sample_increment(spec, t, rng, size=n_samples))

@@ -42,10 +42,15 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.stable_density(_S, math.nan, 1.0),
     lambda: gs.density_mc(_S, math.nan, [0.0], 1000, gs.RngStream(1)),
     lambda: gs.density_mc(_S, 1.0, [0.0, math.nan], 1000, gs.RngStream(1)),
+    lambda: gs.density_mc(_S, 1.0, 0.0, 1000, gs.RngStream(1)),
+    lambda: gs.density_mc(_S, 1.0, np.zeros((3, 1)), 1000, gs.RngStream(1)),
+    lambda: gs.density_mc(ProcessSpec(1.5, 2), 1.0, np.zeros((3, 3)), 1000, gs.RngStream(1)),
+    lambda: gs.density_mc(ProcessSpec(1.5, 2), 1.0, np.zeros(2), 1000, gs.RngStream(1)),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
-        "density_mc", "density_mc_nan_grid"])
+        "density_mc", "density_mc_nan_grid", "density_mc_scalar_grid", "density_mc_column_grid",
+        "density_mc_wide_grid", "density_mc_flat_grid_2d"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

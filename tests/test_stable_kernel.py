@@ -15,9 +15,9 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        stable_density_radial)
 from geostable import stable_kernel as sk
 from geostable.acceptance import density_gamma_mixture
-from geostable.stable_kernel import (StableRadialProfile, _advance_into, _cms_into,
-                                     _fourier_head, _log_gamma_into, _log_positive_stable_into,
-                                     _mixture_head, _stable_into, q1_at_zero)
+from geostable.stable_kernel import (StableRadialProfile, _cms_into, _fourier_head,
+                                     _log_gamma_into, _log_positive_stable_into, _mixture_head,
+                                     _walk_into, _walk_screen, q1_at_zero)
 
 
 def test_config_validation():
@@ -344,7 +344,9 @@ def _cms_sin_cos(alpha, log_g, r, w):
 
 def _cms(alpha, log_g, r, w):
     out = np.array(log_g, dtype=float) + (alpha - 1.0) * np.log(np.array(w, dtype=float))
-    _cms_into(alpha, out, np.array(r, dtype=float), np.empty_like(out))
+    uw = np.empty((2, out.size))
+    uw[0] = r
+    _cms_into(alpha, out, uw)
     return out
 
 
@@ -357,7 +359,7 @@ def test_cms_transform_matches_sin_cos_formula(alpha):
     log_g = rng.uniform(-30.0, 3.0, r.size)
     got = _cms(alpha, log_g, r, w)
     want = _cms_sin_cos(alpha, log_g, r, w)
-    assert float(np.max(np.abs(got / want - 1.0))) <= 1e-10
+    assert float(np.max(np.abs(got / want - 1.0))) <= 1e-12
     edges = np.array([0.0, 1e-17, 1.0 - 2.0 ** -53, 0.5])
     assert np.isfinite(_cms(alpha, np.zeros(4), edges, np.full(4, 0.7))).all()
 
@@ -369,15 +371,16 @@ def test_cms_transform_property(alpha, r, w, log_g):
     assume(r != 0.5)
     got = _cms(alpha, [log_g], [r], [w])[0]
     want = _cms_sin_cos(alpha, log_g, r, w)
-    assert abs(got / want - 1.0) <= 1e-10
+    assert abs(got / want - 1.0) <= 1e-12
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(0.3, 1.999), r=st.floats(0.0, 1.0, exclude_max=True),
-       w=st.floats(1e-300, 1e3), log_g=st.floats(-2000.0, 5.0))
+       w=st.floats(2.0 ** -54, 53.0 * math.log(2.0)), log_g=st.floats(-2000.0, 5.0))
 def test_skip_bound_property(alpha, r, w, log_g):
-    # the bound _movers skips by: alpha log|X| <= B with
-    # B = log G - log(2 s) + (alpha - 1) log W + c
+    # the Chambers-Mallows-Stuck bound alpha log|X| <= B with
+    # B = log G - log(2 s) + (alpha - 1) log W + c, for W in the range
+    # _cms_inputs_into draws it from
     assume(alpha != 1.0)
     s = max(min(r, 1.0 - r), 2.0 ** -54)
     c = -(alpha - 1.0) * math.log(math.cos((alpha - 1.0) * math.pi / 2.0)) if alpha > 1.0 else 0.0
@@ -386,33 +389,95 @@ def test_skip_bound_property(alpha, r, w, log_g):
         x = _cms(alpha, [log_g], [r], [w])[0]
     if np.isfinite(x) and abs(x) >= np.finfo(float).tiny:
         assert math.log(abs(x)) <= bound / alpha + 1e-12
-    # the smallest position the bound lets an increment skip is left unmoved
-    log_edge = bound / alpha + 55.0 * math.log(2.0)
-    if log_edge < 709.0:
-        edge = np.nextafter(math.exp(log_edge), np.inf)
-        assert edge + x == edge and -edge + x == -edge
-    # and _movers skips exactly above that edge: positions 1e-9 below it and
-    # at 0 move, 1e-9 above it stays
-    if -690.0 < log_edge < 690.0:
-        pos = math.exp(log_edge) * np.array([1.0 - 1e-9, 1.0 + 1e-9, 0.0])
-        log_gw = np.full(3, log_g + (alpha - 1.0) * math.log(w))
-        assert sk._movers(alpha, pos, log_gw, np.full(3, r), np.empty(3)).tolist() == [0, 2]
+    # the walk's screen takes r and W at their worst: a step with
+    # log G < L(pos) = min(alpha log|pos| + C, -53 log 2) leaves pos unmoved,
+    # tested at the smallest |pos| the screen lets skip
+    big_c = _walk_screen(alpha, 1.0 / 256)[0] * 256
+    assert big_c <= alpha * -55.0 * math.log(2.0) - (bound - log_g) + 1e-9
+    log_edge = (log_g - big_c) / alpha
+    if log_g < -53.0 * math.log(2.0) and -700.0 < log_edge < 700.0:
+        pos = np.nextafter(math.exp(log_edge), np.inf)
+        assert pos + x == pos and -pos + x == -pos
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.01, 1.5, 1.99, 1.999, 2.0])
-def test_path_step_matches_draw_then_add(alpha):
-    # 5000 paths: the skip test's first sample (4096 entries) is not the whole step
-    n = 5000
-    scratch = [np.empty(n) for _ in range(3)]
-    for dt in (1.0 / 256, 1.0 / 32):
-        for x0 in (0.0, 1e-300, 0.3, -5.0):
-            gen_a, gen_b = RngStream(21).gen, RngStream(21).gen
-            x_a, x_b = np.full(n, x0), np.full(n, x0)
-            for _ in range(128):
-                _stable_into(alpha, dt, gen_a, *scratch)
-                x_a += scratch[0]
-                _advance_into(alpha, dt, gen_b, x_b, *scratch)
-                assert np.array_equal(x_a, x_b)
+def _zero_rho(x, out, scratch):
+    out.fill(0.0)
+
+
+def _one_rho(x, out, scratch):
+    out.fill(1.0)
+
+
+def test_walk_screen_is_off_where_it_cannot_hold():
+    for alpha, t in ((1.0, 1.0 / 256), (2.0, 1.0 / 256), (1.5, 1.0), (0.7, 3.0)):
+        assert _walk_screen(alpha, t) is None
+    t_big_c, log_gamma1p = _walk_screen(1.5, 1.0 / 256)
+    assert t_big_c * 256 < -55.0 * 1.5 * math.log(2.0) - 53.0 * math.log(2.0)
+    assert log_gamma1p == math.lgamma(1.0 + 1.0 / 256)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.01, 1.5, 1.99, 1.999, 2.0])
+def test_walk_endpoints_match_one_increment(alpha):
+    # the event walk's endpoints have the law of one increment over the whole
+    # time (gamma clocks add up); 30000 paths fill the block of slots, refill
+    # it and close it up at the end; with rho = 1 every clock is steps * dt
+    n = 30_000
+    spec = ProcessSpec(alpha, 1)
+    for dt, steps in ((1.0 / 256, 64), (1.0 / 32, 8), (1.0, 2)):
+        for x0 in (0.0, 5.0):
+            x, clock = np.full(n, x0), np.zeros(n)
+            _walk_into(alpha, dt, steps, RngStream(51).gen, x, clock, _one_rho,
+                       sk._walk_scratch(alpha, dt, n))
+            assert np.all(np.abs(clock / (steps * dt) - 1.0) < 1e-12)
+            ref = x0 + sample_increment(spec, steps * dt, RngStream(52), size=n)
+            assert ks_2samp(x, ref).statistic < 3.0 * math.sqrt(2.0 / n), (dt, x0)
+
+
+def test_walk_without_screen_draws_every_step():
+    # alpha = 2: every step is an event, so the walk consumes the stream as n
+    # draws a step would, and a path from 0 ends at the sum of its increments
+    n, steps, dt = 1000, 5, 1.0 / 32
+    x, clock = np.zeros(n), np.zeros(n)
+    _walk_into(2.0, dt, steps, RngStream(53).gen, x, clock, _zero_rho, sk._walk_scratch(2.0, dt, n))
+    gen = RngStream(53).gen
+    total = np.zeros(n)
+    for _ in range(steps):
+        inc = np.empty(n)
+        sk._stable_into(2.0, dt, gen, inc, np.empty((2, n)))
+        total += inc
+    assert np.array_equal(x, total)
+    assert np.all(clock == 0.0)
+
+
+@pytest.mark.parametrize("t", [1.0 / 256, 1.0 / 32, 0.3])
+def test_log_gamma_lower_tail_is_the_skip_probability(t):
+    # P(log G < L) = e^(t L)/Gamma(1 + t) for L <= -53 log 2: the still-step
+    # probability the walk's skip count is drawn with
+    n = 2_000_000
+    log_g = np.empty(n)
+    _log_gamma_into(t, RngStream(61).gen, log_g, np.empty(n), np.empty(n))
+    for level in (-53.0 * math.log(2.0), -100.0):
+        p = math.exp(t * level) / gamma(1.0 + t)
+        emp = np.mean(log_g < level)
+        assert abs(emp - p) < 4.0 * math.sqrt(p * (1.0 - p) / n) + 1.0 / n, (level, emp, p)
+
+
+@pytest.mark.parametrize("t, level", [(1.0 / 256, -53.0 * math.log(2.0)), (1.0 / 256, -300.0),
+                                      (1.0 / 32, -100.0), (0.3, -3.0), (0.9, -1.0)])
+def test_truncated_log_gamma_matches_conditioned_draws(t, level):
+    # GS accepts each candidate with a probability that depends on it alone,
+    # so drawing its uniform above e^(t L)/b gives Gamma(t) given log G >= L
+    n = 400_000
+    free = np.empty(n)
+    _log_gamma_into(t, RngStream(71).gen, free, np.empty(n), np.empty(n))
+    kept = free[free >= level]
+    m = 100_000
+    cut = np.empty(m)
+    _log_gamma_into(t, RngStream(72).gen, cut, np.empty(m), np.empty(m),
+                    np.full(m, math.exp(t * level)))
+    assert cut.min() >= level
+    bound = 3.0 * math.sqrt((kept.size + m) / (kept.size * m))
+    assert ks_2samp(cut, kept).statistic < bound
 
 
 @pytest.mark.parametrize("s", [1.0 / 256, 1.0 / 32, 0.3, 0.9])

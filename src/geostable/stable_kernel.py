@@ -7,13 +7,16 @@ coordinate; with alpha = 1 it is the Cauchy (Poisson) kernel.
 
 Radial evaluation strategy:
   * alpha in {1, 2}: closed forms.
-  * otherwise a cached radial profile per (alpha, dim): a head route up to a
-    switch radius, a spline through its values, and the power-tail series
+  * otherwise a cached radial profile per (alpha, dim).  Below a switch
+    radius, one cubic spline of log q_1 in v = asinh(u/s) through a head
+    route's values at knots uniform in v; s is the core width scaled by
+    2^(3.5 alpha - 4), so v is linear in u through the core and logarithmic
+    on the flank.  From the switch radius on, the power-tail series
 
         q_1(u) = pi^(-d/2) sum_{k>=1} (-1)^(k+1) k a 2^(k a - 1)
-                 Gamma((d + k a)/2) / (k! Gamma(1 - k a/2)) u^(-d - k a)
+                 Gamma((d + k a)/2) / (k! Gamma(1 - k a/2)) u^(-d - k a).
 
-    beyond it.  The head for alpha < 1 is the sub-Gaussian mixture
+    The head for alpha < 1 is the sub-Gaussian mixture
     Z = sqrt(2S) N(0, I), with the density of the positive (alpha/2)-stable S
     from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
     one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 is
@@ -73,24 +76,18 @@ def _fourier_head(alpha, dim, u):
     """Radial inversion integral evaluated at radii u (vectorized).
 
     d=1 cosine kernel, d=2 Bessel J0, d=3 sine kernel; panel width tracks the
-    fastest oscillation present, geometric refinement near rho=0 resolves the
-    envelope kink of exp(-rho^alpha) for alpha < 1.
+    fastest oscillation in each block of 64 radii, geometric refinement near
+    rho=0 resolves the envelope kink of exp(-rho^alpha) for alpha < 1.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     R = _LOG_CUTOFF ** (1.0 / alpha)
-    osc = np.pi / (2.0 * max(u.max(), 1.0))
-    n_osc = int(np.ceil(R / osc))
-    edges = np.unique(np.concatenate([
-        np.geomspace(1e-9, 1.0, 50),
-        np.linspace(0.0, R, n_osc + 1),
-    ]))
-    if edges[-1] < R:
-        edges = np.append(edges, R)
-    rho, w = _panel_nodes(edges)
-    env = np.exp(-rho ** alpha) * w
     out = np.empty_like(u)
     for i0 in range(0, len(u), 64):
         uu = u[i0:i0 + 64][:, None]
+        n_osc = int(np.ceil(R / (np.pi / (2.0 * max(uu.max(), 1.0)))))
+        rho, w = _panel_nodes(np.unique(np.concatenate([np.geomspace(1e-9, 1.0, 50),
+                                                        np.linspace(0.0, R, n_osc + 1)])))
+        env = np.exp(-rho ** alpha) * w
         if dim == 1:
             out[i0:i0 + 64] = (np.cos(uu * rho[None, :]) @ env) / np.pi
         elif dim == 2:
@@ -153,7 +150,10 @@ def _mixture_head(alpha, dim):
 
     def head(r):
         r = np.asarray(r, dtype=float)
-        return np.exp(-np.square(r)[:, None] * quarter_ey[None, :]) @ weights
+        out = np.empty(r.shape)
+        for i0 in range(0, r.size, 128):  # blocks keep the (radius, y) scratch small
+            out[i0:i0 + 128] = np.exp(-np.square(r[i0:i0 + 128])[:, None] * quarter_ey[None, :]) @ weights
+        return out
 
     return head
 
@@ -241,8 +241,9 @@ def _series_batch(alpha, dim, u, coeffs):
     for lo_i, hi_i in zip(edges[:-1], edges[1:]):
         idx = order[lo_i:hi_i]
         u_min = sorted_u[lo_i]
-        keep = log_ratio - (k_nz - k_nz[0]) * alpha * np.log(u_min) > -37.0
-        m = max(int(np.max(np.flatnonzero(keep))) + 1, 1) if keep.any() else 1
+        # the first term is always kept, also at u = inf, where every term is 0
+        late = log_ratio[1:] - (k_nz[1:] - k_nz[0]) * alpha * np.log(u_min) > -37.0
+        m = int(np.flatnonzero(late)[-1]) + 2 if late.any() else 1
         vals[idx], errs[idx] = _series_block(alpha, dim, u[idx], c_nz[:m], k_nz[:m], env_cols[:m])
     return vals, errs
 
@@ -273,36 +274,30 @@ class StableRadialProfile:
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.coeffs = tail_coefficients(alpha, dim)
+        self._spline = None  # the closed forms need none
         if alpha == 2.0:
             # Gaussian: no power tail; exp(-u^2/4) underflows past u ~ 53
             self.tail_start = 53.0
             self.tail_relerr = 0.0
-            self._spline_lin = None
-            self._spline_log = None
             return
-        # spline seam between the linear core and the log-log flank, and the flank's knots
-        self._seam, n_log = 2.0, 160
         if alpha == 1.0:
             head = self._closed_form
         elif alpha < 1.0:
             head = _mixture_head(alpha, dim)
-            # q_1 falls off from q_1(0) like 1 - (u/sigma)^2 with
-            # sigma^-2 = Gamma((d+2)/alpha) / (2 d Gamma(d/alpha)), a core as
-            # narrow as 5e-4 at alpha = 0.3: the linear knots sit inside it
-            self._seam = 0.5 * math.sqrt(2.0 * dim * _gamma(dim / alpha) / _gamma((dim + 2) / alpha))
-            n_log = 320
         else:
             head = functools.partial(_fourier_head, alpha, dim)
         self.tail_start, self.tail_relerr = self._pick_switch(head)
         if alpha == 1.0:
-            self._spline_lin = None
-            self._spline_log = None
             return
-        ua = np.linspace(0.0, self._seam, 161)
-        ub = np.geomspace(self._seam, self.tail_start, n_log)
-        # q_1 is even and positive: clamp derivative at 0, log-log in the tail region
-        self._spline_lin = CubicSpline(ua, head(ua), bc_type=((1, 0.0), "not-a-knot"))
-        self._spline_log = CubicSpline(np.log(ub), np.log(head(ub)))
+        # q_1 falls off from q_1(0) like 1 - (u/sigma)^2 with
+        # sigma^-2 = Gamma((d+2)/alpha) / (2 d Gamma(d/alpha)), a core as narrow
+        # as 5e-4 at alpha = 0.3, and like a power of u beyond it
+        sigma = math.sqrt(2.0 * dim * _gamma(dim / alpha) / _gamma((dim + 2) / alpha))
+        self._scale = sigma * 2.0 ** (3.5 * alpha - 4.0)
+        v = np.linspace(0.0, math.asinh(self.tail_start / self._scale), 481 if alpha < 1.0 else 321)
+        # q_1 is even: clamp its derivative at 0
+        self._spline = CubicSpline(v, np.log(head(self._scale * np.sinh(v))),
+                                   bc_type=((1, 0.0), "not-a-knot"))
 
     def _closed_form(self, u):
         if self.alpha == 2.0:
@@ -331,22 +326,17 @@ class StableRadialProfile:
 
     def density(self, u):
         """q_1 at radii u (scalar or array); exact closed form when available."""
-        scalar = np.isscalar(u)
+        point = np.ndim(u) == 0
         u = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-        closed = self._closed_form(u)
-        if closed is not None:
-            return float(closed[0]) if scalar else closed
-        out = np.empty_like(u)
-        m_lin = u <= self._seam
-        m_log = (u > self._seam) & (u < self.tail_start)
-        m_ser = u >= self.tail_start
-        if m_lin.any():
-            out[m_lin] = self._spline_lin(u[m_lin])
-        if m_log.any():
-            out[m_log] = np.exp(self._spline_log(np.log(u[m_log])))
-        if m_ser.any():
-            out[m_ser] = _series_batch(self.alpha, self.dim, u[m_ser], self.coeffs)[0]
-        return float(out[0]) if scalar else out
+        out = self._closed_form(u)
+        if out is None:
+            out = np.empty_like(u)
+            near = u < self.tail_start
+            if near.any():
+                out[near] = np.exp(self._spline(np.arcsinh(u[near] / self._scale)))
+            if not near.all():
+                out[~near] = _series_batch(self.alpha, self.dim, u[~near], self.coeffs)[0]
+        return float(out[0]) if point else out
 
 
 _PROFILE_CACHE: dict = {}
@@ -383,9 +373,9 @@ def stable_density_radial(spec: ProcessSpec, s: float, r):
         raise ConfigError(f"s must be positive, got {s}")
     prof = radial_profile(spec.alpha, spec.dim)
     scale = s ** (-1.0 / spec.alpha)
-    scalar = np.isscalar(r)
+    point = np.ndim(r) == 0
     vals = s ** (-spec.dim / spec.alpha) * prof.density(scale * np.abs(np.atleast_1d(r)))
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if point else vals
 
 
 class RngStream:

@@ -129,6 +129,7 @@ def cdf_numeric(spec: ProcessSpec, t: float, x):
     Integrating the inversion formula in x and swapping integrals gives
     F(x) = 1/2 + (1/pi) int_0^inf sin(x r) (1+r^alpha)^(-t) / r dr, below d/alpha
     too.  A scalar x gives a float and a 1-d array an array of bit-equal values.
+    Rounding of the sine rule's pi/2 can step past 0 and 1 at far x, so F is clipped.
     """
     if spec.dim != 1:
         raise UnsupportedDimensionError("cdf_numeric is one-dimensional")
@@ -137,7 +138,7 @@ def cdf_numeric(spec: ProcessSpec, t: float, x):
     r, point = point_radii(spec, x)
     half = np.zeros(r.size)
     half[r > 0] = _char_integral("sin", -1, spec.alpha, t, r[r > 0]) / np.pi
-    out = 0.5 + np.sign(np.ravel(x)) * half
+    out = np.clip(0.5 + np.sign(np.ravel(x)) * half, 0.0, 1.0)
     return float(out[0]) if point else out
 
 

@@ -10,7 +10,8 @@ from scipy.special import digamma, gamma, polygamma
 from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
-                       UnsupportedDimensionError, radial_profile, sample_gamma,
+                       UnsupportedDimensionError, cdf_numeric, density_inversion,
+                       k_radial, levy_density, radial_profile, sample_gamma,
                        sample_increment, sample_stable, stable_density,
                        stable_density_radial)
 from geostable import stable_kernel as sk
@@ -96,6 +97,56 @@ def test_profile_matches_direct_quadrature():
         assert np.max(np.abs(prof.density(us) / ref - 1.0)) < 5e-8
 
 
+# worst |spline / head - 1| allowed below tail_start, by alpha
+_SPLINE_BOUNDS = {0.3: 1e-9, 0.5: 1e-9, 0.7: 1e-9, 0.95: 1e-9, 0.999: 1e-9, 1.001: 1e-9,
+                  1.05: 1e-9, 1.5: 1e-9, 1.8: 5e-9, 1.9: 5e-9, 1.95: 1e-8, 1.99: 1e-7,
+                  1.999: 1e-7}
+
+
+@pytest.mark.parametrize("alpha", sorted(_SPLINE_BOUNDS))
+def test_profile_spline_matches_its_head_between_knots(alpha):
+    # the knots carry the head's values; these radii fall between them
+    for dim in (1, 2, 3):
+        prof = radial_profile(alpha, dim)
+        us = np.concatenate([np.linspace(0.0, prof.tail_start, 500),
+                             np.geomspace(1e-6, prof.tail_start, 500)])
+        head = _mixture_head(alpha, dim)(us) if alpha < 1.0 else _fourier_head(alpha, dim, us)
+        err = np.max(np.abs(prof.density(us) / head - 1.0))
+        assert err < _SPLINE_BOUNDS[alpha], (dim, err)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_at_infinite_radius_is_zero(alpha, dim):
+    # the series' term count took (k - k0) alpha log(u), 0 * inf at u = inf
+    spec = ProcessSpec(alpha, dim)
+    r = np.array([np.inf, 0.0, 0.4, np.inf, 3.0, 40.0])  # 40 is the one series radius
+    x = r if dim == 1 else np.column_stack([r] + [np.zeros(r.size)] * (dim - 1))
+    got = stable_density(spec, 0.7, x)
+    assert np.array_equal(got == 0.0, np.isinf(r))
+    assert np.array_equal(got, [stable_density(spec, 0.7, p) for p in x])
+    assert stable_density(spec, 1.0, x[0]) == 0.0
+
+
+_SPEC = ProcessSpec(1.5, 1)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda u: k_radial(_SPEC, u),
+    lambda u: levy_density(_SPEC, u),
+    lambda u: stable_density(_SPEC, 0.7, u),
+    lambda u: stable_density_radial(_SPEC, 0.7, u),
+    lambda u: radial_profile(1.5, 1).density(u),
+    lambda u: density_inversion(_SPEC, 1.0, u),
+    lambda u: cdf_numeric(_SPEC, 1.0, u),
+], ids=["k_radial", "levy_density", "stable_density", "stable_density_radial",
+        "profile_density", "density_inversion", "cdf_numeric"])
+def test_zero_dim_array_gives_float(fn):
+    got = fn(np.array(0.8))
+    assert type(got) is float
+    assert got == fn(0.8)
+
+
 def test_unsupported_dimension_rejected():
     with pytest.raises(UnsupportedDimensionError):
         stable_density(ProcessSpec(1.5, 4), 1.0, np.zeros(4))
@@ -106,12 +157,11 @@ def test_unsupported_dimension_rejected():
 @pytest.mark.parametrize("alpha", [0.5, 0.7])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixture_profile_matches_fourier_head(alpha, dim):
-    # the spline knots from u = 0 to tail_start carry the head's values, which
-    # the oscillatory Fourier / Hankel quadrature checks independently
-    prof = StableRadialProfile(alpha, dim)
-    us = np.concatenate([np.linspace(0.0, prof._seam, 161)[::40],
-                         np.geomspace(prof._seam, prof.tail_start, 320)[::35], [prof.tail_start]])
-    assert np.max(np.abs(prof.density(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
+    # the mixture head gives the profile its values from u = 0 to tail_start,
+    # and the oscillatory Fourier / Hankel quadrature checks them independently
+    us = np.concatenate([np.linspace(0.0, 0.1, 5),
+                         np.geomspace(0.1, radial_profile(alpha, dim).tail_start, 11)[1:]])
+    assert np.max(np.abs(_mixture_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
 
 
 def test_mixture_head_self_convergence(monkeypatch):
@@ -136,7 +186,7 @@ def test_lowest_alpha_value_at_zero_and_unit_mass(dim):
     assert abs(prof.density(0.0) / q1_at_zero(0.3, dim) - 1.0) < 1e-12
     omega = 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0)
     f = lambda u: omega * u ** (dim - 1) * prof.density(u)
-    cuts = [0.0, prof._seam, 1.0, prof.tail_start, np.inf]
+    cuts = [0.0, prof._scale, 1.0, prof.tail_start, np.inf]
     mass = sum(quad(f, lo, hi, limit=200, epsabs=0.0, epsrel=1e-11)[0]
                for lo, hi in zip(cuts[:-1], cuts[1:]))
     assert abs(mass - 1.0) < 1e-8

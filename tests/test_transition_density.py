@@ -182,6 +182,17 @@ def test_cdf_far_point_near_threshold(t):
     assert abs(left - (1.0 - right)) < 1e-15
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+@pytest.mark.parametrize("t", [0.05, 0.5, 3.0])
+def test_cdf_stays_in_unit_interval(alpha, t):
+    # rounding of the sine rule's pi/2 put F at 1 + 4.4e-16 and -4.4e-16 far out
+    spec = ProcessSpec(alpha, 1)
+    x = np.array([1e3, 1e12, np.inf])
+    right, left = cdf_numeric(spec, t, x), cdf_numeric(spec, t, -x)
+    assert np.all((right >= 0.0) & (right <= 1.0) & (left >= 0.0) & (left <= 1.0))
+    assert np.max(np.abs(left - (1.0 - right))) < 1e-15
+
+
 def test_inversion_refuses_nan_and_nonpositive_t():
     spec = ProcessSpec(1.5, 1)
     with pytest.raises(ConfigError):

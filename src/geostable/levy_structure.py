@@ -187,8 +187,8 @@ def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:
     Surface measure times int k(r)/r dr, by Gauss-Legendre(10) on geometric
     panels (at least 24 per e-fold of r_outer/r_inner).
     """
-    if not (0.0 < r_inner < r_outer):
-        raise ConfigError("need 0 < r_inner < r_outer")
+    if not (0.0 < r_inner < r_outer < math.inf):
+        raise ConfigError("need 0 < r_inner < r_outer < inf")
     n_panels = max(24, int(np.ceil(24 * np.log(r_outer / r_inner))))
     r, w = _panel_nodes(np.geomspace(r_inner, r_outer, n_panels + 1))
     return surface_measure(spec.dim) * float(np.sum(k_radial(spec, r) / r * w))
@@ -224,11 +224,11 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     the direction of x only through |x|, so one radial table covers every
     direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).
     """
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}")
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0):
-        raise ConfigError("r_grid must be strictly increasing")
+    if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0) or not np.all(np.isfinite(r_grid)):
+        raise ConfigError("r_grid must be finite and strictly increasing")
     vals = t * k_radial(spec, r_grid)
     certificate = bool(np.all(vals[1:] <= vals[:-1] + _MONOTONE_SLACK * vals[:-1]))
     return KFunctionTable(spec=spec, r_grid=r_grid, values=vals,

@@ -88,10 +88,10 @@ def inversion_integrable(spec: ProcessSpec, t: float) -> bool:
     """True iff the characteristic function of the time-t marginal is integrable.
 
     (1 + |xi|^alpha)^(-t) decays like |xi|^(-alpha t), so integrability over R^d
-    requires alpha*t > d; the boundary t = d/alpha is excluded.
+    requires alpha*t > d; the boundary t = d/alpha is excluded.  t must be finite.
     """
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}")
     return t > spec.dim / spec.alpha
 
 

@@ -47,8 +47,8 @@ class GridDomain:
     N: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ConfigError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ConfigError(f"L must be positive and finite, got {self.L}")
         n = int(self.N)
         if n < 64 or (n & (n - 1)) != 0:
             raise ConfigError(f"N must be a power of two >= 64, got {self.N}")
@@ -549,8 +549,8 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
 
     Returns (mean, standard_error).
     """
-    if not 0 < dt <= t:
-        raise ConfigError(f"need 0 < dt <= t, got dt={dt}, t={t}")
+    if not 0 < dt <= t < math.inf:
+        raise ConfigError(f"need 0 < dt <= t < inf, got dt={dt}, t={t}")
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
         raise ConfigError(f"t/dt must be an integer, got t={t}, dt={dt}")
@@ -627,8 +627,8 @@ def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size == 0:
         raise ConfigError("t_values must be a nonempty 1-d sequence")
-    if not np.all(t_values > 0):
-        raise ConfigError("t_values must be positive")
+    if not np.all((t_values > 0) & (t_values < np.inf)):
+        raise ConfigError("t_values must be positive and finite")
     if t_values.size > 1 and np.any(np.diff(t_values) >= 0):
         raise ConfigError("t_values must be strictly decreasing")
     measure = problem.mu_plus if mu is None else mu

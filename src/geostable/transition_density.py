@@ -4,8 +4,11 @@ Inversion needs an integrable characteristic function f(r) = (1+r^alpha)^(-t),
 i.e. alpha*t > d; the CDF's sine integral of f(r)/r converges for all t > 0.
 These radial integrals use Ooura & Mori's double-exponential rule for Fourier
 integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and no tail
-correction; for d = 2, J0(z) = (2/pi) int_0^(pi/2) cos(z cos theta) dtheta
-turns the Hankel integral into cosine integrals.  At x = 0 it is a Beta function:
+correction: stable_kernel's `_char_integral`, whose cos, sin and J0 kernels
+also give the 1 < alpha < 2 stable heads.  d = 1 takes cos and d = 3 sin.
+d = 2 composes cosine integrals through J0(z) = (2/pi) int_0^(pi/2) cos(z cos theta) dtheta,
+because the J0 weights do not vanish far out: on the slowly decaying f the
+J0 kernel is 1e-11 off in absolute terms.  At x = 0 it is a Beta function:
 p_t(0) = omega_{d-1} (2 pi)^(-d) B(d/alpha, t - d/alpha) / alpha.
 
 Monte Carlo estimation via exact subordinated increments works for every
@@ -25,13 +28,10 @@ from scipy.special import gamma as _gamma
 
 from .errors import ConfigError, InversionNotIntegrableError, UnsupportedDimensionError
 from .process_core import ProcessSpec, inversion_integrable, point_radii
-from .stable_kernel import RngStream, sample_increment
+from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
 
-# steps of the Fourier rule (681 nodes on |tau| <= 4.25) and of the d = 2 tanh-sinh
-# rule (321 nodes on |tau| <= 4); past those spans terms fall below 1e-18 of the sum
-_DE_H, _TS_H = 1.0 / 80.0, 1.0 / 40.0
-# (point, node) pairs per block of the Fourier rule: 2 MB
-_PAIR_BLOCK = 2 ** 18
+# step of the d = 2 tanh-sinh rule (321 nodes on |tau| <= 4, past which terms fall below 1e-18)
+_TS_H = 1.0 / 40.0
 # float64 entries of density_mc's working block: 16 MB
 _KDE_BLOCK = 2 ** 21
 # density_mc's d = 1 lattice spacing is bw / _BINS_PER_BW; exp(-z^2 / 2) is 0
@@ -46,52 +46,12 @@ def _density_at_zero(spec: ProcessSpec, t: float) -> float:
     return omega * beta / (a * (2.0 * np.pi) ** d)
 
 
-def _fourier_rule(kernel: str):
-    """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
-
-    K = sin or cos, y_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h,
-    tau_k = k h, shifted by h/2 for cos so that M tau_k falls on its zeros.
-    """
-    k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
-    tau = (k if kernel == "sin" else k - 0.5) * _DE_H
-    s = 6.0 * np.sinh(tau)
-    with np.errstate(invalid="ignore"):  # 0/0 at tau = 0, set to the limits below
-        phi = tau / -np.expm1(-s)
-        dphi = (1.0 - 6.0 * tau * np.cosh(tau) / np.expm1(s)) / -np.expm1(-s)
-        shift = tau / np.expm1(s)  # phi - tau, without cancellation
-    at_zero = tau == 0.0
-    phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
-    m = np.pi / _DE_H
-    # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
-    # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
-    near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
-    direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
-    return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
-
-
 def _arcsine_rule():
     """Tanh-sinh nodes u in (0, 1) and weights for int_0^1 c(u) (1-u^2)^(-1/2) du."""
     tau = np.arange(-round(4.0 / _TS_H), round(4.0 / _TS_H) + 1) * _TS_H
     v = np.pi * np.sinh(tau)
     u, one_minus_u = 1.0 / (1.0 + np.exp(-v)), 1.0 / (1.0 + np.exp(v))
     return u, _TS_H * np.pi * np.cosh(tau) * u * np.sqrt(one_minus_u / (1.0 + u))
-
-
-def _char_integral(kernel: str, power: int, alpha: float, t: float, r: np.ndarray) -> np.ndarray:
-    """int_0^inf p^power (1+p^alpha)^(-t) K(r p) dp at each r > 0 of a 1-d array.
-
-    Blocks hold at most _PAIR_BLOCK (point, node) pairs, and each point is
-    summed on its own row, so its value does not depend on the rest of the batch.
-    """
-    y, w = _fourier_rule(kernel)
-    y_alpha, wy = y ** alpha, w * y ** power
-    sums = np.empty(r.size)
-    rows = max(1, _PAIR_BLOCK // y.size)
-    for i0 in range(0, r.size, rows):
-        z = np.log1p(np.multiply.outer(r[i0:i0 + rows] ** -alpha, y_alpha))
-        z *= -t
-        sums[i0:i0 + rows] = (np.exp(z, out=z) * wy).sum(axis=1)
-    return np.pi * r ** (-1.0 - power) * sums
 
 
 def density_inversion(spec: ProcessSpec, t: float, x):
@@ -230,8 +190,8 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     ConfigError before anything is drawn.  An infinite grid point gets its
     limit, 0.
     """
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}")
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     x_grid = np.asarray(x_grid, dtype=float)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geostable.stable_kernel as sk
 import geostable.transition_density as td
 from geostable import ProcessSpec, cdf_numeric, density_inversion
 
@@ -52,7 +53,7 @@ def test_halving_the_steps_moves_no_value(case, rs, rnd):
     p = density_inversion(spec, t, pts)
     f = cdf_numeric(spec, margin, pts) if dim == 1 else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(td, "_DE_H", td._DE_H / 2.0)
+        mp.setattr(sk, "_DE_H", sk._DE_H / 2.0)
         mp.setattr(td, "_TS_H", td._TS_H / 2.0)
         assert np.max(np.abs(density_inversion(spec, t, pts) - p)) <= 1e-12
         if dim == 1:

@@ -46,11 +46,26 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.density_mc(_S, 1.0, np.zeros((3, 1)), 1000, gs.RngStream(1)),
     lambda: gs.density_mc(ProcessSpec(1.5, 2), 1.0, np.zeros((3, 3)), 1000, gs.RngStream(1)),
     lambda: gs.density_mc(ProcessSpec(1.5, 2), 1.0, np.zeros(2), 1000, gs.RngStream(1)),
+    lambda: gs.GridDomain(math.inf, 64),
+    lambda: gs.sample_increment(_S, math.inf, gs.RngStream(1)),
+    lambda: gs.density_inversion(_S, math.inf, 0.5),
+    lambda: gs.inversion_table(_S, math.inf, [0.0, 1.0]),
+    lambda: gs.density_mc(_S, math.inf, [0.0], 1000, gs.RngStream(1)),
+    lambda: gs.kato_diagnostic(gs.SchrodingerProblem(_S, _DOMAIN, _BUMP, _BUMP), [math.inf]),
+    lambda: gs.feynman_kac_estimate(gs.SchrodingerProblem(_S, _DOMAIN, _BUMP, _BUMP), _BUMP,
+                                    0.0, math.inf, 2, 0.5, gs.RngStream(1)),
+    lambda: gs.feynman_kac_estimate(gs.SchrodingerProblem(_S, _DOMAIN, _BUMP, _BUMP), _BUMP,
+                                    0.0, math.inf, 2, math.inf, gs.RngStream(1)),
+    lambda: gs.polar_levy_mass(_S, 0.1, math.inf),
+    lambda: gs.verify_selfdecomposable(_S, 1.0, [0.1, math.inf]),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
         "density_mc", "density_mc_nan_grid", "density_mc_scalar_grid", "density_mc_column_grid",
-        "density_mc_wide_grid", "density_mc_flat_grid_2d"])
+        "density_mc_wide_grid", "density_mc_flat_grid_2d", "GridDomain_inf",
+        "sample_increment_inf", "density_inversion_inf", "inversion_table_inf", "density_mc_inf",
+        "kato_diagnostic_inf", "feynman_kac_inf", "feynman_kac_inf_dt", "polar_levy_mass_inf",
+        "verify_selfdecomposable_inf"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

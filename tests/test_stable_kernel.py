@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import digamma, gamma, polygamma
+from scipy.special import digamma, gamma, j0, polygamma
 from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
@@ -16,9 +16,38 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        stable_density_radial)
 from geostable import stable_kernel as sk
 from geostable.acceptance import density_gamma_mixture
-from geostable.stable_kernel import (StableRadialProfile, _cms_into, _fourier_head,
+from geostable.stable_kernel import (StableRadialProfile, _cms_into, _inversion_head,
                                      _log_gamma_into, _log_positive_stable_into, _mixture_head,
-                                     _walk_into, _walk_screen, q1_at_zero)
+                                     _panel_nodes, _walk_into, _walk_screen, q1_at_zero)
+
+
+def _fourier_head(alpha, dim, u):
+    """Reference q_1 at radii u: panel quadrature of the inversion integral of exp(-rho^alpha).
+
+    d = 1 cosine kernel, d = 2 Bessel J0, d = 3 sine kernel, cut where
+    exp(-R^alpha) < 1e-19.  Gauss-Legendre(10) panels, each a quarter period
+    wide at the fastest oscillation of its block of 64 radii, and geometric
+    panels near rho = 0 for the envelope's kink at alpha < 1.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    R = 45.0 ** (1.0 / alpha)
+    out = np.empty_like(u)
+    for i0 in range(0, len(u), 64):
+        uu = u[i0:i0 + 64][:, None]
+        n_osc = int(np.ceil(R / (np.pi / (2.0 * max(uu.max(), 1.0)))))
+        rho, w = _panel_nodes(np.unique(np.concatenate([np.geomspace(1e-9, 1.0, 50),
+                                                        np.linspace(0.0, R, n_osc + 1)])))
+        env = np.exp(-rho ** alpha) * w
+        if dim == 1:
+            out[i0:i0 + 64] = (np.cos(uu * rho[None, :]) @ env) / np.pi
+        elif dim == 2:
+            out[i0:i0 + 64] = ((j0(uu * rho[None, :]) * rho[None, :]) @ env) / (2.0 * np.pi)
+        else:
+            ur = uu.ravel()
+            u1 = np.where(ur == 0.0, 1.0, ur)
+            val = ((np.sin(uu * rho[None, :]) * rho[None, :]) @ env) / (2.0 * np.pi ** 2 * u1)
+            out[i0:i0 + 64] = np.where(ur == 0.0, q1_at_zero(alpha, dim), val)
+    return out
 
 
 def test_config_validation():
@@ -90,14 +119,16 @@ def test_density_positive_and_normalized_d1():
 
 
 def test_profile_matches_direct_quadrature():
-    for alpha, dim in ((1.5, 1), (0.7, 2), (1.9, 3)):
+    for alpha, dim in ((1.5, 1), (0.7, 2), (1.9, 3), (1.5, 2), (1.999, 2)):
         prof = radial_profile(alpha, dim)
         us = np.array([0.05, 0.7, 1.9, 3.0, float(prof.tail_start) * 0.9])
         ref = _fourier_head(alpha, dim, us)
         assert np.max(np.abs(prof.density(us) / ref - 1.0)) < 5e-8
 
 
-# worst |spline / head - 1| allowed below tail_start, by alpha
+# worst |spline / reference - 1| allowed below tail_start, by alpha; above
+# alpha = 1 the reference is the panel quadrature, not the profile's own head,
+# which loses digits below its first knot
 _SPLINE_BOUNDS = {0.3: 1e-9, 0.5: 1e-9, 0.7: 1e-9, 0.95: 1e-9, 0.999: 1e-9, 1.001: 1e-9,
                   1.05: 1e-9, 1.5: 1e-9, 1.8: 5e-9, 1.9: 5e-9, 1.95: 1e-8, 1.99: 1e-7,
                   1.999: 1e-7}
@@ -113,6 +144,28 @@ def test_profile_spline_matches_its_head_between_knots(alpha):
         head = _mixture_head(alpha, dim)(us) if alpha < 1.0 else _fourier_head(alpha, dim, us)
         err = np.max(np.abs(prof.density(us) / head - 1.0))
         assert err < _SPLINE_BOUNDS[alpha], (dim, err)
+
+
+@pytest.mark.parametrize("alpha", [1.001] + [round(1.05 + 0.05 * i, 2) for i in range(19)]
+                         + [1.99, 1.999])
+def test_inversion_head_matches_panel_quadrature(alpha):
+    # from 1e-3 on: below it the double-exponential rule loses digits (3.5e-9
+    # at 1e-5), and no profile has a knot there (the smallest positive is 5.0e-3)
+    for dim in (1, 2, 3):
+        tail = 1.3 * radial_profile(alpha, dim).tail_start
+        us = np.concatenate([np.geomspace(1e-3, tail, 64), np.linspace(1e-3, tail, 64)])
+        err = np.max(np.abs(_inversion_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0))
+        assert err < 1e-9, (dim, err)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_series_batch_is_bit_equal_to_single_points(alpha, dim):
+    # each radius takes its series' term count from its own value alone
+    spec = ProcessSpec(alpha, dim)
+    r = np.geomspace(6.0, 59.0, 200)
+    single = [stable_density_radial(spec, 1.0, x) for x in r]
+    assert np.array_equal(stable_density_radial(spec, 1.0, r), single)
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
@@ -164,6 +217,16 @@ def test_mixture_profile_matches_fourier_head(alpha, dim):
     assert np.max(np.abs(_mixture_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_mixture_head_matches_double_exponential_inversion(alpha, dim):
+    # the cos and sin rules of the 1 < alpha < 2 heads: an independent route
+    # where the panel reference would need ~10 GB (alpha = 0.3)
+    us = np.concatenate([np.linspace(0.0, 57.2, 300), np.geomspace(1e-3, 57.2, 300)])
+    err = np.max(np.abs(_inversion_head(alpha, dim)(us) / _mixture_head(alpha, dim)(us) - 1.0))
+    assert err < 1e-10, err
+
+
 def test_mixture_head_self_convergence(monkeypatch):
     us = np.concatenate([[0.0], np.geomspace(1e-4, 57.2, 60)])
     before = {(a, d): _mixture_head(a, d)(us) for a in (0.3, 0.6, 0.95) for d in (1, 2, 3)}
@@ -194,7 +257,6 @@ def test_lowest_alpha_value_at_zero_and_unit_mass(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_lowest_alpha_build_memory(dim):
-    # the oscillatory route needed ~10 GB here
     tracemalloc.start()
     try:
         StableRadialProfile(0.3, dim)
@@ -206,8 +268,8 @@ def test_lowest_alpha_build_memory(dim):
 
 def test_sub_one_builds_never_call_fourier_head(monkeypatch):
     def refuse(*args):
-        raise AssertionError("alpha < 1 profile called _fourier_head")
-    monkeypatch.setattr(sk, "_fourier_head", refuse)
+        raise AssertionError("alpha < 1 profile called _inversion_head")
+    monkeypatch.setattr(sk, "_inversion_head", refuse)
     for alpha in (0.3, 0.5, 0.75, 0.999):
         for dim in (1, 2, 3):
             StableRadialProfile(alpha, dim)

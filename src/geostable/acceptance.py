@@ -16,16 +16,18 @@ from scipy.linalg import expm
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma, k1 as _k1
 
-from .errors import InversionNotIntegrableError, SingularPointError
-from .levy_structure import (Regime, _polar_integral, asymptotic_report, k_radial,
-                             levy_density, verify_selfdecomposable)
+from .errors import InversionNotIntegrableError
+from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
+                             verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  dense_ground_state, energy_form, feynman_kac_estimate,
                                  generator_matrix, irreducibility_cross_term,
                                  kato_diagnostic, solve_ground_state)
 from .stable_kernel import RngStream, _panel_nodes, sample_increment
-from .transition_density import EmpiricalCdf, _density_at_zero, cdf_numeric, density_inversion
+# perfbench/ and the tests import density_gamma_mixture from here
+from .transition_density import (EmpiricalCdf, cdf_numeric, density_gamma_mixture,  # noqa: F401
+                                 density_inversion)
 
 
 @dataclass
@@ -52,28 +54,6 @@ def reference_problem(L: float = 16.0, N: int = 256, c_minus: float = 1.0) -> Sc
     mup = MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0, height=0.5)
     mum = MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0, height=c_minus)
     return SchrodingerProblem(spec, dom, mup, mum)
-
-
-def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
-    """Independent density oracle: p_t(x) = int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds.
-
-    Valid for every t > 0 and x != 0 (unlike Fourier inversion).  The
-    substitution u = s^(-1/alpha)|x| makes it the polar integral of the jump
-    kernel at time t, p_t(x) = t K_t(|x|)/|x|^d (see levy_structure): one
-    log-u grid whose depth follows |x|, plus the incomplete-gamma tail of the
-    power series.  At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there
-    the value is the Beta closed form for t > d/alpha, and p_t(0) = inf is
-    refused with SingularPointError for t <= d/alpha.
-    """
-    xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
-    at_zero = xs == 0.0
-    if at_zero.any() and t <= spec.dim / spec.alpha:
-        raise SingularPointError(
-            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
-    out = np.full(xs.shape, _density_at_zero(spec, t))
-    r = xs[~at_zero]
-    out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
-    return out
 
 
 def gaussian_free_mean(spec: ProcessSpec, t: float) -> float:

@@ -99,9 +99,12 @@ def hartman_wintner_ratio(spec: ProcessSpec, xi_norms):
     """Ratio log(1 + |xi|^alpha) / log(1 + |xi|) per entry, xi > 0.
 
     The ratio tends to the finite value alpha as |xi| -> inf, so the
-    divergence condition sufficient for smooth densities fails here.
+    divergence condition sufficient for smooth densities fails here; an
+    infinite entry gets that limit.
     """
     xi = np.asarray(xi_norms, dtype=float)
     if not np.all(xi > 0):
         raise ConfigError("xi_norms must be strictly positive")
-    return np.log1p(xi ** spec.alpha) / np.log1p(xi)
+    inf = np.isinf(xi)
+    safe = np.where(inf, 1.0, xi)
+    return np.where(inf, spec.alpha, np.log1p(safe ** spec.alpha) / np.log1p(safe))[()]

@@ -80,11 +80,10 @@ def _fourier_rule(kernel: str):
     y_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h, tau_k = k h,
     shifted by h/2 for cos so that M tau_k falls on its zeros, and by h/4 for
     J0, whose zeros lie there only asymptotically.  So the J0 weights do not
-    vanish far out, and g must be negligible there: J0 integrals of
-    p (1 + p^2)^(-1.5) were 1.2e-11 off in absolute terms on r <= 20.  Every
-    kernel loses digits at small r: the alpha = 1.999, d = 3 stable head is
-    5.9e-13 off at r = 1e-3 and 3.5e-9 at r = 1e-5, below every profile knot
-    but 0 (the smallest is 5.0e-3, at alpha = 1.001, d = 3).
+    vanish far out, and g must be negligible there.  Every kernel loses digits
+    at small r: the alpha = 1.999, d = 3 stable head is 5.9e-13 off at
+    r = 1e-3 and 3.5e-9 at r = 1e-5, below every profile knot but 0 (the
+    smallest is 5.0e-3, at alpha = 1.001, d = 3).
     """
     k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
     tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25}[kernel]) * _DE_H
@@ -851,15 +850,15 @@ def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.nda
 
 
 def sample_gamma(t: float, rng: RngStream, size=None):
-    """Gamma(shape t, rate 1) draw(s), valid for every t > 0.
+    """Gamma(shape t, rate 1) draw(s), valid for every finite t > 0.
 
     The draws are correctly rounded floats, so at small t a share of them is
     exactly 0.0: the draws below 2^-1075, of mass about
     (2^-1075)^t / Gamma(1 + t), 5.5% at t = 1/256.  A caller that needs
     log G draws it in log space with `_log_gamma_into`, as the samplers do.
     """
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}")
     n = 1 if size is None else int(size)
     out = rng.gen.gamma(shape=t, scale=1.0, size=n)
     return _maybe_item(out, size)

@@ -1,14 +1,14 @@
-"""Transition density of the subordinated process: Fourier inversion and Monte Carlo.
+"""Transition density of the subordinated process: Fourier inversion, polar integral, Monte Carlo.
 
 Inversion needs an integrable characteristic function f(r) = (1+r^alpha)^(-t),
 i.e. alpha*t > d; the CDF's sine integral of f(r)/r converges for all t > 0.
 These radial integrals use Ooura & Mori's double-exponential rule for Fourier
 integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and no tail
-correction: stable_kernel's `_char_integral`, whose cos, sin and J0 kernels
-also give the 1 < alpha < 2 stable heads.  d = 1 takes cos and d = 3 sin.
-d = 2 composes cosine integrals through J0(z) = (2/pi) int_0^(pi/2) cos(z cos theta) dtheta,
-because the J0 weights do not vanish far out: on the slowly decaying f the
-J0 kernel is 1e-11 off in absolute terms.  At x = 0 it is a Beta function:
+correction: stable_kernel's `_char_integral`, whose kernels also give the
+1 < alpha < 2 stable heads.  d = 1 takes cos and d = 3 sin.  d = 2 takes the
+gamma mixture p_t(x) = t K_t(|x|)/|x|^d (`density_gamma_mixture`, through
+levy_structure's polar integral), valid for every t > 0 and x != 0.  At x = 0
+it is a Beta function:
 p_t(0) = omega_{d-1} (2 pi)^(-d) B(d/alpha, t - d/alpha) / alpha.
 
 Monte Carlo estimation via exact subordinated increments works for every
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import ConfigError, InversionNotIntegrableError, UnsupportedDimensionError
+from .errors import (ConfigError, InversionNotIntegrableError, SingularPointError,
+                     UnsupportedDimensionError)
+from .levy_structure import _polar_integral
 from .process_core import ProcessSpec, inversion_integrable, point_radii
 from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
 
-# step of the d = 2 tanh-sinh rule (321 nodes on |tau| <= 4, past which terms fall below 1e-18)
-_TS_H = 1.0 / 40.0
 # float64 entries of density_mc's working block: 16 MB
 _KDE_BLOCK = 2 ** 21
 # density_mc's d = 1 lattice spacing is bw / _BINS_PER_BW; exp(-z^2 / 2) is 0
@@ -46,19 +46,34 @@ def _density_at_zero(spec: ProcessSpec, t: float) -> float:
     return omega * beta / (a * (2.0 * np.pi) ** d)
 
 
-def _arcsine_rule():
-    """Tanh-sinh nodes u in (0, 1) and weights for int_0^1 c(u) (1-u^2)^(-1/2) du."""
-    tau = np.arange(-round(4.0 / _TS_H), round(4.0 / _TS_H) + 1) * _TS_H
-    v = np.pi * np.sinh(tau)
-    u, one_minus_u = 1.0 / (1.0 + np.exp(-v)), 1.0 / (1.0 + np.exp(v))
-    return u, _TS_H * np.pi * np.cosh(tau) * u * np.sqrt(one_minus_u / (1.0 + u))
+def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
+    """p_t(x) by the gamma mixture int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds, at radii xs.
+
+    Valid for every t > 0 and x != 0 (unlike Fourier inversion).  The
+    substitution u = s^(-1/alpha)|x| makes it the polar integral of the jump
+    kernel at time t, p_t(x) = t K_t(|x|)/|x|^d (see levy_structure): one
+    log-u grid whose depth follows |x|, plus the incomplete-gamma tail of the
+    power series.  At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there
+    the value is the Beta closed form for t > d/alpha, and p_t(0) = inf is
+    refused with SingularPointError for t <= d/alpha.
+    """
+    xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
+    at_zero = xs == 0.0
+    if at_zero.any() and t <= spec.dim / spec.alpha:
+        raise SingularPointError(
+            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
+    out = np.full(xs.shape, _density_at_zero(spec, t))
+    r = xs[~at_zero]
+    out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
+    return out
 
 
 def density_inversion(spec: ProcessSpec, t: float, x):
     """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t); needs t > d/alpha.
 
-    One point gives a float, and a batch (see point_radii) an array whose
-    values are bit-equal to their single-point values.
+    d = 2 takes density_gamma_mixture, which needs alpha >= 0.3.  One point
+    gives a float, and a batch (see point_radii) an array whose values are
+    bit-equal to their single-point values.
     """
     if spec.dim > 3:
         raise UnsupportedDimensionError(
@@ -72,12 +87,10 @@ def density_inversion(spec: ProcessSpec, t: float, x):
     out = np.full(r.size, _density_at_zero(spec, t))
     if d == 1:
         out[r > 0] = _char_integral("cos", 0, a, t, rp) / np.pi
-    elif d == 3:
+    elif d == 2:
+        out[r > 0] = density_gamma_mixture(spec, t, rp)
+    else:
         out[r > 0] = _char_integral("sin", 1, a, t, rp) / (2.0 * np.pi ** 2 * rp)
-    else:  # p = pi^(-2) int_0^1 C(r u) (1-u^2)^(-1/2) du, C the cos integral of p f(p)
-        u, wu = _arcsine_rule()
-        c = _char_integral("cos", 1, a, t, np.multiply.outer(rp, u).ravel())
-        out[r > 0] = (c.reshape(rp.size, u.size) * wu).sum(axis=1) / np.pi ** 2
     # far tails are accurate to about 1e-16 in absolute terms, so rounding can dip below 0
     out[(out < 0) & (out > -1e-8)] = 0.0
     return float(out[0]) if point else out
@@ -258,7 +271,8 @@ class DensityTable:
                 raise ValueError(f"tabulated mass {mass} exceeds 1 + 1e-3")
 
     def header(self) -> dict:
-        inversion = self.method == "Inversion"
+        # d = 2 values come from the polar integral, which no cos rule computes
+        inversion = self.method == "Inversion" and self.spec.dim != 2
         return {
             "alpha": self.spec.alpha,
             "dim": self.spec.dim,

@@ -1,14 +1,15 @@
 """Properties of the batched double-exponential inversion routes.
 
 A point's value must not depend on the rest of its batch, and halving the
-steps of the Fourier and angle rules must leave every value in place.
+steps of the Fourier rule and of the polar integral's log-u panels (the
+d = 2 route) must leave every value in place.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geostable.stable_kernel as sk
-import geostable.transition_density as td
+import geostable.levy_structure as ls
 from geostable import ProcessSpec, cdf_numeric, density_inversion
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -54,7 +55,7 @@ def test_halving_the_steps_moves_no_value(case, rs, rnd):
     f = cdf_numeric(spec, margin, pts) if dim == 1 else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sk, "_DE_H", sk._DE_H / 2.0)
-        mp.setattr(td, "_TS_H", td._TS_H / 2.0)
+        mp.setattr(ls, "_LOG_PANEL", ls._LOG_PANEL / 2.0)
         assert np.max(np.abs(density_inversion(spec, t, pts) - p)) <= 1e-12
         if dim == 1:
             assert np.max(np.abs(cdf_numeric(spec, margin, pts) - f)) <= 1e-12

@@ -58,6 +58,7 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
                                     0.0, math.inf, 2, math.inf, gs.RngStream(1)),
     lambda: gs.polar_levy_mass(_S, 0.1, math.inf),
     lambda: gs.verify_selfdecomposable(_S, 1.0, [0.1, math.inf]),
+    lambda: gs.sample_gamma(math.inf, gs.RngStream(1)),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
@@ -65,7 +66,7 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
         "density_mc_wide_grid", "density_mc_flat_grid_2d", "GridDomain_inf",
         "sample_increment_inf", "density_inversion_inf", "inversion_table_inf", "density_mc_inf",
         "kato_diagnostic_inf", "feynman_kac_inf", "feynman_kac_inf_dt", "polar_levy_mass_inf",
-        "verify_selfdecomposable_inf"])
+        "verify_selfdecomposable_inf", "sample_gamma_inf"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -141,6 +142,9 @@ def test_hartman_wintner_ratio_limits():
     assert abs(hartman_wintner_ratio(ProcessSpec(1.0, 1), [1.0])[0] - 1.0) < 1e-15
     assert abs(hartman_wintner_ratio(ProcessSpec(2.0, 1), [1e6])[0] - 2.0) < 1e-4
     assert abs(hartman_wintner_ratio(ProcessSpec(0.5, 1), [1e8])[0] - 0.5) < 1e-4
+    # the limit itself, without the RuntimeWarning of inf / inf
+    got = hartman_wintner_ratio(ProcessSpec(1.5, 1), [1e3, math.inf])
+    assert got[1] == 1.5 and abs(got[0] - 1.5) < 1e-3
 
 
 def test_hartman_wintner_ratio_bounded_and_monotone_toward_alpha():

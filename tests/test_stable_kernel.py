@@ -15,10 +15,11 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        sample_increment, sample_stable, stable_density,
                        stable_density_radial)
 from geostable import stable_kernel as sk
-from geostable.acceptance import density_gamma_mixture
-from geostable.stable_kernel import (StableRadialProfile, _cms_into, _inversion_head,
-                                     _log_gamma_into, _log_positive_stable_into, _mixture_head,
-                                     _panel_nodes, _walk_into, _walk_screen, q1_at_zero)
+from geostable.stable_kernel import (StableRadialProfile, _cms_into, _envelope_columns,
+                                     _inversion_head, _log_gamma_into, _log_positive_stable_into,
+                                     _mixture_head, _panel_nodes, _walk_into, _walk_screen,
+                                     q1_at_zero)
+from geostable.transition_density import density_gamma_mixture
 
 
 def _fourier_head(alpha, dim, u):
@@ -282,6 +283,44 @@ def test_every_supported_alpha_validates_its_tail():
     for alpha in alphas:
         for dim in (1, 2, 3):
             assert StableRadialProfile(alpha, dim).tail_relerr < 3e-9, (alpha, dim)
+
+
+def _fractional_moment(alpha, dim, p):
+    """E|Z|^p = |S^(d-1)| int_0^inf u^(d-1+p) q_1(u) du from the radial profile.
+
+    Gauss-Legendre(10) on 60 geometric panels over [1e-14 s, s] (s the
+    spline's scale; they resolve the u^p cusp at 0), 400 panels uniform in
+    asinh(u/s) up to tail_start and 300 geometric ones up to
+    R = tail_start 1000^(1/alpha).  Past R, the series term by term,
+    int_R^inf u^(d-1+p) c_k u^(-d-k alpha) du = c_k R^(p-k alpha)/(k alpha - p),
+    cut at the first growth of its envelope.
+    """
+    prof = radial_profile(alpha, dim)
+    s, u0 = prof._scale, prof.tail_start
+    big = u0 * 1000.0 ** (1.0 / alpha)
+    edges = np.concatenate([np.geomspace(1e-14 * s, s, 61),
+                            s * np.sinh(np.linspace(math.asinh(1.0), math.asinh(u0 / s), 401))[1:],
+                            np.geomspace(u0, big, 301)[1:]])
+    u, w = _panel_nodes(edges)
+    head = (u ** (dim - 1 + p) * prof.density(u)) @ w
+    nz = np.flatnonzero(prof.coeffs)
+    c, k = prof.coeffs[nz], nz + 1.0
+    terms = c * big ** (p - k * alpha) / (k * alpha - p)
+    env = np.abs(terms)[_envelope_columns(c, k)]
+    growth = np.flatnonzero(env[1:] > env[:-1])
+    tail = terms[:growth[0] + 1 if growth.size else k.size].sum()
+    return 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0) * (head + tail)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.999, 1.001, 1.3, 1.5, 1.8, 1.9, 1.99, 1.999])
+def test_profile_fractional_moments_match_closed_form(alpha):
+    # E|Z|^p = 2^p Gamma((d+p)/2) Gamma(1-p/alpha) / (Gamma(d/2) Gamma(1-p/2)), 0 < p < alpha:
+    # one closed-form check of the spline, its head and its series together
+    for dim in (1, 2, 3):
+        for p in (alpha / 4, alpha / 2, 3 * alpha / 4):
+            want = (2.0 ** p * gamma((dim + p) / 2.0) * gamma(1.0 - p / alpha)
+                    / (gamma(dim / 2.0) * gamma(1.0 - p / 2.0)))
+            assert abs(_fractional_moment(alpha, dim, p) / want - 1.0) < 1e-9, (dim, p)
 
 
 def test_rng_determinism_and_split():

@@ -8,8 +8,11 @@ from scipy.special import kv
 
 from geostable import (ConfigError, EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
                        RngStream, cdf_numeric, density_inversion, density_mc,
-                       inversion_table, sample_increment)
-from geostable.acceptance import density_gamma_mixture, gridded_cdf
+                       inversion_integrable, inversion_table, sample_increment)
+from geostable.acceptance import gridded_cdf
+from geostable.levy_structure import surface_measure
+from geostable.stable_kernel import _panel_nodes
+from geostable.transition_density import density_gamma_mixture
 
 
 def laplace_cdf(v):
@@ -96,15 +99,57 @@ def test_inversion_symmetry_and_unimodality():
 
 
 def test_inversion_multidimensional_matches_mixture():
-    for dim in (2, 3):
-        spec = ProcessSpec(1.5, dim)
-        t = 2.5 if dim == 3 else 1.8
-        for r in (0.0, 0.5, 2.0):
-            x = np.zeros(dim)
-            x[0] = r
-            got = density_inversion(spec, t, x)
-            want = density_gamma_mixture(spec, t, [r])[0]
-            assert abs(got / want - 1.0) < 1e-7, (dim, r, got, want)
+    spec, t = ProcessSpec(1.5, 3), 2.5
+    for r in (0.0, 0.5, 2.0):
+        got = density_inversion(spec, t, np.array([r, 0.0, 0.0]))
+        want = density_gamma_mixture(spec, t, [r])[0]
+        assert abs(got / want - 1.0) < 1e-7, (r, got, want)
+
+
+def _projected(spec, t, x):
+    """p^(1)(x) = |S^(d-2)| int_0^inf v^(d-2) p^(d)(sqrt(x^2 + v^2)) dv.
+
+    The first coordinate of the d-dimensional law is the one-dimensional law.
+    p^(d) is density_inversion where t > d/alpha and density_gamma_mixture
+    below; Gauss-Legendre(10) on 4 geometric panels a decade of v in
+    [1e-6, 1e8], with p^(d) taken as constant on [0, 1e-6].
+    """
+    d = spec.dim
+    v, w = _panel_nodes(np.geomspace(1e-6, 1e8, 14 * 4 + 1))
+    r = np.sqrt(x[:, None] ** 2 + v ** 2)
+    if inversion_integrable(spec, t):
+        p = density_inversion(spec, t, np.c_[r.ravel(), np.zeros((r.size, d - 1))])
+    else:
+        p = density_gamma_mixture(spec, t, r.ravel())
+    near = density_gamma_mixture(spec, t, x) * 1e-6 ** (d - 1) / (d - 1)
+    return surface_measure(d - 1) * (near + (p.reshape(r.shape) * v ** (d - 2) * w).sum(axis=1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha, t", [(1.5, 1.0), (1.5, 3.0), (0.7, 2.0), (1.99, 0.8),
+                                      (1.0, 2.5), (0.5, 4.5), (2.0, 1.05)])
+def test_density_projects_onto_one_dimensional_inversion(dim, alpha, t):
+    # the d = 1 cos rule shares no code with the polar integral (d = 2) or the sin rule (d = 3)
+    x = np.array([0.05, 0.3, 1.0, 3.0])
+    want = density_inversion(ProcessSpec(alpha, 1), t, x)
+    assert np.max(np.abs(_projected(ProcessSpec(alpha, dim), t, x) / want - 1.0)) < 1e-9
+
+
+def test_d2_density_refuses_alpha_below_profile_floor():
+    # the polar integral needs the stable profile, which starts at alpha = 0.3
+    for x in ([1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ConfigError, match="alpha >= 0.3"):
+            density_inversion(ProcessSpec(0.2, 2), 11.0, x)
+
+
+def test_inversion_header_names_the_cos_rule_only_where_it_ran():
+    for dim, t in ((1, 1.0), (2, 2.0), (3, 3.0)):
+        grid = np.linspace(0.0, 2.0, 5) if dim == 1 else np.eye(dim)
+        head = inversion_table(ProcessSpec(1.5, dim), t, grid).header()
+        if dim == 2:
+            assert head["quadrature_h"] is None and head["quadrature_nodes"] is None
+        else:
+            assert head["quadrature_h"] == 1.0 / 80.0 and head["quadrature_nodes"] == 681
 
 
 def test_inversion_table_mass_and_monotone_grid():

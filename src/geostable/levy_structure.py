@@ -33,7 +33,7 @@ from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
 from .process_core import ProcessSpec, point_radii
-from .stable_kernel import _envelope_columns, _panel_nodes, radial_profile
+from .stable_kernel import _envelope_columns, _panel_nodes, _series_cut, radial_profile
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -96,15 +96,8 @@ def _head_grid(prof, n_panels):
     return u, prof.alpha * u ** (prof.dim - 1) * prof.density(u.ravel()).reshape(u.shape) * w
 
 
-def _tail_sum(prof, t, r, head):
-    """Tail of Gamma(1+t) K_t beyond tail_start, each row cut like its scalar series.
-
-    Row i keeps its nonzero-coefficient terms up to the first one whose
-    magnitude envelope grows (asymptotic breakdown; a nearly vanishing
-    coefficient reads as its last regular neighbour, see _envelope_columns)
-    or that is not finite, and stops after the first envelope below 1e-15 of
-    the running total head + tail.
-    """
+def _tail_sum(prof, t, r):
+    """Tail of Gamma(1+t) K_t beyond tail_start, each row cut by _series_cut as q_1's series is."""
     a = prof.alpha
     nz = np.flatnonzero(prof.coeffs)
     if nz.size == 0:
@@ -114,13 +107,7 @@ def _tail_sum(prof, t, r, head):
     with np.errstate(all="ignore"):
         terms = (prof.coeffs[nz] * r[:, None] ** (-k * a)
                  * _gammainc(k + t, w_hi[:, None]) * _gamma(k + t))
-        mag = np.abs(terms)[:, _envelope_columns(prof.coeffs[nz], k)]
-        partial = np.cumsum(terms, axis=1)
-        stop = ~np.isfinite(terms)
-        stop[:, 1:] |= mag[:, 1:] > mag[:, :-1]
-        stop[:, 1:] |= mag[:, :-1] < 1e-15 * np.abs(head[:, None] + partial[:, :-1])
-    n_keep = np.where(stop.any(axis=1), np.argmax(stop, axis=1), k.size)
-    return np.where(n_keep > 0, partial[np.arange(r.size), np.maximum(n_keep - 1, 0)], 0.0)
+    return _series_cut(terms, _envelope_columns(prof.coeffs[nz], k))[0]
 
 
 def _polar_integral(spec: ProcessSpec, t: float, r):
@@ -155,7 +142,7 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
             panel = np.multiply(np.exp(z, out=z), g[None, :m], out=z).sum(axis=2)
             head[idx] = np.cumsum(panel, axis=1)[np.arange(idx.size), n_panels[idx] - 1]
             start += idx.size
-    out = (head + _tail_sum(prof, t, flat, head)) / _gamma(1.0 + t)
+    out = (head + _tail_sum(prof, t, flat)) / _gamma(1.0 + t)
     return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
 
 

@@ -39,6 +39,13 @@ def _maybe_scalar(arr, scalar_input):
     return float(arr) if scalar_input else arr
 
 
+def _log1p_power(xi, alpha):
+    """log(1 + xi^alpha) for xi >= 0, as alpha log xi + log1p(xi^-alpha) past 1: no overflow."""
+    big = np.where(xi > 1.0, xi, 1.0)
+    return np.where(xi > 1.0, alpha * np.log(big) + np.log1p(big ** -alpha),
+                    np.log1p(np.minimum(xi, 1.0) ** alpha))
+
+
 def point_radii(spec: ProcessSpec, x):
     """Norms of one point or a batch of points, and whether x was one point.
 
@@ -65,18 +72,14 @@ def symbol(spec: ProcessSpec, xi_norm):
     xi = np.asarray(xi_norm, dtype=float)
     if not np.all(xi >= 0):
         raise ConfigError("xi_norm must be nonnegative")
-    return _maybe_scalar(np.log1p(xi ** spec.alpha), scalar)
+    return _maybe_scalar(_log1p_power(xi, spec.alpha), scalar)
 
 
 def char_function(spec: ProcessSpec, t: float, xi_norm):
     """Characteristic function (1 + |xi|^alpha)^(-t) of the time-t marginal."""
     if not t > 0:
         raise ConfigError(f"t must be positive, got {t}")
-    scalar = np.isscalar(xi_norm)
-    xi = np.asarray(xi_norm, dtype=float)
-    if not np.all(xi >= 0):
-        raise ConfigError("xi_norm must be nonnegative")
-    return _maybe_scalar(np.exp(-t * np.log1p(xi ** spec.alpha)), scalar)
+    return _maybe_scalar(np.exp(-t * symbol(spec, xi_norm)), np.isscalar(xi_norm))
 
 
 def classify_recurrence(spec: ProcessSpec) -> RecurrenceClass:
@@ -107,4 +110,4 @@ def hartman_wintner_ratio(spec: ProcessSpec, xi_norms):
         raise ConfigError("xi_norms must be strictly positive")
     inf = np.isinf(xi)
     safe = np.where(inf, 1.0, xi)
-    return np.where(inf, spec.alpha, np.log1p(safe ** spec.alpha) / np.log1p(safe))[()]
+    return np.where(inf, spec.alpha, _log1p_power(safe, spec.alpha) / np.log1p(safe))[()]

@@ -16,12 +16,15 @@ dense eigensolve of the same pencil in the real Fourier modes is the check.
 
 The energy form has two faces: the multiplier, and the Beurling-Deny double
 sum over node pairs with the periodized jump kernel j_per(z) = sum_m j(z + 2Lm).
-The double sum is a circulant too, with symbol h sum_l j_per(l h) (1 - cos(xi_k l h)),
-one FFT of the lag table.  In the continuum the two coincide: cos(xi_k z) is
-2L-periodic, so the periodized kernel reproduces the multiplier exactly.
+At lag l h it is the folded lattice sum of j(n h) over n = +-l mod N, with the
+outermost period at half weight.  The double sum is a circulant too, with symbol
+h sum_l j_per(l h) (1 - cos(xi_k l h)), one FFT of the lag table.  In the
+continuum the two coincide: cos(xi_k z) is 2L-periodic, so the periodized
+kernel reproduces the multiplier exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -164,39 +167,31 @@ class SchrodingerProblem:
 # ---------------------------------------------------------------------------
 # torus symbols: every operator is a real symbol applied by one FFT
 
-_JLAG_CACHE: dict = {}
-# 2L images folded into j_per on each side of a lag
-_FOLD_M = 64
+# lattice radii n h, n < _FOLD_ROWS N, folded into j_per
+_FOLD_ROWS = 65
 
 
-def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain, fold_m: int) -> np.ndarray:
-    """j_per at lag displacements lag*h, lag = 1..N-1, folded over 2L images."""
-    key = (spec.alpha, domain.L, domain.N, fold_m)
-    cached = _JLAG_CACHE.get(key)
-    if cached is not None:
-        return cached
-    h, L, N = domain.h, domain.L, domain.N
-    r_min = h / 4.0
-    r_max = 2.0 * L * (fold_m + 1)
-    nodes = np.geomspace(r_min, r_max, 1400)
+@functools.cache
+def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain) -> np.ndarray:
+    """Read-only, exactly even table J_l = j_per(l h), l = 0..N-1, with J_0 = 0.
+
+    Every image radius |l h + 2Lm| is some n h, so the images fold modulo N:
+    F_l = sum_k j((l + kN) h) over k < _FOLD_ROWS, the last row at weight 1/2,
+    and J_l = F_l + F_(N-l).  j is a log-log spline of k_radial on 1400 radii.
+    """
+    h, N = domain.h, domain.N
+    nodes = np.geomspace(h / 4.0, _FOLD_ROWS * N * h, 1400)
     jv = k_radial(spec, nodes) / nodes  # dim = 1
     keep = jv > 1e-290
     spline = CubicSpline(np.log(nodes[keep]), np.log(jv[keep]))
-    log_hi = np.log(nodes[keep][-1])
-
-    def j_of(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        ok = np.log(r) <= log_hi
-        out[ok] = np.exp(spline(np.log(r[ok])))
-        return out
-
-    lags = np.arange(1, N)
-    z = lags * h
-    offsets = 2.0 * L * np.arange(-fold_m, fold_m + 1)
-    radii = np.abs(z[:, None] + offsets[None, :])
-    jlag = j_of(radii).sum(axis=1)
-    _JLAG_CACHE[key] = jlag
+    log_r = np.log(h * np.arange(1, _FOLD_ROWS * N))
+    inside = log_r <= np.log(nodes[keep][-1])  # j is 0 beyond the last kept node
+    jn = np.zeros(_FOLD_ROWS * N)
+    jn[1:][inside] = np.exp(spline(log_r[inside]))
+    rows = jn.reshape(_FOLD_ROWS, N)
+    fold = rows[:-1].sum(axis=0) + 0.5 * rows[-1]
+    jlag = np.append(0.0, fold[1:] + fold[:0:-1])
+    jlag.flags.writeable = False
     return jlag
 
 
@@ -207,7 +202,9 @@ def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier",
     'multiplier' is log(1 + xi_k^alpha).  'jump_kernel' is the Fourier image of
     the double sum 0.5 h^2 sum_{i,l} J_l (u_i - u_{i+l})(v_i - v_{i+l}),
     S_k = h (sum_l J_l - Re Jhat_k), with J_l = j_per(l h) at lags l = 1..N-1,
-    J_0 = 0 and Jhat = rfft(J); S_0 = 0 exactly.  near_diagonal='patch'
+    J_0 = 0 and Jhat = rfft(J); S_0 = 0 exactly.  j_per folds j(n h) over
+    n = +-l mod N, the outermost period at half weight, so J_l = J_(N-l) and
+    Jhat is real.  near_diagonal='patch'
     replaces the |x_i - x_l| < 2h band by the small-displacement integral of
     the kernel's 1/|z| asymptote, int_{|z|<2h} 0.5 (c0/|z|) z^2 dz = 2 c0 h^2,
     on one-sided differences: J_1 = J_{N-1} = 2 c0 / h.  'lattice' keeps the
@@ -219,8 +216,9 @@ def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier",
     if method != "jump_kernel":
         raise ValueError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
     h = problem.domain.h
-    jlag = np.concatenate([[0.0], _periodized_jump_lags(problem.spec, problem.domain, _FOLD_M)])
+    jlag = _periodized_jump_lags(problem.spec, problem.domain)
     if near_diagonal == "patch":
+        jlag = jlag.copy()
         jlag[1] = jlag[-1] = 2.0 * small_x_constant(problem.spec) / h
     elif near_diagonal != "lattice":
         raise ValueError(f"near_diagonal must be 'patch' or 'lattice', got {near_diagonal!r}")
@@ -283,9 +281,9 @@ def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
     b = np.where(mask, 0.0, u)
     cross = energy_form(problem, a, b, method="jump_kernel", near_diagonal="lattice")
     h = problem.domain.h
-    jlag = _periodized_jump_lags(problem.spec, problem.domain, _FOLD_M)
-    # sum_i a_i (b_{i+l} + b_{i-l}) / 2 at lags l = 1..N-1
-    corr = np.fft.irfft((np.conj(np.fft.rfft(a)) * np.fft.rfft(b)).real, n=N)[1:]
+    jlag = _periodized_jump_lags(problem.spec, problem.domain)
+    # sum_i a_i (b_{i+l} + b_{i-l}) / 2 at lags l = 0..N-1
+    corr = np.fft.irfft((np.conj(np.fft.rfft(a)) * np.fft.rfft(b)).real, n=N)
     direct = -h * h * float(jlag @ corr)
     scale = max(abs(cross), abs(direct), 1e-300)
     if abs(cross - direct) > 1e-10 * scale and scale > 1e-280:

@@ -234,22 +234,30 @@ def _envelope_columns(c_nz, k_nz):
     return np.maximum.accumulate(np.where(dip, 0, np.arange(k_nz.size)))
 
 
+def _series_cut(terms, env_cols):
+    """Row sums of series terms up to the first growth of the envelope |terms|[:, env_cols].
+
+    A term that is not finite also counts as growth (see _envelope_columns for
+    the dips that do not).  Returns the sums, 0 where no term is kept, and the
+    envelope of the last kept term, inf where none is.
+    """
+    env = np.abs(terms)[:, env_cols]
+    stop = ~np.isfinite(terms)
+    stop[:, 1:] |= env[:, 1:] > env[:, :-1]
+    n_keep = np.where(stop.any(axis=1), np.argmax(stop, axis=1), terms.shape[1])
+    rows = np.arange(terms.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # sums past a non-finite term
+        sums = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[rows, n_keep]
+    return sums, np.pad(env, ((0, 0), (1, 0)), constant_values=np.inf)[rows, n_keep]
+
+
 def _series_block(alpha, dim, u, c_nz, k_nz, env_cols):
     with np.errstate(under="ignore"):
         terms = c_nz[None, :] * u[:, None] ** (-dim - k_nz[None, :] * alpha)
     if terms.shape[1] == 1:
-        vals = terms[:, 0]
-        errs = np.full(u.shape, 1e-16)
-        return vals, errs
-    # a dip neither ends the sum nor sets its error
-    env = np.abs(terms)[:, env_cols]
-    growing = env[:, 1:] > env[:, :-1]
-    any_growth = growing.any(axis=1)
-    cut = np.where(any_growth, np.argmax(growing, axis=1), env.shape[1] - 1)
-    rows = np.arange(u.size)
-    vals = np.cumsum(terms, axis=1)[rows, cut]
-    errs = np.where(vals != 0.0, env[rows, cut] / np.abs(vals), np.inf)
-    return vals, errs
+        return terms[:, 0], np.full(u.shape, 1e-16)
+    vals, last = _series_cut(terms, env_cols)
+    return vals, np.where(vals != 0.0, last / np.abs(vals), np.inf)
 
 
 def _series_batch(alpha, dim, u, coeffs):

@@ -157,6 +157,21 @@ def test_hartman_wintner_ratio_bounded_and_monotone_toward_alpha():
         assert np.all(np.diff(gaps) < 0)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0])
+@pytest.mark.parametrize("xi", [1e200, 1e300])
+def test_log_symbol_does_not_overflow(alpha, xi):
+    # xi^alpha overflows at xi = 1e200, alpha = 2; log(1 + xi^alpha) does not, and
+    # the suite turns the RuntimeWarning of an overflow into an error
+    spec = ProcessSpec(alpha, 1)
+    want = alpha * math.log(xi)
+    psi = symbol(spec, xi)
+    phi = char_function(spec, 0.5, np.array([xi]))[0]
+    ratio = hartman_wintner_ratio(spec, [xi, math.inf])
+    assert abs(psi / want - 1.0) < 1e-15
+    assert abs(phi - math.exp(-0.5 * want)) <= 1e-13 * math.exp(-0.5 * want)
+    assert abs(ratio[0] - alpha) < 1e-15 and ratio[1] == alpha
+
+
 def test_small_frequency_symbol_ratio():
     # psi(xi)/|xi|^alpha -> 1 at the origin; deviation is ~ xi^alpha / 2
     for alpha in (1.5, 2.0):

@@ -12,7 +12,7 @@ from geostable import (ConfigError, GridDomain, MeasureOnGrid, ProcessSpec,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
 from geostable.acceptance import gaussian_free_mean, killed_oracle, reference_problem
-from geostable.levy_structure import small_x_constant
+from geostable.levy_structure import k_radial, small_x_constant
 from geostable import schrodinger_ground
 from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
 
@@ -160,6 +160,22 @@ def test_jump_symbol_matches_multiplier_mode_by_mode(alpha):
         assert np.max(np.abs(got / want - 1.0)) < 1e-2, near
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("L, N", [(4.0, 64), (16.0, 256)])
+def test_jump_lags_match_spline_free_image_sum(alpha, L, N):
+    # j_per(l h) = sum_m w_m j(|l + m N| h) over m = -65..64, the two end images
+    # at half weight, with j = k_radial(r)/r itself instead of its spline
+    spec, dom = ProcessSpec(alpha, 1), GridDomain(L, N)
+    m = np.arange(-65, 65)
+    w = np.where((m == -65) | (m == 64), 0.5, 1.0)
+    r = np.abs(np.arange(1, N)[:, None] + N * m[None, :]) * dom.h
+    want = (w * k_radial(spec, r) / r).sum(axis=1)
+    jlag = _periodized_jump_lags(spec, dom)
+    assert jlag[0] == 0.0 and not jlag.flags.writeable
+    assert np.array_equal(jlag[1:], jlag[:0:-1])
+    assert np.max(np.abs(jlag[1:] / want - 1.0)) < 1e-9
+
+
 def test_jump_energy_pinned():
     dom = GridDomain(16.0, 1024)
     u = np.exp(-dom.nodes() ** 2)
@@ -185,7 +201,7 @@ def test_jump_form_properties(alpha, near, u, v, c):
     assert abs(e(const, v)) <= tol * (1.0 + abs(c))
     assert abs(e(const, const)) <= 1e-12 * (1.0 + c * c)
     # the Beurling-Deny double sum over node pairs, 0.5 h^2 sum_{i,m} J (u_i - u_m)(v_i - v_m)
-    jlag = np.concatenate([[0.0], _periodized_jump_lags(p.spec, p.domain, 64)])
+    jlag = _periodized_jump_lags(p.spec, p.domain).copy()
     if near == "patch":
         jlag[1] = jlag[-1] = 2.0 * small_x_constant(p.spec) / h
     i = np.arange(N)

@@ -21,9 +21,9 @@ from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
-                                 dense_ground_state, energy_form, feynman_kac_estimate,
-                                 generator_matrix, irreducibility_cross_term,
-                                 kato_diagnostic, solve_ground_state)
+                                 _periodized_jump_lags, dense_ground_state, energy_form,
+                                 feynman_kac_estimate, generator_matrix,
+                                 irreducibility_cross_term, kato_diagnostic, solve_ground_state)
 from .stable_kernel import RngStream, _panel_nodes, sample_increment
 # perfbench/ and the tests import density_gamma_mixture from here
 from .transition_density import (EmpiricalCdf, cdf_numeric, density_gamma_mixture,  # noqa: F401
@@ -318,23 +318,34 @@ def check_feynman_kac(seed: int = 2024) -> CheckResult:
 
 
 def check_cross_term(seed: int = 5150) -> CheckResult:
-    """11: double-sum identity to 1e-10 and strict negativity on 20 random subsets."""
+    """11: on 20 random subsets, strictly negative and equal to the plain double sum to 1e-12.
+
+    The double sum -h^2 sum_{i in A, l not in A} u_i u_l J_((i - l) mod N) runs
+    over node pairs, with no FFT.
+    """
     t0 = time.perf_counter()
     prob = reference_problem()
+    N, h = prob.domain.N, prob.domain.h
+    jlag = _periodized_jump_lags(prob.spec, prob.domain)
+    kern = jlag[np.subtract.outer(np.arange(N), np.arange(N)) % N]
     rng = np.random.default_rng(seed)
-    u = np.ones(prob.domain.N)
-    worst = 0.0
+    u = np.ones(N)
+    worst, gap = 0.0, 0.0
     for _ in range(20):
-        size = int(rng.integers(1, prob.domain.N))
-        subset = rng.choice(prob.domain.N, size=size, replace=False)
-        cross = irreducibility_cross_term(prob, subset, u)  # identity asserted inside
-        if cross >= 0:
+        size = int(rng.integers(1, N))
+        subset = rng.choice(N, size=size, replace=False)
+        cross = irreducibility_cross_term(prob, subset, u)
+        inside = np.zeros(N, dtype=bool)
+        inside[subset] = True
+        double = -h * h * float(u[inside] @ kern[np.ix_(inside, ~inside)] @ u[~inside])
+        gap = max(gap, abs(cross / double - 1.0))
+        if not (cross < 0 and gap <= 1e-12):
             return _result("cross-term-identity", t0, False,
-                           f"cross term {cross} not strictly negative for |A|={size}")
+                           f"|A|={size}: cross term {cross!r}, double sum {double!r}")
         worst = min(worst, cross)
     return _result("cross-term-identity", t0, True,
                    f"20 subsets strictly negative (most negative {worst:.3f}); "
-                   "1e-10 identity asserted per call")
+                   f"largest gap to the double sum {gap:.1e} <= 1e-12")
 
 
 def check_kato(seed: int = 0) -> CheckResult:

@@ -222,13 +222,10 @@ def _cmd_levy(cfg, out):
 
 
 def _cmd_kfun(cfg, out):
-    # k_radial has no t, so t is checked here
-    if not cfg["t"] > 0:
-        raise ConfigError(f"t must be positive, got {cfg['t']}")
-    rs = _grid(cfg, geometric=True)
-    k = k_radial(ProcessSpec(cfg["alpha"], cfg["dim"]), rs)
+    table = verify_selfdecomposable(ProcessSpec(cfg["alpha"], cfg["dim"]), cfg["t"],
+                                    _grid(cfg, geometric=True))
     path = out / "kfunction.csv"
-    _write_csv(path, ["r", "k_value"], zip(rs, cfg["t"] * k))
+    _write_csv(path, ["r", "k_value"], zip(table.r_grid, table.values))
     print(path)
     return [path]
 

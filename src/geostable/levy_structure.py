@@ -20,7 +20,11 @@ series, to lower incomplete gamma functions:
     alpha int_U^inf u^(d-1) [c_k u^(-d-k a)] (r/u)^(a t) e^(-(r/u)^a) du
         = c_k r^(-k a) gamma(k+t, (r/U)^a) ,
 
-with gamma the lower incomplete gamma function, Gamma(k+t) P(k+t, .).
+with gamma the lower incomplete gamma function, Gamma(k+t) P(k+t, .).  It is
+summed by q_1's own series route, stable_kernel's `_series_rows`: every row
+sums its nonzero terms up to the first growth of their envelope.  Head and
+tail both run in blocks of at most _PAIR_BLOCK (radius, node or term) pairs,
+so memory stays bounded, whatever the number of radii.
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
-from .process_core import ProcessSpec, point_radii
-from .stable_kernel import _envelope_columns, _panel_nodes, _series_cut, radial_profile
+from .process_core import ProcessSpec, point_radii, positive_time
+from .stable_kernel import _PAIR_BLOCK, _panel_nodes, _series_rows, radial_profile
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -42,8 +46,6 @@ _EXP_FLOOR = 690.0
 _LOG_PANEL = 0.05
 # relative rise between neighbours that the monotonicity certificate forgives
 _MONOTONE_SLACK = 1e-12
-# head nodes per radius block: one (radii x nodes) float array stays near 2 MB
-_BLOCK_ELEMS = 2 ** 18
 
 
 def surface_measure(dim: int) -> float:
@@ -97,17 +99,10 @@ def _head_grid(prof, n_panels):
 
 
 def _tail_sum(prof, t, r):
-    """Tail of Gamma(1+t) K_t beyond tail_start, each row cut by _series_cut as q_1's series is."""
-    a = prof.alpha
-    nz = np.flatnonzero(prof.coeffs)
-    if nz.size == 0:
-        return np.zeros_like(r)
-    k = (nz + 1).astype(float)
-    w_hi = (r / prof.tail_start) ** a
-    with np.errstate(all="ignore"):
-        terms = (prof.coeffs[nz] * r[:, None] ** (-k * a)
-                 * _gammainc(k + t, w_hi[:, None]) * _gamma(k + t))
-    return _series_cut(terms, _envelope_columns(prof.coeffs[nz], k))[0]
+    """Tail of Gamma(1+t) K_t beyond tail_start: q_1's series, term by term, by _series_rows."""
+    a, u0 = prof.alpha, prof.tail_start
+    return _series_rows(lambda x, c, k: c * x ** (-k * a) * _gammainc(k + t, (x / u0) ** a)
+                        * _gamma(k + t), r, prof.coeffs)[0]
 
 
 def _polar_integral(spec: ProcessSpec, t: float, r):
@@ -117,7 +112,7 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
     fixed order, so its value does not depend on the batch.  The grid stops
     where w = (r/u)^alpha reaches the larger root of w - t log w = 690, past
     which w^t e^(-w) < e^(-690); t = 0 skips the log pass of w^t.  Radii run
-    sorted, in place, in blocks of at most _BLOCK_ELEMS (radius, node) pairs.
+    sorted, in place, in blocks of at most _PAIR_BLOCK (radius, node) pairs.
     """
     r_arr = np.asarray(r, dtype=float)
     flat = r_arr.ravel()
@@ -136,7 +131,7 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
         start = 0
         while start < order.size:
             m = n_panels[order[start]]
-            idx = order[start:start + max(1, _BLOCK_ELEMS // u[:m].size)]
+            idx = order[start:start + max(1, _PAIR_BLOCK // u[:m].size)]
             z = flat[idx, None, None] / u[None, :m]  # r/u, then log(w^t e^(-w))
             z = t * a * np.log(z) - z ** a if t else np.negative(z ** a, out=z)
             panel = np.multiply(np.exp(z, out=z), g[None, :m], out=z).sum(axis=2)
@@ -183,7 +178,11 @@ def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:
 
 @dataclass
 class KFunctionTable:
-    """Tabulated t*k(r) with its monotonicity certificate."""
+    """Tabulated t*k(r) with its monotonicity certificate.
+
+    Values are finite and nonnegative: k(r) is positive, but rounds to 0.0 where
+    it underflows (e^(-r) past r ~ 745 at alpha = 2).
+    """
 
     spec: ProcessSpec
     r_grid: np.ndarray
@@ -198,8 +197,8 @@ class KFunctionTable:
             raise ValueError("r_grid must be strictly increasing")
         if self.values.shape != self.r_grid.shape:
             raise ValueError("values and r_grid must have the same length")
-        if np.any(self.values <= 0):
-            raise ValueError("k values must be positive")
+        if not np.all((self.values >= 0) & np.isfinite(self.values)):
+            raise ValueError("k values must be finite and nonnegative")
 
 
 def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTable:
@@ -211,8 +210,7 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     the direction of x only through |x|, so one radial table covers every
     direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).
     """
-    if not 0 < t < math.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    positive_time(t)
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0) or not np.all(np.isfinite(r_grid)):
         raise ConfigError("r_grid must be finite and strictly increasing")

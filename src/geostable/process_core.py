@@ -46,6 +46,12 @@ def _log1p_power(xi, alpha):
                     np.log1p(np.minimum(xi, 1.0) ** alpha))
 
 
+def positive_time(t) -> None:
+    """Refuse a time argument that is not positive and finite (NaN included) with ConfigError."""
+    if not 0 < t < np.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}")
+
+
 def point_radii(spec: ProcessSpec, x):
     """Norms of one point or a batch of points, and whether x was one point.
 
@@ -77,8 +83,7 @@ def symbol(spec: ProcessSpec, xi_norm):
 
 def char_function(spec: ProcessSpec, t: float, xi_norm):
     """Characteristic function (1 + |xi|^alpha)^(-t) of the time-t marginal."""
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    positive_time(t)
     return _maybe_scalar(np.exp(-t * symbol(spec, xi_norm)), np.isscalar(xi_norm))
 
 
@@ -93,8 +98,7 @@ def inversion_integrable(spec: ProcessSpec, t: float) -> bool:
     (1 + |xi|^alpha)^(-t) decays like |xi|^(-alpha t), so integrability over R^d
     requires alpha*t > d; the boundary t = d/alpha is excluded.  t must be finite.
     """
-    if not 0 < t < np.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    positive_time(t)
     return t > spec.dim / spec.alpha
 
 

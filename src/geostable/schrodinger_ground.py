@@ -195,8 +195,7 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain) -> np.ndarray:
     return jlag
 
 
-def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier",
-                 near_diagonal: str = "patch") -> np.ndarray:
+def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier") -> np.ndarray:
     """Real symbol of the form operator at the rfft frequencies xi_k = pi k / L.
 
     'multiplier' is log(1 + xi_k^alpha).  'jump_kernel' is the Fourier image of
@@ -204,24 +203,18 @@ def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier",
     S_k = h (sum_l J_l - Re Jhat_k), with J_l = j_per(l h) at lags l = 1..N-1,
     J_0 = 0 and Jhat = rfft(J); S_0 = 0 exactly.  j_per folds j(n h) over
     n = +-l mod N, the outermost period at half weight, so J_l = J_(N-l) and
-    Jhat is real.  near_diagonal='patch'
-    replaces the |x_i - x_l| < 2h band by the small-displacement integral of
-    the kernel's 1/|z| asymptote, int_{|z|<2h} 0.5 (c0/|z|) z^2 dz = 2 c0 h^2,
-    on one-sided differences: J_1 = J_{N-1} = 2 c0 / h.  'lattice' keeps the
-    raw lag-1 kernel values, which is what makes the indicator cross-term
-    identity exact.
+    Jhat is real.  The |x_i - x_l| < 2h band is replaced by the
+    small-displacement integral of the kernel's 1/|z| asymptote,
+    int_{|z|<2h} 0.5 (c0/|z|) z^2 dz = 2 c0 h^2, on one-sided differences:
+    J_1 = J_{N-1} = 2 c0 / h.
     """
     if method == "multiplier":
         return np.log1p(problem.domain.rfft_freqs() ** problem.spec.alpha)
     if method != "jump_kernel":
         raise ValueError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
     h = problem.domain.h
-    jlag = _periodized_jump_lags(problem.spec, problem.domain)
-    if near_diagonal == "patch":
-        jlag = jlag.copy()
-        jlag[1] = jlag[-1] = 2.0 * small_x_constant(problem.spec) / h
-    elif near_diagonal != "lattice":
-        raise ValueError(f"near_diagonal must be 'patch' or 'lattice', got {near_diagonal!r}")
+    jlag = _periodized_jump_lags(problem.spec, problem.domain).copy()
+    jlag[1] = jlag[-1] = 2.0 * small_x_constant(problem.spec) / h
     jhat = np.fft.rfft(jlag).real
     return h * (jhat[0] - jhat)
 
@@ -247,27 +240,23 @@ def _spectral_apply(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(symbol * np.fft.rfft(u), n=u.size)
 
 
-def energy_form(problem: SchrodingerProblem, u, v, method: str = "multiplier", *,
-                near_diagonal: str = "patch") -> float:
-    """Dirichlet form E(u, v) = h (S u) . v, S = torus_symbol(problem, method, near_diagonal)."""
+def energy_form(problem: SchrodingerProblem, u, v, method: str = "multiplier") -> float:
+    """Dirichlet form E(u, v) = h (S u) . v, S = torus_symbol(problem, method)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     N = problem.domain.N
     if u.shape != (N,) or v.shape != (N,):
         raise ValueError(f"u and v must have length {N}")
-    symbol = torus_symbol(problem, method, near_diagonal)
+    symbol = torus_symbol(problem, method)
     return float(problem.domain.h * (_spectral_apply(symbol, u) @ v))
 
 
 def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
-    """Cross energy E(1_A u, 1_{A^c} u) with its exact double-sum identity.
+    """Cross energy E(1_A u, 1_{A^c} u) = -h^2 sum_{i in A, l in A^c} u_i u_l j_per(x_i - x_l).
 
-    Computed once through the bilinear jump form on the masked vectors and
-    once as -sum_{i in A, l in A^c} u_i u_l j_per(x_i - x_l) h^2, the kernel
-    dotted with the symmetrized circular correlation of the two masked vectors;
-    the two are algebraically identical on the lattice and must agree to 1e-10
-    relative.  Strictly negative for nonempty proper subsets (the kernel is
-    positive).
+    The lattice double sum, computed as the lag table dotted with the
+    symmetrized circular correlation of the two masked vectors.  Strictly
+    negative for nonempty proper subsets (the kernel is positive).
     """
     u = np.asarray(u, dtype=float)
     N = problem.domain.N
@@ -279,17 +268,11 @@ def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
     mask[np.asarray(subset)] = True
     a = np.where(mask, u, 0.0)
     b = np.where(mask, 0.0, u)
-    cross = energy_form(problem, a, b, method="jump_kernel", near_diagonal="lattice")
     h = problem.domain.h
     jlag = _periodized_jump_lags(problem.spec, problem.domain)
     # sum_i a_i (b_{i+l} + b_{i-l}) / 2 at lags l = 0..N-1
     corr = np.fft.irfft((np.conj(np.fft.rfft(a)) * np.fft.rfft(b)).real, n=N)
-    direct = -h * h * float(jlag @ corr)
-    scale = max(abs(cross), abs(direct), 1e-300)
-    if abs(cross - direct) > 1e-10 * scale and scale > 1e-280:
-        raise ConsistencyError(
-            f"cross-term routes disagree: bilinear {cross!r} vs direct {direct!r}")
-    return cross
+    return -h * h * float(jlag @ corr)
 
 
 # ---------------------------------------------------------------------------

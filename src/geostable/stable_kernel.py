@@ -16,6 +16,11 @@ Radial evaluation strategy:
         q_1(u) = pi^(-d/2) sum_{k>=1} (-1)^(k+1) k a 2^(k a - 1)
                  Gamma((d + k a)/2) / (k! Gamma(1 - k a/2)) u^(-d - k a).
 
+    This series and levy_structure's polar-integral tail take one route,
+    `_series_rows`: every row sums its nonzero terms (k <= 60) up to the
+    first growth of their envelope, in blocks of at most _PAIR_BLOCK
+    (point, term) pairs.
+
     The head for alpha < 1 is the sub-Gaussian mixture
     Z = sqrt(2S) N(0, I), with the density of the positive (alpha/2)-stable S
     from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
@@ -34,7 +39,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rgamma as _rgamma
 
 from .errors import ConfigError, ConsistencyError, UnsupportedDimensionError
-from .process_core import ProcessSpec, point_radii
+from .process_core import ProcessSpec, point_radii, positive_time
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -198,13 +203,13 @@ def _inversion_head(alpha, dim):
     return head
 
 
-def tail_coefficients(alpha: float, dim: int, kmax: int = 60) -> np.ndarray:
-    """Coefficients c_k of the power-tail series q_1(u) = sum c_k u^(-d-k*alpha).
+def tail_coefficients(alpha: float, dim: int) -> np.ndarray:
+    """Coefficients c_k, k = 1..60, of the power-tail series q_1(u) = sum c_k u^(-d-k*alpha).
 
     Entries with k*alpha/2 a positive integer vanish identically (reciprocal
     gamma zeros); alpha = 2 has no power tail at all.
     """
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, 61, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         c = (np.pi ** (-dim / 2.0) * (-1.0) ** (k + 1) * k * alpha
              * 2.0 ** (k * alpha - 1.0) * _gamma((dim + k * alpha) / 2.0)
@@ -234,62 +239,49 @@ def _envelope_columns(c_nz, k_nz):
     return np.maximum.accumulate(np.where(dip, 0, np.arange(k_nz.size)))
 
 
-def _series_cut(terms, env_cols):
-    """Row sums of series terms up to the first growth of the envelope |terms|[:, env_cols].
+def _series_rows(term, x, coeffs):
+    """Sums of a power-tail series at the points x (1-d), each row cut at its envelope's first growth.
 
-    A term that is not finite also counts as growth (see _envelope_columns for
-    the dips that do not).  Returns the sums, 0 where no term is kept, and the
-    envelope of the last kept term, inf where none is.
+    term(x_col, c, k) gives the (point, term) matrix for a column of points,
+    from the nonzero coefficients c and their indices k (as floats).  It is
+    built under an errstate that ignores every floating-point warning, in
+    blocks of at most _PAIR_BLOCK (point, term) pairs.  Each row sums its
+    terms up to the first growth of the envelope |terms|[:, _envelope_columns]
+    (asymptotic breakdown), and a term that is not finite counts as growth;
+    so no value depends on the rest of the batch.  Returns the sums, 0 where
+    no term is kept, and the envelope of the last kept term, inf where none is.
     """
-    env = np.abs(terms)[:, env_cols]
-    stop = ~np.isfinite(terms)
-    stop[:, 1:] |= env[:, 1:] > env[:, :-1]
-    n_keep = np.where(stop.any(axis=1), np.argmax(stop, axis=1), terms.shape[1])
-    rows = np.arange(terms.shape[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # sums past a non-finite term
-        sums = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[rows, n_keep]
-    return sums, np.pad(env, ((0, 0), (1, 0)), constant_values=np.inf)[rows, n_keep]
-
-
-def _series_block(alpha, dim, u, c_nz, k_nz, env_cols):
-    with np.errstate(under="ignore"):
-        terms = c_nz[None, :] * u[:, None] ** (-dim - k_nz[None, :] * alpha)
-    if terms.shape[1] == 1:
-        return terms[:, 0], np.full(u.shape, 1e-16)
-    vals, last = _series_cut(terms, env_cols)
-    return vals, np.where(vals != 0.0, last / np.abs(vals), np.inf)
+    sums = np.zeros(x.size)
+    last = np.full(x.size, np.inf)
+    nz = np.flatnonzero(coeffs)
+    if nz.size == 0:
+        return sums, last
+    c, k = coeffs[nz], (nz + 1).astype(float)
+    env_cols = _envelope_columns(c, k)
+    rows = max(1, _PAIR_BLOCK // k.size)
+    for i0 in range(0, x.size, rows):
+        with np.errstate(all="ignore"):  # overflow, underflow, and sums past a non-finite term
+            terms = term(x[i0:i0 + rows, None], c, k)
+            env = np.abs(terms)[:, env_cols]
+            stop = ~np.isfinite(terms)
+            stop[:, 1:] |= env[:, 1:] > env[:, :-1]
+            n_keep = np.where(stop.any(axis=1), np.argmax(stop, axis=1), k.size)
+            kept = np.flatnonzero(n_keep)
+            cum = np.cumsum(terms, axis=1, out=terms)
+        sums[i0 + kept] = cum[kept, n_keep[kept] - 1]
+        last[i0 + kept] = env[kept, n_keep[kept] - 1]
+    return sums, last
 
 
 def _series_batch(alpha, dim, u, coeffs):
-    """Tail series at radii u (1-d array) with per-point safe truncation.
+    """Tail series of q_1 at radii u (1-d array), by _series_rows.
 
-    Zero coefficients are skipped; each point sums its terms up to the first
-    growth of the magnitude envelope (asymptotic breakdown; see
-    _envelope_columns for coefficients that nearly vanish), and only those
-    that can still matter at 1e-16 relative at its own radius, so far radii
-    stay cheap and no value depends on the rest of the batch.  Returns
-    (values, relerrs) with relerr = |last kept regular term| / |sum|.
+    Returns (values, relerrs) with relerr = |last kept regular term| / |sum|.
     """
     u = np.asarray(u, dtype=float)
-    nz = np.flatnonzero(coeffs)
-    if nz.size == 0:
-        return np.zeros_like(u), np.full_like(u, np.inf)
-    c_nz = coeffs[nz]
-    k_nz = (nz + 1).astype(float)
-    env_cols = _envelope_columns(c_nz, k_nz)
-    # term j > 0 lies above e^(-37) of the first where log u < reach_j; a point
-    # sums up to the last such term, or the first alone (also at u = inf,
-    # where every term is 0)
-    log_ratio = np.log(np.abs(c_nz[1:])) - np.log(np.abs(c_nz[0]))
-    reach = (log_ratio + 37.0) / ((k_nz[1:] - k_nz[0]) * alpha)
-    reach = np.maximum.accumulate(reach[::-1])[::-1]  # nonincreasing in j
-    counts = 1 + np.searchsorted(-reach, -np.log(u))
-    vals = np.empty(u.shape)
-    errs = np.empty(u.shape)
-    for m in np.unique(counts):
-        idx = counts == m
-        vals[idx], errs[idx] = _series_block(alpha, dim, u[idx], c_nz[:m], k_nz[:m], env_cols[:m])
-    return vals, errs
+    vals, last = _series_rows(lambda x, c, k: c * x ** (-dim - k * alpha), u, coeffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return vals, np.where(vals != 0.0, last / np.abs(vals), np.inf)
 
 
 _SWITCH_CANDIDATES = (6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 26.0, 34.0, 44.0)
@@ -865,8 +857,7 @@ def sample_gamma(t: float, rng: RngStream, size=None):
     (2^-1075)^t / Gamma(1 + t), 5.5% at t = 1/256.  A caller that needs
     log G draws it in log space with `_log_gamma_into`, as the samplers do.
     """
-    if not 0 < t < math.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    positive_time(t)
     n = 1 if size is None else int(size)
     out = rng.gen.gamma(shape=t, scale=1.0, size=n)
     return _maybe_item(out, size)
@@ -889,8 +880,7 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
 
     Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
-    if not 0 < t < math.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    positive_time(t)
     if spec.dim == 1:
         return _stable_draws(spec.alpha, t, rng, size)
     n = 1 if size is None else int(size)

@@ -24,12 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist as _cdist
 from scipy.special import gamma as _gamma
 
 from .errors import (ConfigError, InversionNotIntegrableError, SingularPointError,
                      UnsupportedDimensionError)
 from .levy_structure import _polar_integral
-from .process_core import ProcessSpec, inversion_integrable, point_radii
+from .process_core import ProcessSpec, inversion_integrable, point_radii, positive_time
 from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
 
 # float64 entries of density_mc's working block: 16 MB
@@ -106,8 +107,7 @@ def cdf_numeric(spec: ProcessSpec, t: float, x):
     """
     if spec.dim != 1:
         raise UnsupportedDimensionError("cdf_numeric is one-dimensional")
-    if not t > 0:
-        raise ConfigError(f"t must be positive, got {t}")
+    positive_time(t)
     r, point = point_radii(spec, x)
     half = np.zeros(r.size)
     half[r > 0] = _char_integral("sin", -1, spec.alpha, t, r[r > 0]) / np.pi
@@ -126,27 +126,16 @@ def _kernel_sums(pts: np.ndarray, centres: np.ndarray, weights, bw: float) -> np
     """sum_j w_j exp(-|x - c_j|^2 / (2 bw^2)) at each row x of pts; weights None means all 1.
 
     The (point, centre) pairs run through one reusable block of about
-    _KDE_BLOCK floats, whatever the sizes: squared distances of `rows` points,
-    and for d > 1 a second part that holds one coordinate's squares at a time.
-    Each point is summed on its own row, so its value does not depend on the
-    rest of the grid.
+    _KDE_BLOCK floats, whatever the sizes: cdist's squared distances of `rows`
+    points.  Each point is summed on its own row, so its value does not depend
+    on the rest of the grid.
     """
-    dim = pts.shape[1]
     sums = np.empty(len(pts))
-    parts = 1 if dim == 1 else 2
-    rows = max(1, min(len(pts), _KDE_BLOCK // (parts * max(1, len(centres)))))
-    block = np.empty((parts, rows, len(centres)))
-    d2_all, sq_all = block[0], block[-1]
+    rows = max(1, min(len(pts), _KDE_BLOCK // max(1, len(centres))))
+    block = np.empty((rows, len(centres)))
     for i0 in range(0, len(pts), rows):
         p = pts[i0:i0 + rows]
-        d2 = d2_all[:len(p)]
-        sq = sq_all[:len(p)]
-        for k in range(dim):
-            out = d2 if k == 0 else sq
-            np.subtract(p[:, k, None], centres[None, :, k], out=out)
-            np.square(out, out=out)
-            if k:
-                d2 += sq
+        d2 = _cdist(p, centres, "sqeuclidean", out=block[:len(p)])
         d2 *= -0.5
         d2 /= bw ** 2
         np.exp(d2, out=d2)
@@ -203,8 +192,7 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
     ConfigError before anything is drawn.  An infinite grid point gets its
     limit, 0.
     """
-    if not 0 < t < math.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+    positive_time(t)
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     x_grid = np.asarray(x_grid, dtype=float)

@@ -152,6 +152,21 @@ def test_selfdecomp_kfunction_table_file(tmp_path):
     assert k0 == pytest.approx(table.values[0])
 
 
+def test_k_tables_where_k_underflows(tmp_path, capsys):
+    # at alpha = 2, k(r) = e^(-r) rounds to 0.0 past r ~ 745; kfun writes the
+    # certificate's own t*k table
+    args = ["--alpha", "2", "--dim", "1", "--x-max", "1000", "--n", "48"]
+    assert run(["selfdecomp", *args, "--output-path", str(tmp_path / "s")]) == 0
+    assert "monotone_certificate: True" in capsys.readouterr().out
+    assert run(["kfun", *args, "--output-path", str(tmp_path / "k")]) == 0
+    table = (tmp_path / "s" / "kfunction_table.csv").read_text()
+    assert (tmp_path / "k" / "kfunction.csv").read_text() == table
+    k = np.array([float(line.split(",")[1]) for line in table.strip().splitlines()[1:]])
+    assert k[-1] == 0.0 and k[-2] == 0.0 and np.all(k >= 0.0)
+    cert = json.loads((tmp_path / "s" / "selfdecomp_certificate.json").read_text())
+    assert cert["monotone_certificate"] is True
+
+
 def test_levy_with_asymptotics_report(tmp_path):
     assert run(["levy", "--alpha", "1.5", "--dim", "1", "--n", "8",
                 "--asymptotics", "smallx", "--output-path", str(tmp_path)]) == 0

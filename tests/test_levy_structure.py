@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, k0, sici
 
 from geostable import (ProcessSpec, Regime, SingularPointError,
-                       asymptotic_report, k_radial, levy_density,
+                       asymptotic_report, density_inversion, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
 from geostable.acceptance import k_closed_form
 from geostable.levy_structure import (exponential_tail_constant, large_x_constant,
@@ -202,3 +203,31 @@ def test_asymptotic_report_json():
     assert data["regime"] == "SmallX"
     assert data["relative_gap_paper"] > 0
     assert data["empirical_limit"] == rep.empirical_limit
+
+
+@pytest.mark.parametrize("route", ["k_radial", "density_inversion_d2"])
+def test_polar_integral_memory_is_bounded(route):
+    # head and power-tail series both run in row blocks of 2^18 pairs
+    r = np.geomspace(1e-2, 1e3, 50_000)
+    if route == "k_radial":
+        call = lambda x: k_radial(ProcessSpec(0.5, 1), x)
+    else:
+        call = lambda x: density_inversion(ProcessSpec(0.7, 2), 4.0 / 0.7,
+                                           np.column_stack([x, np.zeros_like(x)]))
+    call(r[:8])  # the profile is built outside the trace
+    tracemalloc.start()
+    try:
+        call(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("alpha, dim", [(1.5, 1), (1.9, 2)])
+def test_k_radial_at_huge_radii_is_finite(alpha, dim):
+    # (r / tail_start)^alpha overflows to inf there, and the suite turns a
+    # RuntimeWarning into an error
+    k = k_radial(ProcessSpec(alpha, dim), [1e100, 1e250, 1e300])
+    assert np.all(np.isfinite(k) & (k >= 0.0))
+    assert k[0] > 0.0

@@ -59,6 +59,8 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.polar_levy_mass(_S, 0.1, math.inf),
     lambda: gs.verify_selfdecomposable(_S, 1.0, [0.1, math.inf]),
     lambda: gs.sample_gamma(math.inf, gs.RngStream(1)),
+    lambda: char_function(_S, math.inf, 0.0),
+    lambda: gs.cdf_numeric(_S, math.inf, 0.5),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
@@ -66,7 +68,8 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
         "density_mc_wide_grid", "density_mc_flat_grid_2d", "GridDomain_inf",
         "sample_increment_inf", "density_inversion_inf", "inversion_table_inf", "density_mc_inf",
         "kato_diagnostic_inf", "feynman_kac_inf", "feynman_kac_inf_dt", "polar_levy_mass_inf",
-        "verify_selfdecomposable_inf", "sample_gamma_inf"])
+        "verify_selfdecomposable_inf", "sample_gamma_inf", "char_function_inf",
+        "cdf_numeric_inf"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -20,12 +20,9 @@ from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
 # over node pairs before the jump route became a spectral symbol; the alpha = 1.5
 # pins are within 5e-13 of the same energy from a 4001-knot profile spline
 JUMP_ENERGY_PINS = {
-    (1.0, "patch"): 0.6673379420418808,
-    (1.0, "lattice"): 0.6666785407409961,
-    (1.5, "patch"): 0.6571497461423734,
-    (1.5, "lattice"): 0.6561932460061461,
-    (2.0, "patch"): 0.6697437077198672,
-    (2.0, "lattice"): 0.668482419427122,
+    1.0: 0.6673379420418808,
+    1.5: 0.6571497461423734,
+    2.0: 0.6697437077198672,
 }
 
 
@@ -155,9 +152,8 @@ def test_energy_form_cross_method_agreement():
 def test_jump_symbol_matches_multiplier_mode_by_mode(alpha):
     p = _bump_problem(alpha, GridDomain(16.0, 1024))
     want = torus_symbol(p)[1:9]
-    for near in ("patch", "lattice"):
-        got = torus_symbol(p, "jump_kernel", near)[1:9]
-        assert np.max(np.abs(got / want - 1.0)) < 1e-2, near
+    got = torus_symbol(p, "jump_kernel")[1:9]
+    assert np.max(np.abs(got / want - 1.0)) < 1e-2
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
@@ -179,21 +175,20 @@ def test_jump_lags_match_spline_free_image_sum(alpha, L, N):
 def test_jump_energy_pinned():
     dom = GridDomain(16.0, 1024)
     u = np.exp(-dom.nodes() ** 2)
-    for (alpha, near), want in JUMP_ENERGY_PINS.items():
-        got = energy_form(_bump_problem(alpha, dom), u, u, "jump_kernel", near_diagonal=near)
-        assert abs(got / want - 1.0) < 1e-13, (alpha, near)
+    for alpha, want in JUMP_ENERGY_PINS.items():
+        got = energy_form(_bump_problem(alpha, dom), u, u, "jump_kernel")
+        assert abs(got / want - 1.0) < 1e-13, alpha
 
 
 _vec64 = arrays(float, 64, elements=st.floats(-1e3, 1e3))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(alpha=st.sampled_from([1.0, 1.5, 2.0]), near=st.sampled_from(["patch", "lattice"]),
-       u=_vec64, v=_vec64, c=st.floats(-1e3, 1e3))
-def test_jump_form_properties(alpha, near, u, v, c):
+@given(alpha=st.sampled_from([1.0, 1.5, 2.0]), u=_vec64, v=_vec64, c=st.floats(-1e3, 1e3))
+def test_jump_form_properties(alpha, u, v, c):
     p = _bump_problem(alpha, GridDomain(16.0, 64))
     N, h = p.domain.N, p.domain.h
-    e = lambda a, b: energy_form(p, a, b, "jump_kernel", near_diagonal=near)
+    e = lambda a, b: energy_form(p, a, b, "jump_kernel")
     tol = 1e-12 * (1.0 + np.linalg.norm(u)) * (1.0 + np.linalg.norm(v))
     assert abs(e(u, v) - e(v, u)) <= tol
     assert e(u, u) >= -1e-12 * (1.0 + u @ u)
@@ -202,8 +197,7 @@ def test_jump_form_properties(alpha, near, u, v, c):
     assert abs(e(const, const)) <= 1e-12 * (1.0 + c * c)
     # the Beurling-Deny double sum over node pairs, 0.5 h^2 sum_{i,m} J (u_i - u_m)(v_i - v_m)
     jlag = _periodized_jump_lags(p.spec, p.domain).copy()
-    if near == "patch":
-        jlag[1] = jlag[-1] = 2.0 * small_x_constant(p.spec) / h
+    jlag[1] = jlag[-1] = 2.0 * small_x_constant(p.spec) / h
     i = np.arange(N)
     kern = jlag[(i[None, :] - i[:, None]) % N]
     want = 0.5 * h * h * np.sum(kern * np.subtract.outer(u, u) * np.subtract.outer(v, v))
@@ -446,19 +440,16 @@ def test_kato_diagnostic_contracts(prob):
 
 
 def test_cross_term_identity_and_sign(prob):
-    u = np.ones(prob.domain.N)
-    left = np.arange(prob.domain.N // 2)
+    N, h = prob.domain.N, prob.domain.h
+    u = 1.0 + 0.5 * np.sin(prob.domain.nodes())
+    left = np.arange(N // 2)
     cross = irreducibility_cross_term(prob, left, u)
     assert cross < 0.0
-    # bilinear decomposition: E(u,u) = E(au,au) + E(bu,bu) + 2 cross
-    a = np.zeros(prob.domain.N)
-    a[left] = 1.0
-    b = 1.0 - a
-    e_u = energy_form(prob, u, u, "jump_kernel", near_diagonal="lattice")
-    e_a = energy_form(prob, a, a, "jump_kernel", near_diagonal="lattice")
-    e_b = energy_form(prob, b, b, "jump_kernel", near_diagonal="lattice")
-    scale = max(abs(e_a), abs(e_b))
-    assert abs(e_u - (e_a + e_b + 2.0 * cross)) < 1e-10 * scale
+    # the lattice double sum -h^2 sum_{i in A, l not in A} u_i u_l J_((i - l) mod N)
+    jlag = _periodized_jump_lags(prob.spec, prob.domain)
+    i, l = left, np.arange(N // 2, N)
+    want = -h * h * np.sum(u[i, None] * u[None, l] * jlag[(i[:, None] - l[None, :]) % N])
+    assert abs(cross / want - 1.0) < 1e-12
     assert irreducibility_cross_term(prob, np.array([], dtype=int), u) == 0.0
     with pytest.raises(ValueError):
         irreducibility_cross_term(prob, left, np.zeros(prob.domain.N))

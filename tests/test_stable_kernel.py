@@ -162,17 +162,19 @@ def test_inversion_head_matches_panel_quadrature(alpha):
 @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_series_batch_is_bit_equal_to_single_points(alpha, dim):
-    # each radius takes its series' term count from its own value alone
+    # each radius sums its own row of the series, whatever its block
     spec = ProcessSpec(alpha, dim)
     r = np.geomspace(6.0, 59.0, 200)
     single = [stable_density_radial(spec, 1.0, x) for x in r]
     assert np.array_equal(stable_density_radial(spec, 1.0, r), single)
+    # 10k radii, of which the series takes two row blocks or three
+    assert np.array_equal(stable_density_radial(spec, 1.0, np.tile(r, 50)), np.tile(single, 50))
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_at_infinite_radius_is_zero(alpha, dim):
-    # the series' term count took (k - k0) alpha log(u), 0 * inf at u = inf
+    # every series term is 0 at u = inf, and so is their sum
     spec = ProcessSpec(alpha, dim)
     r = np.array([np.inf, 0.0, 0.4, np.inf, 3.0, 40.0])  # 40 is the one series radius
     x = r if dim == 1 else np.column_stack([r] + [np.zeros(r.size)] * (dim - 1))

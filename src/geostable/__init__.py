@@ -14,7 +14,6 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     GeoStableError,
-    InversionNotIntegrableError,
     SingularPointError,
     UnsupportedDimensionError,
 )

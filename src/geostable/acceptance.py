@@ -16,7 +16,6 @@ from scipy.linalg import expm
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma, k1 as _k1
 
-from .errors import InversionNotIntegrableError
 from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
@@ -26,8 +25,10 @@ from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  irreducibility_cross_term, kato_diagnostic, solve_ground_state)
 from .stable_kernel import RngStream, _panel_nodes, sample_increment
 # perfbench/ and the tests import density_gamma_mixture from here
-from .transition_density import (EmpiricalCdf, cdf_numeric, density_gamma_mixture,  # noqa: F401
+from .transition_density import (EmpiricalCdf, cdf_numeric, density_gamma_mixture,
                                  density_inversion)
+
+_CDF_NODES = 1200  # sample quantiles at which gridded_cdf evaluates cdf_numeric
 
 
 @dataclass
@@ -86,13 +87,13 @@ def killed_oracle(problem: SchrodingerProblem, f, t: float) -> float:
     return float((expm(-t * (h_dense + np.diag(rho))) @ f(problem.domain.nodes()))[i0])
 
 
-def gridded_cdf(spec: ProcessSpec, t: float, samples, n_grid: int = 1200):
+def gridded_cdf(spec: ProcessSpec, t: float, samples):
     """Monotone interpolant of cdf_numeric covering the sample range.
 
-    The nodes are sample quantiles, which follow the mass into the cusp at 0
-    that the CDF has for small t.  Outside them it holds its end values.
+    The nodes are _CDF_NODES sample quantiles, which follow the mass into the
+    cusp at 0 that the CDF has for small t.  Outside them it holds its end values.
     """
-    grid = np.unique(np.quantile(samples, np.linspace(0.0005, 0.9995, n_grid)))
+    grid = np.unique(np.quantile(samples, np.linspace(0.0005, 0.9995, _CDF_NODES)))
     interp = PchipInterpolator(grid, cdf_numeric(spec, t, grid))
     return lambda v: interp(np.clip(v, grid[0], grid[-1]))
 
@@ -214,7 +215,8 @@ def check_recurrence_table(seed: int = 0) -> CheckResult:
 
 
 def check_mc_inversion_agreement(seed: int = 42) -> CheckResult:
-    """6: KS vs cdf_numeric < 0.015 at alpha=1.5, t in {2, 0.5}, n=1e5; refusal contract."""
+    """6: KS vs cdf_numeric < 0.015 at alpha=1.5, t in {2, 0.5}, n=1e5; at t=0.5 < d/alpha,
+    inversion matches the polar integral to 1e-8 relative at x in {0.3, 1, 3}."""
     t0 = time.perf_counter()
     spec = ProcessSpec(1.5, 1)
     rng = RngStream(seed)
@@ -222,15 +224,13 @@ def check_mc_inversion_agreement(seed: int = 42) -> CheckResult:
     for t in (2.0, 0.5):
         samples = sample_increment(spec, t, rng, size=100_000)
         ks[t] = EmpiricalCdf.from_samples(samples).ks_distance(gridded_cdf(spec, t, samples))
-    refused = False
-    try:
-        density_inversion(spec, 0.5, 0.3)
-    except InversionNotIntegrableError:
-        refused = True
-    ok = max(ks.values()) < 0.015 and refused
+    xs = np.array([0.3, 1.0, 3.0])
+    gap = float(np.max(np.abs(density_inversion(spec, 0.5, xs)
+                              / density_gamma_mixture(spec, 0.5, xs) - 1.0)))
+    ok = max(ks.values()) < 0.015 and gap < 1e-8
     return _result("mc-inversion-agreement", t0, ok,
                    f"KS = {ks[2.0]:.4f} at t=2, {ks[0.5]:.4f} at t=0.5 (tol 0.015); "
-                   f"t=0.5 inversion refused: {refused}")
+                   f"t=0.5 inversion vs polar integral: rel err {gap:.1e} (tol 1e-8)")
 
 
 def check_form_equivalence(seed: int = 0) -> CheckResult:

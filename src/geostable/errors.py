@@ -13,10 +13,6 @@ class SingularPointError(GeoStableError, ValueError):
     """Evaluation requested exactly at a non-integrable singularity."""
 
 
-class InversionNotIntegrableError(GeoStableError, ValueError):
-    """Fourier inversion requested where the characteristic function is not integrable."""
-
-
 class ConvergenceError(GeoStableError, RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 

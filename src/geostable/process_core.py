@@ -96,7 +96,8 @@ def inversion_integrable(spec: ProcessSpec, t: float) -> bool:
     """True iff the characteristic function of the time-t marginal is integrable.
 
     (1 + |xi|^alpha)^(-t) decays like |xi|^(-alpha t), so integrability over R^d
-    requires alpha*t > d; the boundary t = d/alpha is excluded.  t must be finite.
+    requires alpha*t > d, the boundary t = d/alpha excluded.  The same test says
+    whether the density at the origin, p_t(0), is finite.  t must be finite.
     """
     positive_time(t)
     return t > spec.dim / spec.alpha

@@ -454,6 +454,9 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
 # ---------------------------------------------------------------------------
 # Feynman-Kac and Kato diagnostics
 
+_FK_BATCH = 100_000  # paths per Feynman-Kac batch; the result depends on the batch plan
+
+
 def _rho_lookup(domain: GridDomain, weights: np.ndarray):
     """rho_into(x, out, scratch): density of mu_plus at the node nearest x, into out.
 
@@ -495,7 +498,7 @@ def _as_function(domain: GridDomain, f):
 
 def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
                          n_paths: int, dt: float, rng: RngStream, *,
-                         rho=None, batch_size: int = 100_000, free_mean=None):
+                         rho=None, free_mean=None):
     """Monte Carlo for E_x0[ exp(-int_0^t rho(X_s) ds) f(X_t) ].
 
     Paths advance by exact subordinated increments (no time-discretization of
@@ -514,7 +517,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     looked up once per event: at dt = 1/256 about a third of the steps are
     events.  At x = 0, alpha in {1, 2} or dt >= 1 every step is an event.
 
-    Batches of batch_size paths run in parallel, one thread per usable core
+    Batches of _FK_BATCH paths run in parallel, one thread per usable core
     and at most as many batches in memory as threads.  Each batch draws from
     its own split substream and is summed in batch order, so the result
     depends only on seed and batch plan, not on the number of cores.  An
@@ -535,8 +538,8 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     steps = round(t / dt)
     if abs(steps * dt - t) > 1e-9 * t:
         raise ConfigError(f"t/dt must be an integer, got t={t}, dt={dt}")
-    if n_paths < 2 or batch_size < 1:
-        raise ConfigError(f"need n_paths >= 2 and batch_size >= 1, got {n_paths}, {batch_size}")
+    if n_paths < 2:
+        raise ConfigError(f"need n_paths >= 2, got {n_paths}")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0}")
     if rho is None:
@@ -565,7 +568,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         np.square(clock, out=x)  # f(X_t) is spent, even where f returned x itself
         total_sq += float(x.sum())
 
-    n_batches = int(np.ceil(n_paths / batch_size))
+    n_batches = int(np.ceil(n_paths / _FK_BATCH))
     streams = rng.split(n_batches)
     workers = min(n_batches, _usable_cores())
     running = deque()
@@ -575,7 +578,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
                 finish(*running.popleft())
             # the batch's buffers are made in the calling thread, so they come
             # from its heap, where later temporaries can reuse them
-            x = np.full(min(batch_size, n_paths - i * batch_size), float(x0))
+            x = np.full(min(_FK_BATCH, n_paths - i * _FK_BATCH), float(x0))
             clock = np.zeros(x.size)
             future = pool.submit(_walk_into, alpha, dt, steps, stream.gen, x, clock, rho_into,
                                  _walk_scratch(alpha, dt, x.size))
@@ -597,13 +600,13 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     return float(mean - c * g_mean), float(np.sqrt(var / n_paths))
 
 
-def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):
+def kato_diagnostic(problem: SchrodingerProblem, t_values):
     """sup_x int_0^t (P_s rho)(x) ds for each t, by spectral exponentials.
 
     The time integral of the semigroup has multiplier (1 - e^(-t psi))/psi
-    (with value t at the zero frequency), applied to the density of mu_plus
-    (or of an explicit override measure).  For a bounded density the values
-    are bounded by t * sup rho and decrease to zero with t.
+    (with value t at the zero frequency), applied to the density of mu_plus.
+    For a bounded density the values are bounded by t * sup rho and decrease
+    to zero with t.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size == 0:
@@ -612,8 +615,7 @@ def kato_diagnostic(problem: SchrodingerProblem, t_values, *, mu=None):
         raise ConfigError("t_values must be positive and finite")
     if t_values.size > 1 and np.any(np.diff(t_values) >= 0):
         raise ConfigError("t_values must be strictly decreasing")
-    measure = problem.mu_plus if mu is None else mu
-    rho = measure.weights / problem.domain.h
+    rho = problem.mu_plus.weights / problem.domain.h
     psi = torus_symbol(problem)
     out = []
     for t in t_values:

@@ -295,7 +295,8 @@ class StableRadialProfile:
     tail_start : radius beyond which the power series represents q_1
                  (for alpha = 2, the radius beyond which q_1 underflows).
     coeffs     : power-tail coefficients (all zero for alpha = 2).
-    tail_relerr: validated relative accuracy of the series at tail_start.
+    tail_relerr: validated relative accuracy of the series at tail_start, at least
+                 eps = 2^-52, the rounding of either value (0 at alpha = 2: no series).
     """
 
     def __init__(self, alpha: float, dim: int):
@@ -346,13 +347,14 @@ class StableRadialProfile:
     def _pick_switch(self, head):
         """Smallest switch radius at which the series matches the independent head.
 
-        Raises ConsistencyError when no candidate validates to 3e-9.
+        Their gap there is reported, at least eps = 2^-52, the rounding of either
+        value.  Raises ConsistencyError when no candidate validates to 3e-9.
         """
         best = np.inf
         for u_sw in _SWITCH_CANDIDATES:
             probes = np.array([u_sw, 1.3 * u_sw])
             sv, serr = _series_batch(self.alpha, self.dim, probes, self.coeffs)
-            rel = float(max(np.max(np.abs(sv / head(probes) - 1.0)), np.max(serr)))
+            rel = float(max(np.max(np.abs(sv / head(probes) - 1.0)), np.max(serr), 2.0 ** -52))
             if rel < 3e-9:
                 return u_sw, rel
             best = min(best, rel)

@@ -1,22 +1,21 @@
 """Transition density of the subordinated process: Fourier inversion, polar integral, Monte Carlo.
 
-Inversion needs an integrable characteristic function f(r) = (1+r^alpha)^(-t),
-i.e. alpha*t > d; the CDF's sine integral of f(r)/r converges for all t > 0.
-These radial integrals use Ooura & Mori's double-exponential rule for Fourier
-integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and no tail
-correction: stable_kernel's `_char_integral`, whose kernels also give the
-1 < alpha < 2 stable heads.  d = 1 takes cos and d = 3 sin.  d = 2 takes the
-gamma mixture p_t(x) = t K_t(|x|)/|x|^d (`density_gamma_mixture`, through
-levy_structure's polar integral), valid for every t > 0 and x != 0.  At x = 0
-it is a Beta function:
+p_t(x) exists for every t > 0 and x != 0.  In d = 1 and 3 it is the radial Fourier
+integral of f(r) = (1+r^alpha)^(-t) by Ooura & Mori's double-exponential rule
+for Fourier integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and
+no tail correction: stable_kernel's `_char_integral`, cos in d = 1 and sin in
+d = 3, whose kernels also give the 1 < alpha < 2 stable heads.  For alpha*t <= d
+f is not integrable, but the integral converges, as does the CDF's sine integral
+of f(r)/r for all t > 0.  d = 2 takes the gamma mixture p_t(x) = t K_t(|x|)/|x|^d
+(`density_gamma_mixture`, through levy_structure's polar integral).  p_t(0) is
+finite iff t > d/alpha, and then a Beta function:
 p_t(0) = omega_{d-1} (2 pi)^(-d) B(d/alpha, t - d/alpha) / alpha.
 
 Monte Carlo estimation via exact subordinated increments works for every
-t > 0, which is precisely the regime where inversion is unavailable for
-small t; goodness of fit there is judged on CDFs (Kolmogorov-Smirnov), not
-on pointwise kernel estimates.  The d = 1 kernel estimate bins its samples
-linearly (Wand 1994, JCGS 3:433) and sums the kernel over occupied lattice
-nodes, at a reported worst-case cost in accuracy.
+t > 0 and shares no code with the other routes; goodness of fit is judged on
+CDFs (Kolmogorov-Smirnov), not on pointwise kernel estimates.  The d = 1 kernel
+estimate bins its samples linearly (Wand 1994, JCGS 3:433) and sums the kernel
+over occupied lattice nodes, at a reported worst-case cost in accuracy.
 """
 from __future__ import annotations
 
@@ -27,8 +26,7 @@ import numpy as np
 from scipy.spatial.distance import cdist as _cdist
 from scipy.special import gamma as _gamma
 
-from .errors import (ConfigError, InversionNotIntegrableError, SingularPointError,
-                     UnsupportedDimensionError)
+from .errors import ConfigError, SingularPointError, UnsupportedDimensionError
 from .levy_structure import _polar_integral
 from .process_core import ProcessSpec, inversion_integrable, point_radii, positive_time
 from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
@@ -47,45 +45,48 @@ def _density_at_zero(spec: ProcessSpec, t: float) -> float:
     return omega * beta / (a * (2.0 * np.pi) ** d)
 
 
+def _finite_at_zero(spec: ProcessSpec, t: float) -> float:
+    """p_t(0), the Beta value; SingularPointError for t <= d/alpha, where it is infinite."""
+    if not inversion_integrable(spec, t):
+        raise SingularPointError(
+            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
+    return _density_at_zero(spec, t)
+
+
 def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     """p_t(x) by the gamma mixture int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds, at radii xs.
 
-    Valid for every t > 0 and x != 0 (unlike Fourier inversion).  The
-    substitution u = s^(-1/alpha)|x| makes it the polar integral of the jump
-    kernel at time t, p_t(x) = t K_t(|x|)/|x|^d (see levy_structure): one
-    log-u grid whose depth follows |x|, plus the incomplete-gamma tail of the
-    power series.  At x = 0 every s contributes q_s(0) ~ s^(-d/alpha), so there
-    the value is the Beta closed form for t > d/alpha, and p_t(0) = inf is
-    refused with SingularPointError for t <= d/alpha.
+    Valid for every t > 0 and x != 0.  The substitution u = s^(-1/alpha)|x|
+    makes it the polar integral of the jump kernel at time t,
+    p_t(x) = t K_t(|x|)/|x|^d (see levy_structure): one log-u grid whose depth
+    follows |x|, plus the incomplete-gamma tail of the power series.  At x = 0
+    every s contributes q_s(0) ~ s^(-d/alpha), so there the value is the Beta
+    closed form for t > d/alpha, and p_t(0) = inf is refused with
+    SingularPointError for t <= d/alpha.
     """
     xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     at_zero = xs == 0.0
-    if at_zero.any() and t <= spec.dim / spec.alpha:
-        raise SingularPointError(
-            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
-    out = np.full(xs.shape, _density_at_zero(spec, t))
+    out = np.full(xs.shape, _finite_at_zero(spec, t) if at_zero.any() else 0.0)
     r = xs[~at_zero]
     out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
     return out
 
 
 def density_inversion(spec: ProcessSpec, t: float, x):
-    """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t); needs t > d/alpha.
+    """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t), for every t > 0.
 
-    d = 2 takes density_gamma_mixture, which needs alpha >= 0.3.  One point
-    gives a float, and a batch (see point_radii) an array whose values are
-    bit-equal to their single-point values.
+    d = 2 takes density_gamma_mixture, which needs alpha >= 0.3.  p_t(0) is the
+    Beta value, and raises SingularPointError where t <= d/alpha makes it infinite.
+    One point gives a float, and a batch (see point_radii) an array whose values
+    are bit-equal to their single-point values.
     """
     if spec.dim > 3:
         raise UnsupportedDimensionError(
             f"inversion supports dim in {{1, 2, 3}}, got {spec.dim}")
-    if not inversion_integrable(spec, t):
-        raise InversionNotIntegrableError(
-            f"(1+r^alpha)^(-t) is not integrable for t={t} <= d/alpha="
-            f"{spec.dim / spec.alpha:.6g}; use density_mc, which covers all t > 0")
+    positive_time(t)
     r, point = point_radii(spec, x)
     a, d, rp = spec.alpha, spec.dim, r[r > 0]
-    out = np.full(r.size, _density_at_zero(spec, t))
+    out = np.full(r.size, _finite_at_zero(spec, t) if rp.size < r.size else 0.0)
     if d == 1:
         out[r > 0] = _char_integral("cos", 0, a, t, rp) / np.pi
     elif d == 2:
@@ -181,16 +182,17 @@ def density_mc(spec: ProcessSpec, t: float, x_grid, n_samples: int,
                rng: RngStream) -> "DensityTable":
     """Gaussian-kernel density estimate from exact increments; valid for all t > 0.
 
-    Bandwidth 1.06 sigma n^(-1/5) with the interquartile-range scale
-    sigma = IQR / 1.349 (moment-based scales diverge for alpha < 2),
-    clipped to [1e-3, 1].  In d = 1 the samples are first binned linearly
-    onto a lattice of spacing bw / 64 (Wand 1994, JCGS 3:433), so the kernel
-    is summed over occupied nodes, not samples; each value then moves by at
-    most the header's binning_error_bound.  In d > 1 the kernel is summed over
-    the samples.  Either sum divides by n_samples.  x_grid has shape (m,) in
-    d = 1 and (m, d) in d > 1; any other shape, or a NaN grid point, raises
-    ConfigError before anything is drawn.  An infinite grid point gets its
-    limit, 0.
+    It shares no code with the Fourier rules or the polar integral: in d > 1 it
+    is the one independent check of density_inversion.  Bandwidth
+    1.06 sigma n^(-1/5) with the interquartile-range scale sigma = IQR / 1.349
+    (moment-based scales diverge for alpha < 2), clipped to [1e-3, 1].  In d = 1
+    the samples are first binned linearly onto a lattice of spacing bw / 64
+    (Wand 1994, JCGS 3:433), so the kernel is summed over occupied nodes, not
+    samples; each value then moves by at most the header's binning_error_bound.
+    In d > 1 the kernel is summed over the samples.  Either sum divides by
+    n_samples.  x_grid has shape (m,) in d = 1 and (m, d) in d > 1; any other
+    shape, or a NaN grid point, raises ConfigError before anything is drawn.
+    An infinite grid point gets its limit, 0.
     """
     positive_time(t)
     if n_samples < 1000:
@@ -239,9 +241,6 @@ class DensityTable:
     def __post_init__(self):
         if self.method not in ("Inversion", "MonteCarlo"):
             raise ValueError(f"method must be Inversion or MonteCarlo, got {self.method!r}")
-        if self.method == "Inversion" and not inversion_integrable(self.spec, self.t):
-            raise InversionNotIntegrableError(
-                "inversion tables require t > dim/alpha")
         self.x_grid = np.asarray(self.x_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if np.any(self.values < 0):

@@ -26,12 +26,17 @@ def test_classify_rejects_bad_alpha(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_density_refuses_subthreshold_inversion(tmp_path, capsys):
-    code = run(["density", "--alpha", "2", "--dim", "1", "--t", "0.4",
-                "--method", "inversion", "--output-path", str(tmp_path)])
-    assert code == 2
+def test_density_below_threshold_refuses_only_the_origin(tmp_path, capsys):
+    # t = 0.4 <= d/alpha = 0.5: p_t is infinite at x = 0, which the default grid holds
+    args = ["density", "--alpha", "2", "--dim", "1", "--t", "0.4", "--method", "inversion"]
+    assert run(args + ["--output-path", str(tmp_path / "origin")]) == 2
     err = capsys.readouterr().err
-    assert "d/alpha" in err and "0.5" in err
+    assert "p_t(0)" in err and "d/alpha" in err and "0.5" in err
+    assert not (tmp_path / "origin" / "density.csv").exists()
+    assert run(args + ["--x-min", "0.01", "--x-max", "10", "--n", "50",
+                       "--output-path", str(tmp_path / "positive")]) == 0
+    p = np.loadtxt(tmp_path / "positive" / "density.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.isfinite(p) & (p > 0.0)) and np.all(np.diff(p) < 0.0)
 
 
 def test_density_inversion_near_threshold_default_grid(tmp_path):

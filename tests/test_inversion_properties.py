@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import geostable.stable_kernel as sk
 import geostable.levy_structure as ls
 from geostable import ProcessSpec, cdf_numeric, density_inversion
+from geostable.transition_density import density_gamma_mixture
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -59,3 +60,16 @@ def test_halving_the_steps_moves_no_value(case, rs, rnd):
         assert np.max(np.abs(density_inversion(spec, t, pts) - p)) <= 1e-12
         if dim == 1:
             assert np.max(np.abs(cdf_numeric(spec, margin, pts) - f)) <= 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([0.3, 0.999, 1.001, 1.999]),
+       st.one_of(st.sampled_from([-1e-6, 0.0, 1e-6]), st.floats(-1e-3, 1e-3)),
+       st.lists(st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e), min_size=1, max_size=12))
+def test_near_threshold_values_match_polar_integral(alpha, offset, rs):
+    # d = 3 and t = (1 + offset) d/alpha: just below, at and just above the
+    # threshold, where (1 + r^alpha)^(-t) stops being integrable
+    spec, t, r = ProcessSpec(alpha, 3), (1.0 + offset) * 3.0 / alpha, np.array(rs)
+    got = density_inversion(spec, t, np.c_[r, np.zeros((r.size, 2))])
+    assert np.all(np.isfinite(got) & (got > 0.0))
+    assert np.max(np.abs(got / density_gamma_mixture(spec, t, r) - 1.0)) < 1e-8

@@ -6,12 +6,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from geostable import (ConfigError, EmpiricalCdf, InversionNotIntegrableError, ProcessSpec,
-                       RngStream, cdf_numeric, density_inversion, density_mc,
-                       inversion_integrable, inversion_table, sample_increment)
+from geostable import (ConfigError, DensityTable, EmpiricalCdf, ProcessSpec, RngStream,
+                       SingularPointError, cdf_numeric, density_inversion, density_mc,
+                       inversion_table, sample_increment)
 from geostable.acceptance import gridded_cdf
 from geostable.levy_structure import surface_measure
-from geostable.stable_kernel import _panel_nodes
+from geostable.stable_kernel import _panel_nodes, q1_at_zero
 from geostable.transition_density import density_gamma_mixture
 
 
@@ -70,13 +70,55 @@ def test_inversion_zero_point_beta_value():
     assert abs(density_inversion(ProcessSpec(2.0, 1), 2.0, 0.0) - 0.25) < 1e-14
 
 
-def test_inversion_refuses_subthreshold_t():
-    spec = ProcessSpec(1.5, 1)
-    with pytest.raises(InversionNotIntegrableError, match="density_mc"):
-        density_inversion(spec, 0.5, 1.0)
-    with pytest.raises(InversionNotIntegrableError):
-        # boundary t = d/alpha excluded
-        density_inversion(ProcessSpec(1.0, 1), 1.0, 0.3)
+def test_inversion_below_threshold_values():
+    # t <= d/alpha: (1 + r^alpha)^(-t) is not integrable, but the cos integral
+    # still converges at x != 0; t = d/alpha is the boundary
+    xs = np.array([0.2, 1.0, 3.0])
+    for spec, t in ((ProcessSpec(1.5, 1), 0.5), (ProcessSpec(1.0, 1), 1.0),
+                    (ProcessSpec(1.5, 1), 1.0 / 1.5)):
+        got = density_inversion(spec, t, xs)
+        assert np.all(np.diff(got) < 0.0)
+        assert np.max(np.abs(got / density_gamma_mixture(spec, t, xs) - 1.0)) < 1e-8, t
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 1.9, 1.99])
+def test_inversion_below_threshold_matches_polar_integral(alpha, dim):
+    spec, r = ProcessSpec(alpha, dim), np.geomspace(1e-6, 10.0, 200)
+    pts = r if dim == 1 else np.c_[r, np.zeros((r.size, 2))]
+    for frac in (0.05, 0.3, 0.9, 0.999):
+        t = frac * dim / alpha
+        got = density_inversion(spec, t, pts)
+        assert np.max(np.abs(got / density_gamma_mixture(spec, t, r) - 1.0)) < 1e-8, t
+
+
+@pytest.mark.parametrize("t", [0.05, 0.25, 0.45])
+def test_inversion_below_threshold_matches_variance_gamma(t):
+    # alpha = 2, d = 1: p_t(x) = (|x|/2)^(t-1/2) K_(t-1/2)(|x|) / (Gamma(t) sqrt(pi))
+    r = np.geomspace(1e-6, 10.0, 200)
+    nu = t - 0.5
+    want = (r / 2.0) ** nu * kv(nu, r) / (math.gamma(t) * math.sqrt(math.pi))
+    got = density_inversion(ProcessSpec(2.0, 1), t, np.concatenate([-r, r]))
+    assert np.max(np.abs(got / np.tile(want, 2) - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+def test_zero_point_is_beta_value_or_singular(alpha, dim):
+    # p_t(0) is finite iff t > d/alpha; both density routes give one answer there
+    spec = ProcessSpec(alpha, dim)
+    origin = 0.0 if dim == 1 else np.zeros(dim)
+    for t in (0.5 * dim / alpha, dim / alpha):
+        with pytest.raises(SingularPointError, match=r"p_t\(0\) is infinite") as inv:
+            density_inversion(spec, t, origin)
+        with pytest.raises(SingularPointError) as mix:
+            density_gamma_mixture(spec, t, [0.0])
+        assert str(inv.value) == str(mix.value)
+    t = 1.2 * dim / alpha
+    want = q1_at_zero(alpha, dim) * math.gamma(t - dim / alpha) / math.gamma(t)
+    got = density_inversion(spec, t, origin)
+    assert got == density_gamma_mixture(spec, t, [0.0])[0]
+    assert abs(got / want - 1.0) < 1e-12
 
 
 def test_inversion_near_integrability_threshold():
@@ -110,17 +152,13 @@ def _projected(spec, t, x):
     """p^(1)(x) = |S^(d-2)| int_0^inf v^(d-2) p^(d)(sqrt(x^2 + v^2)) dv.
 
     The first coordinate of the d-dimensional law is the one-dimensional law.
-    p^(d) is density_inversion where t > d/alpha and density_gamma_mixture
-    below; Gauss-Legendre(10) on 4 geometric panels a decade of v in
-    [1e-6, 1e8], with p^(d) taken as constant on [0, 1e-6].
+    p^(d) is density_inversion; Gauss-Legendre(10) on 4 geometric panels a
+    decade of v in [1e-6, 1e8], with p^(d) taken as constant on [0, 1e-6].
     """
     d = spec.dim
     v, w = _panel_nodes(np.geomspace(1e-6, 1e8, 14 * 4 + 1))
     r = np.sqrt(x[:, None] ** 2 + v ** 2)
-    if inversion_integrable(spec, t):
-        p = density_inversion(spec, t, np.c_[r.ravel(), np.zeros((r.size, d - 1))])
-    else:
-        p = density_gamma_mixture(spec, t, r.ravel())
+    p = density_inversion(spec, t, np.c_[r.ravel(), np.zeros((r.size, d - 1))])
     near = density_gamma_mixture(spec, t, x) * 1e-6 ** (d - 1) / (d - 1)
     return surface_measure(d - 1) * (near + (p.reshape(r.shape) * v ** (d - 2) * w).sum(axis=1))
 
@@ -314,7 +352,7 @@ def _gaussian_mixture_kde_mean(dim, t, bw, x):
 def test_density_mc_gaussian_mixture_in_higher_dims(dim, t):
     # alpha = 2: X = sqrt(2G) N, so the KDE's mean is one integral over G, and
     # K_bw^2 = (4 pi bw^2)^(-d/2) K_(bw/sqrt 2) gives its variance the same way;
-    # t = 0.5 in d = 3 is below d/alpha, where inversion is refused
+    # t = 0.5 in d = 3 is below d/alpha, where p_t(0) is infinite
     n = 20_000
     pts = np.zeros((5, dim))
     pts[1, 0], pts[2, :2], pts[3, :2], pts[4, -1] = 0.5, (1.0, 1.0), (2.0, -1.0), 3.0
@@ -340,16 +378,14 @@ def test_mc_inversion_ks_agreement():
     spec = ProcessSpec(1.5, 1)
     n = 20_000
     samples = sample_increment(spec, 2.0, RngStream(23), size=n)
-    cdf = gridded_cdf(spec, 2.0, samples, n_grid=600)
+    cdf = gridded_cdf(spec, 2.0, samples)
     ks = EmpiricalCdf.from_samples(samples).ks_distance(cdf)
     assert ks < 2.0 / math.sqrt(n) + 0.005
 
 
 def test_density_mc_covers_subthreshold_t():
-    # inversion refuses t <= d/alpha, but sampling still produces the density
+    # t <= d/alpha: the sampled density peaks at the origin, where p_t is infinite
     spec = ProcessSpec(1.5, 1)
-    with pytest.raises(InversionNotIntegrableError):
-        density_inversion(spec, 0.5, 0.2)
     table = density_mc(spec, 0.5, np.linspace(-8, 8, 321), 5_000, RngStream(24))
     assert table.method == "MonteCarlo"
     assert np.all(table.values >= 0)
@@ -368,13 +404,14 @@ def test_table_rejects_supercritical_mass_and_wrong_method():
     spec = ProcessSpec(2.0, 1)
     xs = np.linspace(-1, 1, 11)
     with pytest.raises(ValueError):
-        from geostable import DensityTable
         DensityTable(spec=spec, t=1.0, method="Inversion", x_grid=xs,
                      values=np.full(11, 10.0))
-    with pytest.raises(InversionNotIntegrableError):
-        from geostable import DensityTable
-        DensityTable(spec=ProcessSpec(1.0, 1), t=0.5, method="Inversion",
-                     x_grid=xs, values=np.zeros(11))
+    with pytest.raises(ValueError, match="method"):
+        DensityTable(spec=spec, t=1.0, method="Fourier", x_grid=xs, values=np.zeros(11))
+    # inversion tables hold every t > 0, below d/alpha too
+    table = DensityTable(spec=ProcessSpec(1.0, 1), t=0.5, method="Inversion",
+                         x_grid=xs, values=np.zeros(11))
+    assert table.t == 0.5
 
 
 def test_empirical_cdf_basics():

@@ -112,13 +112,20 @@ def check_laplace_density(seed: int = 0) -> CheckResult:
 
 
 def check_vg_levy(seed: int = 0) -> CheckResult:
-    """2: alpha=2 jump density matches e^-|x|/|x| to 1e-8 relative on [0.1, 8]."""
+    """2: alpha=2 jump densities match e^-r/r (d = 1) and e^-r (1 + r)/(2 pi r^3) (d = 3)
+    to 1e-8 relative for r = |x| in [0.1, 8].
+
+    d = 1 k_radial returns e^-r at alpha = 2 itself, so d = 3, through the
+    polar integral, is the part that can fail.
+    """
     t0 = time.perf_counter()
-    spec = ProcessSpec(2.0, 1)
     rs = np.geomspace(0.1, 8.0, 64)
-    err = float(np.max(np.abs(levy_density(spec, rs) / (np.exp(-rs) / rs) - 1.0)))
-    return _result("variance-gamma-levy-oracle", t0, err < 1e-8,
-                   f"max rel err = {err:.3e} on |x| in [0.1, 8] (tol 1e-8)")
+    err1 = float(np.max(np.abs(levy_density(ProcessSpec(2.0, 1), rs) / (np.exp(-rs) / rs) - 1.0)))
+    j3 = levy_density(ProcessSpec(2.0, 3), np.column_stack([rs, np.zeros((rs.size, 2))]))
+    err3 = float(np.max(np.abs(j3 / (np.exp(-rs) * (1.0 + rs) / (2.0 * np.pi * rs ** 3)) - 1.0)))
+    return _result("variance-gamma-levy-oracle", t0, max(err1, err3) < 1e-8,
+                   f"max rel err = {err1:.3e} (d = 1), {err3:.3e} (d = 3) on |x| in [0.1, 8] "
+                   f"(tol 1e-8)")
 
 
 def check_asymptotics(seed: int = 0) -> CheckResult:
@@ -171,8 +178,25 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
     return _gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
 
 
+def k_tail_identity_d3(alpha: float, r) -> np.ndarray:
+    """d = 3 oracle for k from the 1-D marginal X^(1) of X_1: no d = 3 profile.
+
+    The tail identity k = (alpha/|S^(d-1)|) P(|X_1| > r) and, for an isotropic
+    law in R^3, P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r) give
+    k_3(r) = (alpha/2 pi) r p_1^(1)(r) + k_1(r)/(2 pi), with p_1^(1) from the
+    d = 1 cos rule and k_1 = alpha P(X^(1) > r) from the d = 1 sine rule.
+    """
+    r = np.asarray(r, dtype=float)
+    p1 = density_inversion(ProcessSpec(alpha, 1), 1.0, r)
+    return (alpha * r * p1 + k_radial(ProcessSpec(alpha, 1), r)) / (2.0 * np.pi)
+
+
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:
-    """4: 200 random monotonicity tuples and k against closed forms at alpha in {1, 2}."""
+    """4: 200 random monotonicity tuples; k against closed forms at alpha in {1, 2},
+    and the d = 3 tail identity at alpha in {0.5, 1.5, 1.9}.
+
+    The (2, 1) closed form is left out: d = 1 k_radial returns e^-r there itself.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     alphas = np.linspace(0.5, 2.0, 16)
@@ -190,16 +214,19 @@ def check_selfdecomposability(seed: int = 77001) -> CheckResult:
                            f"monotonicity violated at alpha={a} d={d} r=({r1:.3g},{r2:.3g})")
     radii = np.geomspace(1e-2, 10.0, 12)
     oracle_err = 0.0
-    for a in (1.0, 2.0):
-        for d in (1, 2, 3):
-            spec = ProcessSpec(a, d)
-            oracle_err = max(oracle_err, float(np.max(np.abs(
-                k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0))))
+    for a, d in ((1.0, 1), (1.0, 2), (1.0, 3), (2.0, 2), (2.0, 3)):
+        spec = ProcessSpec(a, d)
+        oracle_err = max(oracle_err, float(np.max(np.abs(
+            k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0))))
+    identity_err = max(float(np.max(np.abs(
+        k_radial(ProcessSpec(a, 3), radii) / k_tail_identity_d3(a, radii) - 1.0)))
+        for a in (0.5, 1.5, 1.9))
     table = verify_selfdecomposable(ProcessSpec(1.5, 1), 1.0, np.geomspace(0.01, 10, 40))
-    ok = oracle_err < 1e-6 and table.monotone_certificate
+    ok = oracle_err < 1e-6 and identity_err < 1e-6 and table.monotone_certificate
     return _result("selfdecomposability-certificate", t0, ok,
                    f"200 tuples monotone (margin {worst:.2e}); k vs closed forms at alpha 1, 2 "
-                   f"rel err {oracle_err:.2e} (tol 1e-6)")
+                   f"rel err {oracle_err:.2e}, d = 3 vs tail identity at alpha 0.5, 1.5, 1.9 "
+                   f"rel err {identity_err:.2e} (tol 1e-6)")
 
 
 def check_recurrence_table(seed: int = 0) -> CheckResult:

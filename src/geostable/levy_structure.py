@@ -12,10 +12,20 @@ int 1_B(r theta) k(r)/r dr; it is nonincreasing in r by construction (the
 integrand's only r-dependence is the decreasing factor e^(-(r/u)^alpha)),
 which is the self-decomposability certificate this module tabulates.
 
-Quadrature: the u-integral is split at the kernel switch radius U.  The head
-is smooth in log u: Gauss-Legendre on one fixed log-u panel grid shared by
-every radius of a batch.  The tail reduces, term by term of the q_1 power
-series, to lower incomplete gamma functions:
+Tail identity.  The exponent psi(xi) = log(1 + |xi|^alpha) has
+xi . grad psi = alpha |xi|^alpha/(1 + |xi|^alpha) = alpha (1 - phi_1(xi)), with
+phi_1 = e^(-psi) the time-one characteristic function.  Written through k,
+this gives -k'(r) = alpha r^(d-1) p_1(r), so k(r) = (alpha/|S^(d-1)|) P(|X_1| > r):
+k is nonincreasing because it is a tail probability.  In d = 1 this is
+k(r) = (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one call
+of stable_kernel's Ooura-Mori sine rule with no profile, and e^(-r) at
+alpha = 2; k_radial takes it there.  d = 2 and 3 take K_0 below.  K_t at
+t > 0 (the d = 2 densities) and the d = 1 test oracle stay on the polar integral.
+
+Quadrature of the polar integral: the u-integral is split at the kernel
+switch radius U.  The head is smooth in log u: Gauss-Legendre on one fixed
+log-u panel grid shared by every radius of a batch.  The tail reduces, term
+by term of the q_1 power series, to lower incomplete gamma functions:
 
     alpha int_U^inf u^(d-1) [c_k u^(-d-k a)] (r/u)^(a t) e^(-(r/u)^a) du
         = c_k r^(-k a) gamma(k+t, (r/U)^a) ,
@@ -37,7 +47,8 @@ from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
 from .process_core import ProcessSpec, point_radii, positive_time
-from .stable_kernel import _PAIR_BLOCK, _panel_nodes, _series_rows, radial_profile
+from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
+                            _series_rows, radial_profile)
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -105,6 +116,20 @@ def _tail_sum(prof, t, r):
                         * _gamma(k + t), r, prof.coeffs)[0]
 
 
+def _positive_radii(r):
+    """r as a float array and its flat view; ConfigError unless every radius is > 0 (NaN too)."""
+    r_arr = np.asarray(r, dtype=float)
+    flat = r_arr.ravel()
+    if not np.all(flat > 0):
+        raise ConfigError(f"r must be positive, got {flat[~(flat > 0)][0]}")
+    return r_arr, flat
+
+
+def _shaped(out, r_arr):
+    """A float for a scalar radius, else out in r's shape."""
+    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
+
+
 def _polar_integral(spec: ProcessSpec, t: float, r):
     """K_t(r) of the module docstring at radii r > 0 of any shape, for t >= 0.
 
@@ -114,10 +139,7 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
     which w^t e^(-w) < e^(-690); t = 0 skips the log pass of w^t.  Radii run
     sorted, in place, in blocks of at most _PAIR_BLOCK (radius, node) pairs.
     """
-    r_arr = np.asarray(r, dtype=float)
-    flat = r_arr.ravel()
-    if not np.all(flat > 0):
-        raise ConfigError(f"r must be positive, got {flat[~(flat > 0)][0]}")
+    r_arr, flat = _positive_radii(r)
     a = spec.alpha
     prof = radial_profile(a, spec.dim)
     w_floor = _EXP_FLOOR + t * math.log(_EXP_FLOOR + t * math.log(_EXP_FLOOR))
@@ -137,17 +159,26 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
             panel = np.multiply(np.exp(z, out=z), g[None, :m], out=z).sum(axis=2)
             head[idx] = np.cumsum(panel, axis=1)[np.arange(idx.size), n_panels[idx] - 1]
             start += idx.size
-    out = (head + _tail_sum(prof, t, flat)) / _gamma(1.0 + t)
-    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
+    return _shaped((head + _tail_sum(prof, t, flat)) / _gamma(1.0 + t), r_arr)
 
 
 def k_radial(spec: ProcessSpec, r):
-    """Polar kernel k = K_0 at radii r > 0 (a float for a scalar, else r's shape).
+    """Polar kernel k(r) = r^d j(r theta) at radii r > 0 (a float for a scalar, else r's shape).
 
-    K_t(r) = alpha/Gamma(1+t) int_0^inf u^(d-1) q_1(u) (r/u)^(alpha t) e^(-(r/u)^alpha) du
-    gives j(x) = k(|x|)/|x|^d and p_t(x) = t K_t(|x|)/|x|^d; _polar_integral computes it.
+    d = 1 takes the tail identity k = alpha P(X_1 > r) of the module docstring:
+    e^(-r) at alpha = 2, else the sine integral
+    (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one
+    `_char_integral` call that builds no profile.  d = 2 and 3 take K_0 of the
+    polar integral.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
-    return _polar_integral(spec, 0.0, r)
+    a = spec.alpha
+    if a < MIN_NUMERIC_ALPHA:
+        raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
+    if spec.dim > 1:
+        return _polar_integral(spec, 0.0, r)
+    r_arr, flat = _positive_radii(r)
+    k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
+    return _shaped(k, r_arr)
 
 
 def levy_density(spec: ProcessSpec, x):
@@ -159,7 +190,8 @@ def levy_density(spec: ProcessSpec, x):
     r, point = point_radii(spec, x)
     if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    j = k_radial(spec, r) / r ** spec.dim
+    with np.errstate(over="ignore"):  # r^d = inf: j is below the float range, and 0 here
+        j = k_radial(spec, r) / r ** spec.dim
     return float(j[0]) if point else j
 
 
@@ -205,10 +237,13 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     """Tabulate t*k over r_grid and certify it is nonincreasing.
 
     The certificate holds for every valid spec and every t > 0, since the
-    time-t jump measure is t times the time-one measure and k is decreasing;
-    a failed certificate is reported in the table, not raised.  k depends on
-    the direction of x only through |x|, so one radial table covers every
-    direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).
+    time-t jump measure is t times the time-one measure and k is decreasing:
+    k(r) = (alpha/|S^(d-1)|) P(|X_1| > r), a tail probability (the module's
+    tail identity; k_radial computes d = 1 from it, d = 2 and 3 by the polar
+    integral).  A failed certificate is reported in the table, not raised.
+    k depends on the direction of x only through |x|, so one radial table
+    covers every direction.  Neighbours may rise by _MONOTONE_SLACK relative
+    (rounding).
     """
     positive_time(t)
     r_grid = np.asarray(r_grid, dtype=float)

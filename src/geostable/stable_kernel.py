@@ -26,12 +26,14 @@ Radial evaluation strategy:
     from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
     one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 inverts
     exp(-rho^alpha) by Ooura & Mori's rule (`_char_integral`, shared with
-    transition_density), with a cos, J0 or sin kernel for d = 1, 2, 3.  The
-    switch radius is validated against the head at build time, and a profile
-    whose series matches at no candidate is refused: it is self-checking.
+    transition_density and the d = 1 jump kernel), with a cos, J0 or sin
+    kernel for d = 1, 2, 3.  The switch radius is validated against the head
+    at build time, and a profile whose series matches at no candidate is
+    refused: it is self-checking.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -78,6 +80,7 @@ def q1_at_zero(alpha: float, dim: int) -> float:
     return _gamma(dim / alpha) / (alpha * 2.0 ** (dim - 1) * np.pi ** (dim / 2.0) * _gamma(dim / 2.0))
 
 
+@functools.cache
 def _fourier_rule(kernel: str):
     """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
 
@@ -88,7 +91,8 @@ def _fourier_rule(kernel: str):
     vanish far out, and g must be negligible there.  Every kernel loses digits
     at small r: the alpha = 1.999, d = 3 stable head is 5.9e-13 off at
     r = 1e-3 and 3.5e-9 at r = 1e-5, below every profile knot but 0 (the
-    smallest is 5.0e-3, at alpha = 1.001, d = 3).
+    smallest is 5.0e-3, at alpha = 1.001, d = 3).  Built once per kernel;
+    both arrays are read-only.
     """
     k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
     tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25}[kernel]) * _DE_H
@@ -101,31 +105,59 @@ def _fourier_rule(kernel: str):
     phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
     m = np.pi / _DE_H
     if kernel == "j0":
-        return m * phi, dphi * _j0(m * phi)
-    # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
-    # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
-    near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
-    direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
-    return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
+        weights = _j0(m * phi)
+    else:
+        # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
+        # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
+        near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
+        direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
+        weights = np.where(tau < 0, direct, near_zeros)
+    y, w = m * phi, dphi * weights
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
 
 
-def _char_integral(kernel: str, power: int, alpha: float, t, r: np.ndarray) -> np.ndarray:
+def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) -> np.ndarray:
     """int_0^inf p^power f(p) K(r p) dp at each r > 0 of a 1-d array, by `_fourier_rule`.
 
     f(p) = (1 + p^alpha)^(-t), or the stable law's exp(-p^alpha) when t is
     None.  Blocks hold at most _PAIR_BLOCK (point, node) pairs, and each
     point is summed on its own row, so its value does not depend on the rest
-    of the batch.
+    of the batch.  Rows where (y/r)^alpha or r^(-1-power) would overflow
+    (tiny r) are summed in log space: log1p((y/r)^alpha) + alpha log r is
+    logaddexp(alpha log r, alpha log y), so the row's scale r^(t alpha) and
+    r^(-1-power) join each node's exponent; the other rows are unchanged.
     """
     y, w = _fourier_rule(kernel)
     y_alpha, wy = y ** alpha, w * y ** power
+    with np.errstate(over="ignore"):
+        tiny = ~(np.isfinite(r ** -alpha * y_alpha[-1]) & np.isfinite(np.pi * r ** (-1.0 - power)))
+
+    def direct(rb):
+        z = np.multiply.outer(rb ** -alpha, y_alpha)
+        z = -z if t is None else np.log1p(z) * -t
+        return np.pi * rb ** (-1.0 - power) * (np.exp(z, out=z) * wy).sum(axis=1)
+
+    def scaled(rb):
+        log_y, log_r = np.log(y), np.log(rb)[:, None]
+        with np.errstate(divide="ignore"):  # a weight of 0 is a term of 0
+            log_wy = np.log(np.abs(wy))
+        scale = (-1.0 - power) * log_r
+        if t is None:  # exp(-(y/r)^alpha) underflows to 0 before its exponent overflows
+            z = -np.exp(np.minimum(alpha * (log_y - log_r), 709.0))
+        else:
+            z = -t * np.logaddexp(alpha * log_r, alpha * log_y)
+            scale = scale + t * alpha * log_r
+        z += scale + log_wy
+        return np.pi * (np.sign(wy) * np.exp(z, out=z)).sum(axis=1)
+
     sums = np.empty(r.size)
     rows = max(1, _PAIR_BLOCK // y.size)
-    for i0 in range(0, r.size, rows):
-        z = np.multiply.outer(r[i0:i0 + rows] ** -alpha, y_alpha)
-        z = -z if t is None else np.log1p(z) * -t
-        sums[i0:i0 + rows] = (np.exp(z, out=z) * wy).sum(axis=1)
-    return np.pi * r ** (-1.0 - power) * sums
+    for rule, mask in ((direct, ~tiny), (scaled, tiny)):
+        idx = np.flatnonzero(mask)
+        for i0 in range(0, idx.size, rows):
+            sums[idx[i0:i0 + rows]] = rule(r[idx[i0:i0 + rows]])
+    return sums
 
 
 def _kanter_log_a(beta, u):

@@ -68,7 +68,8 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     at_zero = xs == 0.0
     out = np.full(xs.shape, _finite_at_zero(spec, t) if at_zero.any() else 0.0)
     r = xs[~at_zero]
-    out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
+    with np.errstate(over="ignore"):  # r^d = inf: p_t is below the float range, and 0 here
+        out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
     return out
 
 

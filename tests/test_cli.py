@@ -198,9 +198,10 @@ def test_levy_at_lowest_supported_alpha(tmp_path):
 
 
 def test_unvalidated_tail_series_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    # at u = 1 the alpha = 1.37 power series diverges, so no switch radius validates
+    # at u = 1 the alpha = 1.37 power series diverges, so no switch radius validates;
+    # d = 1 jump kernels build no profile, so d = 2 asks for one
     monkeypatch.setattr("geostable.stable_kernel._SWITCH_CANDIDATES", (1.0,))
-    assert run(["levy", "--alpha", "1.37", "--dim", "1", "--output-path", str(tmp_path)]) == 1
+    assert run(["levy", "--alpha", "1.37", "--dim", "2", "--output-path", str(tmp_path)]) == 1
     assert "3e-9" in capsys.readouterr().err
 
 

@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1, k0, sici
 
-from geostable import (ProcessSpec, Regime, SingularPointError,
+from geostable import (ConfigError, ProcessSpec, Regime, SingularPointError,
                        asymptotic_report, density_inversion, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
-from geostable.acceptance import k_closed_form
-from geostable.levy_structure import (exponential_tail_constant, large_x_constant,
-                                      small_x_constant, surface_measure)
+from geostable.acceptance import k_closed_form, k_tail_identity_d3
+from geostable.levy_structure import (_polar_integral, exponential_tail_constant,
+                                      large_x_constant, small_x_constant, surface_measure)
 
 
 def j_closed_a2_d1(r):
@@ -231,3 +231,64 @@ def test_k_radial_at_huge_radii_is_finite(alpha, dim):
     k = k_radial(ProcessSpec(alpha, dim), [1e100, 1e250, 1e300])
     assert np.all(np.isfinite(k) & (k >= 0.0))
     assert k[0] > 0.0
+
+
+# the sweep of test_every_supported_alpha_validates_its_tail
+SWEEP = [round(0.3 + 0.05 * i, 2) for i in range(34)] + [0.999, 1.001, 1.99, 1.999]
+
+
+def test_d1_sine_route_matches_polar_integral():
+    # k = alpha P(X_1 > r) by the sine rule against K_0 of the polar integral
+    r = np.geomspace(1e-3, 1e4, 120)
+    for alpha in SWEEP:
+        spec = ProcessSpec(alpha, 1)
+        gap = np.max(np.abs(k_radial(spec, r) / _polar_integral(spec, 0.0, r) - 1.0))
+        assert gap < 1e-8, alpha
+
+
+def test_d3_kernel_matches_tail_identity():
+    # k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi): 1-D cos and sine rules, no d = 3 profile
+    r = np.geomspace(1e-3, 100.0, 60)
+    for alpha in [a for a in SWEEP if a <= 1.9]:
+        got = k_radial(ProcessSpec(alpha, 3), r)
+        assert np.max(np.abs(got / k_tail_identity_d3(alpha, r) - 1.0)) < 1e-8, alpha
+
+
+def test_tail_identity_is_exact_at_alpha_2():
+    # the cos rule is accurate in absolute terms, so r stops where e^-r is still large
+    r = np.geomspace(1e-2, 5.0, 40)
+    assert np.array_equal(k_radial(ProcessSpec(2.0, 1), r), np.exp(-r))
+    d3 = k_closed_form(ProcessSpec(2.0, 3), r)
+    assert np.max(np.abs(k_tail_identity_d3(2.0, r) / d3 - 1.0)) < 1e-12
+
+
+def test_d1_kernel_at_tiny_radii_is_its_limit():
+    # (y/r)^alpha overflows there but for the log-space rows; k(0+) = alpha/2,
+    # and P(|X_1| <= r) is below 1e-16 of it at these radii for alpha >= 0.3
+    r = np.array([1e-300, 1e-200, 1e-100])
+    for alpha in SWEEP:
+        k = k_radial(ProcessSpec(alpha, 1), r)
+        assert np.max(np.abs(k / (alpha / 2.0) - 1.0)) < 1e-13, alpha
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_annulus_mass_at_tiny_radii(alpha):
+    # 2 int k(r)/r dr with k = alpha/2 to rounding: alpha ln(1e10)
+    mass = polar_levy_mass(ProcessSpec(alpha, 1), 1e-300, 1e-290)
+    assert abs(mass / (alpha * math.log(1e10)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_below_supported_alpha_is_config_error(dim):
+    with pytest.raises(ConfigError, match="alpha >= 0.3"):
+        k_radial(ProcessSpec(0.2, dim), 1.0)
+
+
+def test_levy_density_at_extreme_coordinates():
+    # such norms come from hypot: 1e-200 is no origin and 1e200 squares to no inf
+    assert abs(levy_density(ProcessSpec(1.5, 1), [[1e-200]])[0] / 0.75e200 - 1.0) < 1e-13
+    with np.errstate(divide="ignore"):  # j = k/r^2 is ~2.4e399, beyond the float range
+        assert levy_density(ProcessSpec(1.5, 2), [[1e-200, 0.0]])[0] == np.inf
+    for dim in (2, 3):
+        x = [[1e200] + [0.0] * (dim - 1)]
+        assert levy_density(ProcessSpec(1.5, dim), x)[0] == 0.0

@@ -7,6 +7,7 @@ import geostable as gs
 from geostable import (ConfigError, ProcessSpec, RecurrenceClass, char_function,
                        classify_recurrence, hartman_wintner_ratio,
                        inversion_integrable, symbol)
+from geostable.process_core import point_radii
 
 
 def test_spec_validation():
@@ -182,3 +183,12 @@ def test_small_frequency_symbol_ratio():
     for alpha in (0.6, 1.0):
         xi = 1e-7 ** (1.0 / alpha)
         assert abs(symbol(ProcessSpec(alpha, 1), xi) / xi ** alpha - 1.0) < 1e-6
+
+
+def test_point_radii_square_no_coordinate():
+    spec = ProcessSpec(1.5, 2)
+    r, point = point_radii(spec, [[3e-200, 4e-200], [3e200, -4e200], [-3.0, 4.0]])
+    assert not point and np.allclose(r, [5e-200, 5e200, 5.0], rtol=1e-15, atol=0.0)
+    r, point = point_radii(ProcessSpec(1.0, 3), [-1e-300, 0.0, 0.0])
+    assert point and r[0] == 1e-300
+    assert point_radii(ProcessSpec(1.0, 1), [[-2.0], [3.0]])[0].tolist() == [2.0, 3.0]

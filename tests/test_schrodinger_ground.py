@@ -18,10 +18,11 @@ from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
 
 # jump-kernel energy of exp(-x^2) on (L, N) = (16, 1024), summed lag by lag
 # over node pairs before the jump route became a spectral symbol; the alpha = 1.5
-# pins are within 5e-13 of the same energy from a 4001-knot profile spline
+# pin was re-taken when d = 1 k became the sine integral of the tail identity
+# (CHANGES.md has the old value)
 JUMP_ENERGY_PINS = {
     1.0: 0.6673379420418808,
-    1.5: 0.6571497461423734,
+    1.5: 0.6571497461426601,
     2.0: 0.6697437077198672,
 }
 

@@ -423,3 +423,15 @@ def test_empirical_cdf_basics():
         EmpiricalCdf(values=np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         EmpiricalCdf.from_samples([])
+
+
+@pytest.mark.parametrize("alpha, t", [(1.5, 0.5), (0.7, 1.0), (1.9, 0.3)])
+def test_inversion_at_tiny_x_follows_small_x_law(alpha, t):
+    # (y/x)^alpha used to overflow at these x; below d/alpha,
+    # p_t(x) ~ Gamma(1 - alpha t) sin(pi alpha t / 2)/pi |x|^(alpha t - 1)
+    x = np.array([1e-100, 1e-200, 1e-300])
+    law = math.gamma(1.0 - alpha * t) * math.sin(math.pi * alpha * t / 2.0) / math.pi
+    got = density_inversion(ProcessSpec(alpha, 1), t, x)
+    assert np.max(np.abs(got / (law * x ** (alpha * t - 1.0)) - 1.0)) < 1e-12
+    assert np.array_equal(cdf_numeric(ProcessSpec(alpha, 1), t, np.concatenate([-x, x])),
+                          np.full(6, 0.5))

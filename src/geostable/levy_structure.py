@@ -19,8 +19,12 @@ this gives -k'(r) = alpha r^(d-1) p_1(r), so k(r) = (alpha/|S^(d-1)|) P(|X_1| > 
 k is nonincreasing because it is a tail probability.  In d = 1 this is
 k(r) = (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one call
 of stable_kernel's Ooura-Mori sine rule with no profile, and e^(-r) at
-alpha = 2; k_radial takes it there.  d = 2 and 3 take K_0 below.  K_t at
-t > 0 (the d = 2 densities) and the d = 1 test oracle stay on the polar integral.
+alpha = 2; k_radial takes it there for alpha <= _SINE_ALPHA_MAX.  The rule is
+accurate in absolute terms, while far out k ~ alpha Gamma(alpha)
+sin(pi alpha/2)/pi r^(-alpha) vanishes with 2 - alpha, so its relative error
+grows like 2e-13/(2 - alpha): 1.9e-9 at alpha = 1.999, 1.6e-8 at 1.9999.
+Past the cut, and in d = 2 and 3, k is K_0 below.  K_t at t > 0 (the d = 2
+densities) and the d = 1 test oracle stay on the polar integral.
 
 Quadrature of the polar integral: the u-integral is split at the kernel
 switch radius U.  The head is smooth in log u: Gauss-Legendre on one fixed
@@ -57,6 +61,8 @@ _EXP_FLOOR = 690.0
 _LOG_PANEL = 0.05
 # relative rise between neighbours that the monotonicity certificate forgives
 _MONOTONE_SLACK = 1e-12
+# largest alpha < 2 whose d = 1 kernel takes the sine rule (module docstring)
+_SINE_ALPHA_MAX = 1.999
 
 
 def surface_measure(dim: int) -> float:
@@ -166,15 +172,17 @@ def k_radial(spec: ProcessSpec, r):
     """Polar kernel k(r) = r^d j(r theta) at radii r > 0 (a float for a scalar, else r's shape).
 
     d = 1 takes the tail identity k = alpha P(X_1 > r) of the module docstring:
-    e^(-r) at alpha = 2, else the sine integral
+    e^(-r) at alpha = 2, else, for alpha <= _SINE_ALPHA_MAX, the sine integral
     (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one
-    `_char_integral` call that builds no profile.  d = 2 and 3 take K_0 of the
-    polar integral.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
+    `_char_integral` call that builds no profile.  1.999 < alpha < 2 and
+    d = 2, 3 take K_0 of the polar integral, whose profile refuses alpha near 2
+    (from about 1.99999 in d = 1) with ConsistencyError.  Every d refuses
+    alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
     a = spec.alpha
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
-    if spec.dim > 1:
+    if spec.dim > 1 or _SINE_ALPHA_MAX < a < 2.0:
         return _polar_integral(spec, 0.0, r)
     r_arr, flat = _positive_radii(r)
     k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
@@ -190,8 +198,11 @@ def levy_density(spec: ProcessSpec, x):
     r, point = point_radii(spec, x)
     if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    with np.errstate(over="ignore"):  # r^d = inf: j is below the float range, and 0 here
-        j = k_radial(spec, r) / r ** spec.dim
+    j = k_radial(spec, r)
+    # one factor of r at a time: r^d leaves the float range long before j does
+    with np.errstate(over="ignore"):
+        for _ in range(spec.dim):
+            j /= r
     return float(j[0]) if point else j
 
 
@@ -239,11 +250,11 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     The certificate holds for every valid spec and every t > 0, since the
     time-t jump measure is t times the time-one measure and k is decreasing:
     k(r) = (alpha/|S^(d-1)|) P(|X_1| > r), a tail probability (the module's
-    tail identity; k_radial computes d = 1 from it, d = 2 and 3 by the polar
-    integral).  A failed certificate is reported in the table, not raised.
-    k depends on the direction of x only through |x|, so one radial table
-    covers every direction.  Neighbours may rise by _MONOTONE_SLACK relative
-    (rounding).
+    tail identity; k_radial computes d = 1 from it up to alpha = 1.999, the
+    rest by the polar integral).  A failed certificate is reported in the
+    table, not raised.  k depends on the direction of x only through |x|, so
+    one radial table covers every direction.  Neighbours may rise by
+    _MONOTONE_SLACK relative (rounding).
     """
     positive_time(t)
     r_grid = np.asarray(r_grid, dtype=float)

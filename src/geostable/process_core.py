@@ -57,23 +57,19 @@ def point_radii(spec: ProcessSpec, x):
 
     One point is a scalar for d = 1 or a 1-d array of d coordinates; a batch is
     an (n, d) array or, for d = 1, any 1-d array.  NaN raises ConfigError.
-    Norms outside [1e-150, 1e150], where squared coordinates would underflow
-    to 0 or overflow to inf, are taken again by hypot, which squares nothing.
+    Norms are taken by hypot, which squares no coordinate, so none underflows
+    to 0 or overflows to inf.
     """
     xv = np.asarray(x, dtype=float)
     d = spec.dim
     if d == 1 and xv.ndim <= 1:
         r = np.abs(np.atleast_1d(xv))
     elif xv.ndim in (1, 2) and xv.shape[-1] == d:
-        pts = np.atleast_2d(xv)
-        with np.errstate(over="ignore"):
-            r = np.linalg.norm(pts, axis=-1)
-        far = ~((r > 1e-150) & (r < 1e150))
-        r[far] = np.hypot.reduce(np.abs(pts[far]), axis=-1)
+        r = np.hypot.reduce(np.abs(np.atleast_2d(xv)), axis=-1)
     else:
         raise ConfigError(f"x must be one point with {d} coordinates or an (n, {d}) array, "
                          f"got shape {xv.shape}")
-    if np.isnan(r).any():
+    if np.isnan(xv).any():
         raise ConfigError("x must not be NaN")
     return r, xv.ndim == (0 if d == 1 else 1)
 

@@ -33,7 +33,6 @@ Radial evaluation strategy:
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -80,7 +79,6 @@ def q1_at_zero(alpha: float, dim: int) -> float:
     return _gamma(dim / alpha) / (alpha * 2.0 ** (dim - 1) * np.pi ** (dim / 2.0) * _gamma(dim / 2.0))
 
 
-@functools.cache
 def _fourier_rule(kernel: str):
     """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
 
@@ -91,8 +89,7 @@ def _fourier_rule(kernel: str):
     vanish far out, and g must be negligible there.  Every kernel loses digits
     at small r: the alpha = 1.999, d = 3 stable head is 5.9e-13 off at
     r = 1e-3 and 3.5e-9 at r = 1e-5, below every profile knot but 0 (the
-    smallest is 5.0e-3, at alpha = 1.001, d = 3).  Built once per kernel;
-    both arrays are read-only.
+    smallest is 5.0e-3, at alpha = 1.001, d = 3).
     """
     k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
     tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25}[kernel]) * _DE_H
@@ -105,16 +102,12 @@ def _fourier_rule(kernel: str):
     phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
     m = np.pi / _DE_H
     if kernel == "j0":
-        weights = _j0(m * phi)
-    else:
-        # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
-        # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
-        near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
-        direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
-        weights = np.where(tau < 0, direct, near_zeros)
-    y, w = m * phi, dphi * weights
-    y.flags.writeable = w.flags.writeable = False
-    return y, w
+        return m * phi, dphi * _j0(m * phi)
+    # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
+    # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
+    near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
+    direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
+    return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
 
 
 def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) -> np.ndarray:

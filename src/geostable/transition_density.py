@@ -68,8 +68,12 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     at_zero = xs == 0.0
     out = np.full(xs.shape, _finite_at_zero(spec, t) if at_zero.any() else 0.0)
     r = xs[~at_zero]
-    with np.errstate(over="ignore"):  # r^d = inf: p_t is below the float range, and 0 here
-        out[~at_zero] = t * _polar_integral(spec, t, r) / r ** spec.dim
+    p = t * _polar_integral(spec, t, r)
+    # one factor of r at a time: r^d leaves the float range long before p_t does
+    with np.errstate(over="ignore"):
+        for _ in range(spec.dim):
+            p /= r
+    out[~at_zero] = p
     return out
 
 

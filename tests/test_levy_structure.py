@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1, k0, sici
 
-from geostable import (ConfigError, ProcessSpec, Regime, SingularPointError,
+from geostable import (ConfigError, ConsistencyError, ProcessSpec, Regime, SingularPointError,
                        asymptotic_report, density_inversion, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
 from geostable.acceptance import k_closed_form, k_tail_identity_d3
@@ -26,6 +26,33 @@ def j_closed_a1_d1(r):
 
 def j_closed_a2_d3(r):
     return math.exp(-r) * (1.0 + 1.0 / r) / (2.0 * math.pi * r ** 2)
+
+
+def k_linnik(alpha, r):
+    """d = 1 kernel alpha P(X_1 > r) from the Linnik law's real-integral density.
+
+    p_1(x) = sin(pi a/2)/pi int_0^inf y^a e^(-y|x|)/(1 + 2 y^a cos(pi a/2) + y^(2a)) dy
+    (Kotz & Ostrovskii 1996), integrated over x > r, with v = y r.  The
+    denominator is (1 - z)^2 + 4 sin^2(pi (2 - a)/4) z, z = (v/r)^a, which
+    cancels nothing near its peak at v = r as alpha -> 2.  No oscillation and
+    no stable profile: it shares no code with either k_radial route.  Within
+    1e-12 of mpmath on [1e-3, 1e4] for alpha <= 1.9999; from 1.99999 the
+    peak, of width ~(2 - alpha), defeats quad.
+    """
+    e = 4.0 * math.sin(math.pi * (2.0 - alpha) / 4.0) ** 2
+
+    def f(v):
+        z = (v / r) ** alpha
+        gap = 1.0 - z if z < 0.5 else -math.expm1(alpha * math.log(v / r))
+        return math.exp(-v) / (gap * gap + e * z)
+
+    kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    lo = min(r, 1.0)
+    total = quad(f, 0.0, lo, weight="alg", wvar=(alpha - 1.0, 0.0), **kw)[0]
+    for a, b in ((lo, r), (r, 2.0 * r), (2.0 * r, math.inf)):
+        if b > a:
+            total += quad(lambda v: v ** (alpha - 1.0) * f(v), a, b, **kw)[0]
+    return alpha * math.sin(math.pi * alpha / 2.0) / math.pi * r ** -alpha * total
 
 
 def test_levy_density_variance_gamma_oracle():
@@ -205,11 +232,13 @@ def test_asymptotic_report_json():
     assert data["empirical_limit"] == rep.empirical_limit
 
 
-@pytest.mark.parametrize("route", ["k_radial", "density_inversion_d2"])
+@pytest.mark.parametrize("route", ["k_radial", "k_radial_sine_d1", "density_inversion_d2"])
 def test_polar_integral_memory_is_bounded(route):
     # head and power-tail series both run in row blocks of 2^18 pairs
     r = np.geomspace(1e-2, 1e3, 50_000)
-    if route == "k_radial":
+    if route == "k_radial":  # K_0 of the polar integral
+        call = lambda x: k_radial(ProcessSpec(0.5, 3), x)
+    elif route == "k_radial_sine_d1":
         call = lambda x: k_radial(ProcessSpec(0.5, 1), x)
     else:
         call = lambda x: density_inversion(ProcessSpec(0.7, 2), 4.0 / 0.7,
@@ -244,6 +273,24 @@ def test_d1_sine_route_matches_polar_integral():
         spec = ProcessSpec(alpha, 1)
         gap = np.max(np.abs(k_radial(spec, r) / _polar_integral(spec, 0.0, r) - 1.0))
         assert gap < 1e-8, alpha
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.999, 1.001, 1.5, 1.9, 1.99, 1.999, 1.9999])
+def test_d1_kernel_matches_linnik_integral(alpha):
+    # the sine rule's far-tail error grows like 2e-13/(2 - alpha): 1.9e-9 at
+    # 1.999, 1.6e-8 at 1.9999, which is why k_radial leaves it past 1.999
+    r = np.geomspace(1e-3, 1e4, 36)
+    want = np.array([k_linnik(alpha, x) for x in r])
+    assert np.max(np.abs(k_radial(ProcessSpec(alpha, 1), r) / want - 1.0)) < 1e-8
+
+
+def test_d1_kernel_near_alpha_2_is_the_polar_integral():
+    r = np.geomspace(1.0, 1e4, 40)
+    spec = ProcessSpec(1.9999, 1)
+    assert np.array_equal(k_radial(spec, r), _polar_integral(spec, 0.0, r))
+    for alpha in (1.99999, 2.0 - 1e-8):  # no switch radius validates: refused, as before
+        with pytest.raises(ConsistencyError, match="3e-9"):
+            k_radial(ProcessSpec(alpha, 1), r)
 
 
 def test_d3_kernel_matches_tail_identity():
@@ -287,8 +334,8 @@ def test_kernel_below_supported_alpha_is_config_error(dim):
 def test_levy_density_at_extreme_coordinates():
     # such norms come from hypot: 1e-200 is no origin and 1e200 squares to no inf
     assert abs(levy_density(ProcessSpec(1.5, 1), [[1e-200]])[0] / 0.75e200 - 1.0) < 1e-13
-    with np.errstate(divide="ignore"):  # j = k/r^2 is ~2.4e399, beyond the float range
-        assert levy_density(ProcessSpec(1.5, 2), [[1e-200, 0.0]])[0] == np.inf
+    # j = k/r^2 is ~2.4e399, beyond the float range: inf, with no RuntimeWarning
+    assert levy_density(ProcessSpec(1.5, 2), [[1e-200, 0.0]])[0] == np.inf
     for dim in (2, 3):
         x = [[1e200] + [0.0] * (dim - 1)]
         assert levy_density(ProcessSpec(1.5, dim), x)[0] == 0.0

@@ -435,3 +435,10 @@ def test_inversion_at_tiny_x_follows_small_x_law(alpha, t):
     assert np.max(np.abs(got / (law * x ** (alpha * t - 1.0)) - 1.0)) < 1e-12
     assert np.array_equal(cdf_numeric(ProcessSpec(alpha, 1), t, np.concatenate([-x, x])),
                           np.full(6, 0.5))
+
+
+def test_d2_density_where_x_squared_underflows():
+    # |x|^2 = 1e-400 is 0 in floats, while p_t(x) ~ C |x|^(alpha t - 2) is ~1e249
+    p = density_inversion(ProcessSpec(1.5, 2), 0.5, [[1e-200, 0.0], [0.0, 1e-300]])
+    assert 1e248 < p[0] < 1e250
+    assert p[1] == np.inf  # ~1e374, past the float range

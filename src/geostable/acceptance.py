@@ -143,11 +143,12 @@ def check_asymptotics(seed: int = 0) -> CheckResult:
     gap = abs(emp * math.pi - 1.0)
     ok &= gap < 0.02
     details.append(f"large(1,1)@50: gap {gap:.1e}")
-    spec2 = ProcessSpec(2.0, 1)
-    emp2 = levy_density(spec2, 20.0) * 20.0 * math.exp(20.0)
+    # d = 3 goes through the polar integral: k = e^-r (1 + r)/(2 pi), so
+    # k 2 pi e^r / r = 1 + 1/r
+    emp2 = k_radial(ProcessSpec(2.0, 3), 100.0) * 2.0 * math.pi * math.exp(100.0) / 100.0
     gap2 = abs(emp2 - 1.0)
     ok &= gap2 < 0.02
-    details.append(f"large(2,1)@20: gap {gap2:.1e}")
+    details.append(f"large(2,3)@100: gap {gap2:.1e}")
     rep_l = asymptotic_report(ProcessSpec(1.0, 1), Regime.LARGE_X)
     ok &= rep_l.relative_gap_paper > 0
     details.append(f"paper gap large(1,1): {rep_l.relative_gap_paper:.3f}")

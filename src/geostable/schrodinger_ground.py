@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConfigError, ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
-from .stable_kernel import RngStream, _walk_into, _walk_scratch
+from .stable_kernel import RngStream, _usable_cores, _walk_into, _walk_scratch
 
 
 @dataclass(frozen=True)
@@ -476,14 +475,6 @@ def _rho_lookup(domain: GridDomain, weights: np.ndarray):
         np.take(table, idx, out=out, mode="wrap")
 
     return rho_into
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _as_function(domain: GridDomain, f):

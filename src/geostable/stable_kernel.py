@@ -34,6 +34,8 @@ Radial evaluation strategy:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -362,11 +364,13 @@ class StableRadialProfile:
                                    bc_type=((1, 0.0), "not-a-knot"))
 
     def _closed_form(self, u):
+        # neither form squares u, which overflows past u ~ 1.3e154: the Gaussian
+        # is 0 in floats past u = 60, and (1 + u^2)^(1/2) is hypot(1, u)
         if self.alpha == 2.0:
-            return (4.0 * np.pi) ** (-self.dim / 2.0) * np.exp(-u ** 2 / 4.0)
+            return (4.0 * np.pi) ** (-self.dim / 2.0) * np.exp(-np.minimum(u, 60.0) ** 2 / 4.0)
         if self.alpha == 1.0:
             d = self.dim
-            return _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0) / (1.0 + u ** 2) ** ((d + 1) / 2.0)
+            return _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0) * np.hypot(1.0, u) ** -(d + 1)
         return None
 
     def _pick_switch(self, head):
@@ -471,6 +475,9 @@ _R_FLOOR = 2.0 ** -54
 # entries whose GS rejections are finished together: this bounds the scratch
 # when rejections are common (about a quarter of the entries near t = 1)
 _GS_BLOCK = 1 << 16
+# rows per batch of a sampler call: a call of more rows draws its batches
+# from split substreams, in parallel (`_stable_draws`)
+_DRAW_BATCH = 1 << 18
 # fewest slots in a walk's block (`_walk_block`); a block holds a third of its
 # batch if that is more, so the scratch stays within 7/3 vectors a path while
 # each vector pass stays long: two threads of short passes queue on the GIL
@@ -826,11 +833,74 @@ def _walk_into(alpha: float, t: float, steps: int, gen: np.random.Generator,
             m = kept
 
 
-def _stable_draws(alpha, t, rng, size):
+def _rows_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Write G^(1/alpha) Z into the rows of out, of shape (m, d) with d >= 2.
+
+    G ~ Gamma(t, 1) and Z in R^d is rotation-invariant alpha-stable: for
+    alpha < 2, Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw
+    (`_log_positive_stable_into`); at alpha = 2 directly X = sqrt(2G) N(0, I).
+    The generator is called for log G, then for A, then for the normals,
+    which `standard_normal` writes into out in place.  Until then the first
+    2m entries of out, a C-contiguous array, are the scratch of those two
+    draws.  scratch, of shape (2, m), receives log G and log A.
+    """
+    m = out.shape[0]
+    u, w = out.reshape(-1)[:2 * m].reshape(2, m)
+    scale, log_a = scratch
+    _log_gamma_into(t, gen, scale, u, w)
+    scale *= 1.0 / alpha
+    if alpha < 2.0:
+        _log_positive_stable_into(alpha / 2.0, gen, log_a, u, w)
+        log_a *= 0.5
+        scale += log_a
+    scale += 0.5 * math.log(2.0)
+    np.exp(scale, out=scale)  # sqrt(2 G) at alpha = 2, G^(1/alpha) sqrt(2 A) else
+    gen.standard_normal(out=out)
+    out *= scale[:, None]
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _stable_draws(alpha, t, dim, rng, size):
+    """size draws G^(1/alpha) Z in R^dim (G = 1 when t is None), in batches.
+
+    A call of at most _DRAW_BATCH draws fills one array from rng.gen.  A
+    larger one splits rng into one substream per batch of _DRAW_BATCH rows;
+    batch i fills rows [i B, (i + 1) B) of the one output array from child i,
+    and the batches run on min(batches, usable cores) threads, which numpy's
+    generator fills and ufuncs let run at once.  So the draws depend on the
+    seed and the batch plan, never on the number of cores.  Each thread's
+    scratch, two vectors of one batch, is made here, for the reason
+    `_walk_scratch` gives.
+    """
     n = 1 if size is None else int(size)
-    out = np.empty(n)
-    _stable_into(alpha, t, rng.gen, out, np.empty((2, n)))
-    return _maybe_item(out, size)
+    out = np.empty(n if dim == 1 else (n, dim))
+    fill = _stable_into if dim == 1 else _rows_into
+    if n <= _DRAW_BATCH:
+        fill(alpha, t, rng.gen, out, np.empty((2, n)))
+    else:
+        streams = rng.split(-(-n // _DRAW_BATCH))
+        workers = min(len(streams), _usable_cores())
+        scratch = np.empty((workers, 2 * _DRAW_BATCH))
+
+        def run(k):
+            for i in range(k, len(streams), workers):
+                rows = out[i * _DRAW_BATCH:(i + 1) * _DRAW_BATCH]
+                m = rows.shape[0]
+                fill(alpha, t, streams[i].gen, rows, scratch[k, :2 * m].reshape(2, m))
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+    if size is not None:
+        return out
+    return float(out[0]) if dim == 1 else out[0]
 
 
 def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
@@ -840,8 +910,12 @@ def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
     (`_stable_into` with G = 1), every sine and cosine taken from SIMD tan
     through sin 2x = 1/cosh(log tan x); alpha = 2 reduces to sqrt(2) times a
     standard normal, alpha = 1 to tan(U).
+
+    Up to 2^18 draws come from rng.gen alone.  More are drawn in batches of
+    2^18 from split substreams, on every usable core (`_stable_draws`): their
+    bits depend on the seed and the batch plan, not on the number of cores.
     """
-    return _stable_draws(spec.alpha, None, rng, size)
+    return _stable_draws(spec.alpha, None, 1, rng, size)
 
 
 def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.ndarray,
@@ -901,30 +975,16 @@ def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):
     log G / alpha plus the logs of cos(U), cos((1 - alpha) U) and the
     exponential W, every sine and cosine from SIMD tan through
     sin 2x = 1/cosh(log tan x), written into preallocated buffers; alpha in
-    {1, 2} keep the closed forms G tan(U) and sqrt(2G) N.  For dim > 1 and
-    alpha < 2, Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw
-    (`_log_positive_stable_into`); for alpha = 2 directly X = sqrt(2G) N(0, I).
+    {1, 2} keep the closed forms G tan(U) and sqrt(2G) N.  For dim > 1,
+    `_rows_into`: Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable
+    draw for alpha < 2, and directly X = sqrt(2G) N(0, I) for alpha = 2.
+
+    Up to 2^18 draws come from rng.gen alone, as one batch.  More are drawn
+    in batches of 2^18 rows, batch i from child i of rng.split, on every
+    usable core (`_stable_draws`): their bits depend on the seed and the
+    batch plan, not on the number of cores.
 
     Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
     positive_time(t)
-    if spec.dim == 1:
-        return _stable_draws(spec.alpha, t, rng, size)
-    n = 1 if size is None else int(size)
-    a = spec.alpha
-    g = rng.gen
-    scale, u, w = np.empty(n), np.empty(n), np.empty(n)
-    _log_gamma_into(t, g, scale, u, w)
-    scale *= 1.0 / a
-    if a < 2.0:
-        log_a = np.empty(n)
-        _log_positive_stable_into(a / 2.0, g, log_a, u, w)
-        log_a *= 0.5
-        scale += log_a
-        del log_a
-    del u, w
-    scale += 0.5 * math.log(2.0)
-    np.exp(scale, out=scale)  # sqrt(2 G) at alpha = 2, G^(1/alpha) sqrt(2 A) else
-    out = g.standard_normal((n, spec.dim))
-    out *= scale[:, None]
-    return out[0] if size is None else out
+    return _stable_draws(spec.alpha, t, spec.dim, rng, size)

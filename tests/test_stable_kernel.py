@@ -15,9 +15,10 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        sample_increment, sample_stable, stable_density,
                        stable_density_radial)
 from geostable import stable_kernel as sk
-from geostable.stable_kernel import (StableRadialProfile, _cms_into, _envelope_columns,
-                                     _inversion_head, _log_gamma_into, _log_positive_stable_into,
-                                     _mixture_head, _panel_nodes, _walk_into, _walk_screen,
+from geostable.stable_kernel import (_DRAW_BATCH, StableRadialProfile, _cms_into,
+                                     _envelope_columns, _inversion_head, _log_gamma_into,
+                                     _log_positive_stable_into, _mixture_head, _panel_nodes,
+                                     _rows_into, _stable_into, _walk_into, _walk_screen,
                                      q1_at_zero)
 from geostable.transition_density import density_gamma_mixture
 
@@ -651,8 +652,8 @@ def test_log_gamma_draws_are_exact(s):
 
 @pytest.mark.parametrize("dim, per_draw", [(1, 3.25), (2, 4.25)])
 def test_increment_memory_per_draw(dim, per_draw):
-    # d = 1: the draws and two scratch vectors; d = 2: the (n, 2) draws, the
-    # scale and three scratch vectors for log G and the Kanter draw
+    # the draws, and two scratch vectors of one batch per thread: n = 10^6
+    # makes 4 batches, so at most 4 threads' scratch, 2.1 vectors of n
     spec = ProcessSpec(1.5, dim)
     sample_increment(spec, 1.0 / 256, RngStream(1), size=10)
     n = 1_000_000
@@ -663,3 +664,77 @@ def test_increment_memory_per_draw(dim, per_draw):
     finally:
         tracemalloc.stop()
     assert peak / 8 / n <= per_draw
+
+
+def _one_batch(dim, alpha, t, gen, n):
+    out = np.empty(n if dim == 1 else (n, dim))
+    (_stable_into if dim == 1 else _rows_into)(alpha, t, gen, out, np.empty((2, n)))
+    return out
+
+
+@pytest.mark.parametrize("alpha, dim", [(1.5, 1), (0.7, 1), (2.0, 1), (1.5, 3), (0.7, 3), (2.0, 3)])
+@pytest.mark.parametrize("size", [1, 1000, _DRAW_BATCH])
+def test_draws_of_one_batch_come_from_the_stream_itself(alpha, dim, size):
+    got = sample_increment(ProcessSpec(alpha, dim), 0.5, RngStream(41), size=size)
+    assert np.array_equal(got, _one_batch(dim, alpha, 0.5, RngStream(41).gen, size))
+    point = sample_increment(ProcessSpec(alpha, dim), 0.5, RngStream(41))
+    assert np.array_equal(point, _one_batch(dim, alpha, 0.5, RngStream(41).gen, 1)[0])
+    if dim == 1:
+        stable = sample_stable(ProcessSpec(alpha, dim), RngStream(41), size=size)
+        assert np.array_equal(stable, _one_batch(1, alpha, None, RngStream(41).gen, size))
+
+
+# three batches, the last of them partial
+_THREE_BATCHES = 2 * _DRAW_BATCH + 1000
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_batched_draws_do_not_depend_on_the_core_count(monkeypatch, dim):
+    spec = ProcessSpec(1.5, dim)
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(sk, "_usable_cores", lambda cores=cores: cores)
+        runs.append(sample_increment(spec, 0.5, RngStream(43), size=_THREE_BATCHES))
+    assert all(np.array_equal(runs[0], r) for r in runs[1:])
+    assert np.isfinite(runs[0]).all()
+
+
+@pytest.mark.parametrize("alpha, dim", [(1.5, 1), (1.5, 2), (2.0, 3)])
+def test_batch_i_is_a_one_batch_draw_from_child_i(alpha, dim):
+    got = sample_increment(ProcessSpec(alpha, dim), 0.5, RngStream(47), size=_THREE_BATCHES)
+    for i, child in enumerate(RngStream(47).split(3)):
+        rows = got[i * _DRAW_BATCH:(i + 1) * _DRAW_BATCH]
+        assert np.array_equal(rows, _one_batch(dim, alpha, 0.5, child.gen, len(rows)))
+    stable = sample_stable(ProcessSpec(alpha, 1), RngStream(47), size=_THREE_BATCHES)
+    last = RngStream(47).split(3)[2]
+    assert np.array_equal(stable[2 * _DRAW_BATCH:], _one_batch(1, alpha, None, last.gen, 1000))
+
+
+@pytest.mark.parametrize("alpha, dim, t", [(1.5, 1, 0.5), (0.7, 1, 2.0), (1.5, 3, 0.5),
+                                           (0.7, 3, 1.0)])
+def test_batched_draws_match_characteristic_function(alpha, dim, t):
+    x = sample_increment(ProcessSpec(alpha, dim), t, RngStream(53), size=_THREE_BATCHES)
+    directions = np.eye(dim)[:1] if dim == 1 else np.array([[1.0, 0.0, 0.0],
+                                                             [0.6, -0.48, 0.64]])
+    for e in directions:
+        proj = x @ e if dim > 1 else x
+        for xi in (0.3, 1.0, 3.0):
+            c = np.cos(xi * proj)
+            se = c.std() / math.sqrt(len(c))
+            assert abs(c.mean() - (1.0 + xi ** alpha) ** -t) < 5.0 * se, (e, xi)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_forms_at_radii_whose_square_overflows(alpha, dim):
+    # u^2 overflows past u ~ 1.3e154; q_1 itself is 0 in floats there
+    for r in (1e155, 1e200):
+        x = np.zeros((1, dim))
+        x[0, 0] = r
+        assert stable_density(ProcessSpec(alpha, dim), 1.0, x)[0] == 0.0
+    prof = radial_profile(alpha, dim)
+    u = np.array([0.0, 0.5, 3.0, 40.0])
+    d = dim
+    want = ((4.0 * np.pi) ** (-d / 2.0) * np.exp(-u ** 2 / 4.0) if alpha == 2.0 else
+            gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0) / (1.0 + u ** 2) ** ((d + 1) / 2.0))
+    assert np.allclose(prof.density(u), want, rtol=1e-14, atol=0.0)

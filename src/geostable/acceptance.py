@@ -193,27 +193,22 @@ def k_tail_identity_d3(alpha: float, r) -> np.ndarray:
 
 
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:
-    """4: 200 random monotonicity tuples; k against closed forms at alpha in {1, 2},
-    and the d = 3 tail identity at alpha in {0.5, 1.5, 1.9}.
+    """4: verify_selfdecomposable certifies k on 12 radii in [1e-2, 10] for 16 alpha in
+    [0.5, 2] and d in {1, 2, 3}; k against closed forms at alpha in {1, 2}, and the d = 3
+    tail identity at alpha in {0.5, 1.5, 1.9}.
 
     The (2, 1) closed form is left out: d = 1 k_radial returns e^-r there itself.
+    The check draws nothing; seed is kept for the registry's signature.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    alphas = np.linspace(0.5, 2.0, 16)
-    worst = np.inf
-    for _ in range(200):
-        a = round(float(rng.choice(alphas)), 12)
-        d = int(rng.choice([1, 2, 3]))
-        t = float(rng.choice([0.1, 1.0, 10.0]))
-        spec = ProcessSpec(a, d)
-        r1, r2 = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(10.0), 2)))
-        k1, k2 = t * k_radial(spec, np.array([r1, r2]))
-        worst = min(worst, (k1 - k2 + 1e-12 * k1) / k1)
-        if k1 < k2 - 1e-12 * k1:
-            return _result("selfdecomposability-certificate", t0, False,
-                           f"monotonicity violated at alpha={a} d={d} r=({r1:.3g},{r2:.3g})")
     radii = np.geomspace(1e-2, 10.0, 12)
+    margin, failed = np.inf, []
+    for a in np.linspace(0.5, 2.0, 16):
+        for d in (1, 2, 3):
+            table = verify_selfdecomposable(ProcessSpec(round(float(a), 12), d), 1.0, radii)
+            margin = min(margin, float(np.min(1.0 - table.values[1:] / table.values[:-1])))
+            if not table.monotone_certificate:
+                failed.append(f"({table.spec.alpha:g}, {d})")
     oracle_err = 0.0
     for a, d in ((1.0, 1), (1.0, 2), (1.0, 3), (2.0, 2), (2.0, 3)):
         spec = ProcessSpec(a, d)
@@ -222,12 +217,13 @@ def check_selfdecomposability(seed: int = 77001) -> CheckResult:
     identity_err = max(float(np.max(np.abs(
         k_radial(ProcessSpec(a, 3), radii) / k_tail_identity_d3(a, radii) - 1.0)))
         for a in (0.5, 1.5, 1.9))
-    table = verify_selfdecomposable(ProcessSpec(1.5, 1), 1.0, np.geomspace(0.01, 10, 40))
-    ok = oracle_err < 1e-6 and identity_err < 1e-6 and table.monotone_certificate
-    return _result("selfdecomposability-certificate", t0, ok,
-                   f"200 tuples monotone (margin {worst:.2e}); k vs closed forms at alpha 1, 2 "
-                   f"rel err {oracle_err:.2e}, d = 3 vs tail identity at alpha 0.5, 1.5, 1.9 "
-                   f"rel err {identity_err:.2e} (tol 1e-6)")
+    certified = (f"certificate failed at (alpha, d) = {', '.join(failed)}" if failed else
+                 f"48 tables certified monotone (smallest relative drop {margin:.2e})")
+    return _result("selfdecomposability-certificate", t0,
+                   not failed and oracle_err < 1e-6 and identity_err < 1e-6,
+                   f"{certified}; k vs closed forms at alpha 1, 2 rel err {oracle_err:.2e}, "
+                   f"d = 3 vs tail identity at alpha 0.5, 1.5, 1.9 rel err {identity_err:.2e} "
+                   f"(tol 1e-6)")
 
 
 def check_recurrence_table(seed: int = 0) -> CheckResult:

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .acceptance import SUITES, run_suite
 from .errors import ConfigError, ConsistencyError, ConvergenceError, GeoStableError
-from .levy_structure import (Regime, asymptotic_report, k_radial,
+from .levy_structure import (Regime, asymptotic_report, levy_density,
                              verify_selfdecomposable)
 from .process_core import ProcessSpec, classify_recurrence, symbol
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
@@ -213,7 +213,8 @@ def _cmd_levy(cfg, out):
     if cfg["asymptotics"] and cfg["asymptotics"] not in regimes:
         raise ConfigError("asymptotics must be smallx or largex")
     outputs = [out / "levy_density.csv"]
-    _write_csv(outputs[0], ["r", "j"], zip(rs, k_radial(spec, rs) / rs ** spec.dim))
+    points = np.column_stack([rs, np.zeros((rs.size, spec.dim - 1))])  # on the first axis
+    _write_csv(outputs[0], ["r", "j"], zip(rs, levy_density(spec, points)))
     if cfg["asymptotics"]:
         outputs.append(out / "asymptotic_report.json")
         _write_json(outputs[1], asymptotic_report(spec, regimes[cfg["asymptotics"]]).to_dict())

@@ -50,9 +50,9 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
-from .process_core import ProcessSpec, point_radii, positive_time
+from .process_core import ProcessSpec, over_radius_power, point_radii, positive_time
 from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
-                            _series_rows, radial_profile)
+                            _series_rows, q1_at_zero, radial_profile)
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -198,25 +198,44 @@ def levy_density(spec: ProcessSpec, x):
     r, point = point_radii(spec, x)
     if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    j = k_radial(spec, r)
-    # one factor of r at a time: r^d leaves the float range long before j does
-    with np.errstate(over="ignore"):
-        for _ in range(spec.dim):
-            j /= r
+    j = over_radius_power(k_radial(spec, r), r, spec.dim)
     return float(j[0]) if point else j
+
+
+def _flat_radius(spec: ProcessSpec) -> float:
+    """Largest radius of a 10^(-1/10) ladder below which k(r) = k(0+) to 2^-52 relative.
+
+    k(0+) - k(r) = alpha int u^(d-1) q_1(u) (1 - e^(-(r/u)^alpha)) du rises
+    with r.  With 1 - e^(-y) <= min(1, y), q_1 <= q_1(0) (q_1 falls with the
+    radius) and int_1^inf u^(d-1) q_1 du <= 1/|S^(d-1)|, it is at most
+    alpha [q_1(0) (r^d/d + r^alpha int_r^1 u^(d-1-alpha) du) + r^alpha/|S^(d-1)|],
+    a bound fitted to no law; gap below is that bound over k(0+) = alpha/|S^(d-1)|.
+    0.0 if no ladder radius qualifies.
+    """
+    a, d, omega = spec.alpha, spec.dim, surface_measure(spec.dim)
+    r = np.logspace(0.0, -307.0, 3071)
+    inner = -np.log(r) if a == d else (1.0 - r ** (d - a)) / (d - a)
+    gap = omega * q1_at_zero(a, d) * (r ** d / d + r ** a * inner) + r ** a
+    ok = np.flatnonzero(gap <= 2.0 ** -52)
+    return float(r[ok[0]]) if ok.size else 0.0
 
 
 def polar_levy_mass(spec: ProcessSpec, r_inner: float, r_outer: float) -> float:
     """Jump mass J({r_inner <= |x| <= r_outer}) via the polar representation.
 
-    Surface measure times int k(r)/r dr, by Gauss-Legendre(10) on geometric
-    panels (at least 24 per e-fold of r_outer/r_inner).
+    Surface measure times int k(r)/r dr.  Below r_c = _flat_radius, k is
+    alpha/|S^(d-1)| to rounding, so that part is alpha ln(r_c/r_inner); the
+    rest is Gauss-Legendre(10) on geometric panels (at least 24 per e-fold).
     """
     if not (0.0 < r_inner < r_outer < math.inf):
         raise ConfigError("need 0 < r_inner < r_outer < inf")
-    n_panels = max(24, int(np.ceil(24 * np.log(r_outer / r_inner))))
-    r, w = _panel_nodes(np.geomspace(r_inner, r_outer, n_panels + 1))
-    return surface_measure(spec.dim) * float(np.sum(k_radial(spec, r) / r * w))
+    lo = min(max(r_inner, _flat_radius(spec)), r_outer)
+    mass = spec.alpha * math.log(lo / r_inner)
+    if lo < r_outer:
+        n_panels = max(24, int(np.ceil(24 * np.log(r_outer / lo))))
+        r, w = _panel_nodes(np.geomspace(lo, r_outer, n_panels + 1))
+        mass += surface_measure(spec.dim) * float(np.sum(k_radial(spec, r) / r * w))
+    return mass
 
 
 @dataclass

@@ -74,6 +74,15 @@ def point_radii(spec: ProcessSpec, x):
     return r, xv.ndim == (0 if d == 1 else 1)
 
 
+def over_radius_power(values, r, dim: int):
+    """values / r^dim in place, one factor of r at a time: r^dim leaves the
+    float range long before the quotient does, which then rounds to inf or 0."""
+    with np.errstate(over="ignore"):
+        for _ in range(dim):
+            values /= r
+    return values
+
+
 def symbol(spec: ProcessSpec, xi_norm):
     """Characteristic exponent log(1 + |xi|^alpha) at radial frequency xi_norm >= 0."""
     scalar = np.isscalar(xi_norm)

@@ -469,6 +469,18 @@ def _maybe_item(arr, size):
     return float(arr[0]) if size is None else arr
 
 
+def _draw_count(size) -> int:
+    """Rows a sampler draws: 1 for size None, else size, a Python or numpy integer >= 0.
+
+    Anything else (a negative or fractional count, a bool, a float) is a ConfigError.
+    """
+    if size is None:
+        return 1
+    if isinstance(size, (bool, np.bool_)) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise ConfigError(f"size must be None or an integer >= 0, got {size!r}")
+    return int(size)
+
+
 # a uniform's cell of width 2^-53 at which one of the sines below vanishes
 # (r = 0, or U = 0 at r = 1/2) is represented by its midpoint, so every log is finite
 _R_FLOOR = 2.0 ** -54
@@ -880,7 +892,7 @@ def _stable_draws(alpha, t, dim, rng, size):
     scratch, two vectors of one batch, is made here, for the reason
     `_walk_scratch` gives.
     """
-    n = 1 if size is None else int(size)
+    n = _draw_count(size)
     out = np.empty(n if dim == 1 else (n, dim))
     fill = _stable_into if dim == 1 else _rows_into
     if n <= _DRAW_BATCH:
@@ -959,8 +971,7 @@ def sample_gamma(t: float, rng: RngStream, size=None):
     log G draws it in log space with `_log_gamma_into`, as the samplers do.
     """
     positive_time(t)
-    n = 1 if size is None else int(size)
-    out = rng.gen.gamma(shape=t, scale=1.0, size=n)
+    out = rng.gen.gamma(shape=t, scale=1.0, size=_draw_count(size))
     return _maybe_item(out, size)
 
 

@@ -27,8 +27,9 @@ from scipy.spatial.distance import cdist as _cdist
 from scipy.special import gamma as _gamma
 
 from .errors import ConfigError, SingularPointError, UnsupportedDimensionError
-from .levy_structure import _polar_integral
-from .process_core import ProcessSpec, inversion_integrable, point_radii, positive_time
+from .levy_structure import _polar_integral, surface_measure
+from .process_core import (ProcessSpec, inversion_integrable, over_radius_power, point_radii,
+                           positive_time)
 from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
 
 # float64 entries of density_mc's working block: 16 MB
@@ -40,9 +41,8 @@ _BINS_PER_BW, _KERNEL_REACH = 64, 38.7
 
 def _density_at_zero(spec: ProcessSpec, t: float) -> float:
     a, d = spec.alpha, spec.dim
-    omega = 2.0 * np.pi ** (d / 2.0) / _gamma(d / 2.0)
     beta = _gamma(d / a) * _gamma(t - d / a) / _gamma(t)
-    return omega * beta / (a * (2.0 * np.pi) ** d)
+    return surface_measure(d) * beta / (a * (2.0 * np.pi) ** d)
 
 
 def _finite_at_zero(spec: ProcessSpec, t: float) -> float:
@@ -68,12 +68,7 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     at_zero = xs == 0.0
     out = np.full(xs.shape, _finite_at_zero(spec, t) if at_zero.any() else 0.0)
     r = xs[~at_zero]
-    p = t * _polar_integral(spec, t, r)
-    # one factor of r at a time: r^d leaves the float range long before p_t does
-    with np.errstate(over="ignore"):
-        for _ in range(spec.dim):
-            p /= r
-    out[~at_zero] = p
+    out[~at_zero] = over_radius_power(t * _polar_integral(spec, t, r), r, spec.dim)
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from geostable import ProcessSpec, SingularPointError, acceptance
+from geostable import ProcessSpec, SingularPointError, acceptance, levy_structure
 from geostable.levy_structure import large_x_constant, surface_measure
 from geostable.stable_kernel import _panel_nodes, q1_at_zero, tail_coefficients
 from geostable.transition_density import _density_at_zero
@@ -42,6 +42,22 @@ def test_acceptance_03_asymptotic_constants():
 def test_acceptance_04_selfdecomposability_certificate():
     r = _run(acceptance.check_selfdecomposability, seed=77001)
     assert r.elapsed < 60.0
+
+
+def test_selfdecomposability_check_fails_on_a_rising_kernel(monkeypatch):
+    # one (alpha, d) of the grid rises by 1e-9 between its 6th and 7th radius
+    real = levy_structure.k_radial
+
+    def rising(spec, r):
+        k = real(spec, r)
+        if spec == ProcessSpec(1.3, 2):
+            k[6] = k[5] * (1.0 + 1e-9)
+        return k
+
+    monkeypatch.setattr(levy_structure, "k_radial", rising)
+    result = acceptance.check_selfdecomposability()
+    assert not result.passed
+    assert "(1.3, 2)" in result.detail and "(1.3, 1)" not in result.detail
 
 
 def test_acceptance_05_recurrence_table():

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geostable import GridDomain, MeasureOnGrid, ProcessSpec, verify_selfdecomposable
+from geostable import (GridDomain, MeasureOnGrid, ProcessSpec, levy_density,
+                       verify_selfdecomposable)
 from geostable.cli import main
 
 
@@ -182,6 +183,19 @@ def test_levy_with_asymptotics_report(tmp_path):
     assert rep["regime"] == "SmallX"
     assert rep["relative_gap_paper"] > 0.0
     assert rep["relative_gap_oracle"] < 0.02
+
+
+@pytest.mark.parametrize("dim, grid", [(3, "--x-min 1e-120 --x-max 1"),
+                                       (2, "--x-min 1 --x-max 1e200")])
+def test_levy_table_where_r_power_d_leaves_the_float_range(tmp_path, dim, grid):
+    # r^d overflows at one end of each grid, where j is inf (d = 3) or 0.0 (d = 2);
+    # each value is levy_density at (r, 0, ...), bit for bit
+    assert run(["levy", "--alpha", "1.5", "--dim", str(dim), *grid.split(), "--n", "4",
+                "--output-path", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "levy_density.csv", delimiter=",", skiprows=1)
+    for r, j in rows:
+        assert j == levy_density(ProcessSpec(1.5, dim), [r] + [0.0] * (dim - 1))
+    assert rows[0, 1] == np.inf if dim == 3 else rows[-1, 1] == 0.0
 
 
 def test_levy_below_supported_alpha_is_config_error(tmp_path, capsys):

@@ -319,10 +319,40 @@ def test_d1_kernel_at_tiny_radii_is_its_limit():
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
-def test_annulus_mass_at_tiny_radii(alpha):
+def test_annulus_mass_at_tiny_radii(alpha, monkeypatch):
     # 2 int k(r)/r dr with k = alpha/2 to rounding: alpha ln(1e10)
     mass = polar_levy_mass(ProcessSpec(alpha, 1), 1e-300, 1e-290)
     assert abs(mass / (alpha * math.log(1e10)) - 1.0) < 1e-12
+    # d = 2, 3: the mass between 1e-300 and 1e-20 is |S^(d-1)| k(0+) ln(1e280),
+    # and the work does not grow with log(1/r_inner)
+    radii = []
+
+    def counted(spec, r):
+        radii.append(np.size(r))
+        return k_radial(spec, r)
+
+    monkeypatch.setattr("geostable.levy_structure.k_radial", counted)
+    for dim in (2, 3):
+        spec = ProcessSpec(alpha, dim)
+        radii.clear()
+        deep = polar_levy_mass(spec, 1e-300, 1.0)
+        assert sum(radii) <= 10 * math.ceil(24 * math.log(1e24))
+        shallow = polar_levy_mass(spec, 1e-20, 1.0)
+        assert abs((deep - shallow) / (alpha * math.log(1e280)) - 1.0) < 1e-12
+    if alpha == 1.5:
+        # the earlier all-quadrature value summed the polar integral's k below
+        # 1e-12, which drifts off k(0+) (by 1.9e-7 at 1e-20), so it reads 6.5e-9 low
+        assert abs(polar_levy_mass(ProcessSpec(1.5, 2), 1e-20, 1.0) / 68.45838641852664
+                   - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("r_inner", [1e-300, 1e-3])
+def test_annulus_mass_at_alpha_2_matches_closed_forms(r_inner):
+    # k = r K_1(r)/pi in d = 2 and e^-r (1 + r)/(2 pi) in d = 3
+    mass2 = 2.0 * (k0(r_inner) - k0(1.0))
+    mass3 = 2.0 * (exp1(r_inner) - exp1(1.0) + math.exp(-r_inner) - math.exp(-1.0))
+    assert abs(polar_levy_mass(ProcessSpec(2.0, 2), r_inner, 1.0) / mass2 - 1.0) < 1e-12
+    assert abs(polar_levy_mass(ProcessSpec(2.0, 3), r_inner, 1.0) / mass3 - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -62,6 +62,14 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.sample_gamma(math.inf, gs.RngStream(1)),
     lambda: char_function(_S, math.inf, 0.0),
     lambda: gs.cdf_numeric(_S, math.inf, 0.5),
+    lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=-1),
+    lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=2.5),
+    lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=np.int64(-3)),
+    lambda: gs.sample_stable(_S, gs.RngStream(1), size=-1),
+    lambda: gs.sample_stable(_S, gs.RngStream(1), size=2.0),
+    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=-1),
+    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=np.float64(3.0)),
+    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=True),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
@@ -70,10 +78,32 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
         "sample_increment_inf", "density_inversion_inf", "inversion_table_inf", "density_mc_inf",
         "kato_diagnostic_inf", "feynman_kac_inf", "feynman_kac_inf_dt", "polar_levy_mass_inf",
         "verify_selfdecomposable_inf", "sample_gamma_inf", "char_function_inf",
-        "cdf_numeric_inf"])
+        "cdf_numeric_inf", "sample_increment_size_negative", "sample_increment_size_fraction",
+        "sample_increment_size_numpy_negative", "sample_stable_size_negative",
+        "sample_stable_size_float", "sample_gamma_size_negative", "sample_gamma_size_numpy_float",
+        "sample_gamma_size_bool"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_sampler_size_names_the_refused_value():
+    with pytest.raises(ConfigError, match="2.5"):
+        gs.sample_increment(_S, 1.0, gs.RngStream(1), size=2.5)
+
+
+@pytest.mark.parametrize("size", [None, 0, 3, np.int64(3), np.uint8(3)])
+def test_sampler_sizes_keep_shapes_and_bits(size):
+    n = 1 if size is None else int(size)
+    shape = () if size is None else (n,)
+    for draw in (lambda s: gs.sample_increment(_S, 1.0, gs.RngStream(5), size=s),
+                 lambda s: gs.sample_stable(_S, gs.RngStream(5), size=s),
+                 lambda s: gs.sample_gamma(1.0, gs.RngStream(5), size=s)):
+        got = draw(size)
+        assert np.shape(got) == shape
+        # every accepted size draws the bits of the same count given as a Python int
+        assert np.array_equal(np.ravel(got), np.ravel(draw(n)))
+    assert gs.sample_increment(ProcessSpec(1.5, 2), 1.0, gs.RngStream(5), size=0).shape == (0, 2)
 
 
 def test_symbol_values():

@@ -50,7 +50,8 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
-from .process_core import ProcessSpec, over_radius_power, point_radii, positive_time
+from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
+                           surface_measure)
 from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
                             _series_rows, q1_at_zero, radial_profile)
 
@@ -63,11 +64,8 @@ _LOG_PANEL = 0.05
 _MONOTONE_SLACK = 1e-12
 # largest alpha < 2 whose d = 1 kernel takes the sine rule (module docstring)
 _SINE_ALPHA_MAX = 1.999
-
-
-def surface_measure(dim: int) -> float:
-    """Total surface measure of the unit sphere S^(d-1); equals 2 for d = 1."""
-    return 2.0 * np.pi ** (dim / 2.0) / _gamma(dim / 2.0)
+# every r_c of _flat_radius lies below 2^-26: its bound holds a term r^alpha >= r^2
+_FLAT_PROBE = 2.0 ** -26
 
 
 def small_x_constant(spec: ProcessSpec) -> float:
@@ -176,16 +174,21 @@ def k_radial(spec: ProcessSpec, r):
     (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one
     `_char_integral` call that builds no profile.  1.999 < alpha < 2 and
     d = 2, 3 take K_0 of the polar integral, whose profile refuses alpha near 2
-    (from about 1.99999 in d = 1) with ConsistencyError.  Every d refuses
-    alpha < MIN_NUMERIC_ALPHA with ConfigError.
+    (from about 1.99999 in d = 1) with ConsistencyError.  Below r_c =
+    _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, every route
+    returns that limit; r_c is sought only for a batch holding a radius below
+    _FLAT_PROBE.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
     a = spec.alpha
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
-    if spec.dim > 1 or _SINE_ALPHA_MAX < a < 2.0:
-        return _polar_integral(spec, 0.0, r)
     r_arr, flat = _positive_radii(r)
-    k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
+    if spec.dim > 1 or _SINE_ALPHA_MAX < a < 2.0:
+        k = _polar_integral(spec, 0.0, flat)
+    else:
+        k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
+    if np.any(flat < _FLAT_PROBE):
+        k[flat < _flat_radius(spec)] = a / surface_measure(spec.dim)
     return _shaped(k, r_arr)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import gamma as _gamma
 
 from .errors import ConfigError
 
@@ -72,6 +73,11 @@ def point_radii(spec: ProcessSpec, x):
     if np.isnan(xv).any():
         raise ConfigError("x must not be NaN")
     return r, xv.ndim == (0 if d == 1 else 1)
+
+
+def surface_measure(dim: int) -> float:
+    """Total surface measure of the unit sphere S^(d-1); equals 2 for d = 1."""
+    return 2.0 * np.pi ** (dim / 2.0) / _gamma(dim / 2.0)
 
 
 def over_radius_power(values, r, dim: int):

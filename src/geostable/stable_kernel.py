@@ -25,14 +25,15 @@ Radial evaluation strategy:
     Z = sqrt(2S) N(0, I), with the density of the positive (alpha/2)-stable S
     from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
     one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 inverts
-    exp(-rho^alpha) by Ooura & Mori's rule (`_char_integral`, shared with
-    transition_density and the d = 1 jump kernel), with a cos, J0 or sin
-    kernel for d = 1, 2, 3.  The switch radius is validated against the head
-    at build time, and a profile whose series matches at no candidate is
-    refused: it is self-checking.
+    exp(-rho^alpha) by Ooura & Mori's rule (`_radial_inversion`, shared with
+    transition_density; its `_char_integral` gives the d = 1 jump kernel),
+    with a cos, J0 or sin kernel for d = 1, 2, 3.  The switch radius is
+    validated against the head at build time, and a profile whose series
+    matches at no candidate is refused: it is self-checking.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,8 +42,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rgamma as _rgamma
 
-from .errors import ConfigError, ConsistencyError, UnsupportedDimensionError
-from .process_core import ProcessSpec, point_radii, positive_time
+from .errors import ConfigError, ConsistencyError, SingularPointError, UnsupportedDimensionError
+from .process_core import (ProcessSpec, inversion_integrable, point_radii, positive_time,
+                           surface_measure)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -211,23 +213,33 @@ def _mixture_head(alpha, dim):
     return head
 
 
-def _inversion_head(alpha, dim):
-    """q_1 at radii for 1 < alpha < 2: `_char_integral` of exp(-rho^alpha).
+def _radial_inversion(alpha, t, dim, r):
+    """Radial Fourier inversion of f at radii r >= 0 (1-d): q_1 for t None, else p_t.
 
-    Cos, J0 or sin kernel for d = 1, 2, 3, scaled by 1/pi, 1/(2 pi) or 1/(2 pi^2 u).
+    f(p) = exp(-p^alpha) for t None, else (1 + p^alpha)^(-t).  `_char_integral`
+    with a cos, J0 or sin kernel for d = 1, 2, 3, times 1/pi, 1/(2 pi) or
+    1/(2 pi^2 r); J0 only for exp(-p^alpha), as its weights do not vanish far
+    out.  At r = 0, q_1(0) or, for t > d/alpha, the Beta value of p_t(0) in
+    transition_density's docstring; SingularPointError for t <= d/alpha.
     """
-    kernel, power, norm = (("cos", 0, 1.0 / np.pi), ("j0", 1, 0.5 / np.pi),
-                           ("sin", 1, 0.5 / np.pi ** 2))[dim - 1]
-
-    def head(u):
-        out = np.full(u.shape, q1_at_zero(alpha, dim))
-        pos = u > 0
-        out[pos] = norm * _char_integral(kernel, power, alpha, None, u[pos])
+    out = np.empty(r.shape)
+    pos = r > 0
+    if not pos.all():
+        if t is None:
+            out[~pos] = q1_at_zero(alpha, dim)
+        elif inversion_integrable(ProcessSpec(alpha, dim), t):
+            beta = _gamma(dim / alpha) * _gamma(t - dim / alpha) / _gamma(t)
+            out[~pos] = surface_measure(dim) * beta / (alpha * (2.0 * np.pi) ** dim)
+        else:
+            raise SingularPointError(
+                f"p_t(0) is infinite for t <= d/alpha = {dim / alpha:g}, got t = {t}")
+    if pos.any():
+        kernel, power, norm = (("cos", 0, 1.0 / np.pi), ("j0", 1, 0.5 / np.pi),
+                               ("sin", 1, 0.5 / np.pi ** 2))[dim - 1]
+        out[pos] = norm * _char_integral(kernel, power, alpha, t, r[pos])
         if dim == 3:
-            out[pos] /= u[pos]
-        return out
-
-    return head
+            out[pos] /= r[pos]
+    return out
 
 
 def tail_coefficients(alpha: float, dim: int) -> np.ndarray:
@@ -349,7 +361,7 @@ class StableRadialProfile:
         elif alpha < 1.0:
             head = _mixture_head(alpha, dim)
         else:
-            head = _inversion_head(alpha, dim)
+            head = functools.partial(_radial_inversion, alpha, None, dim)
         self.tail_start, self.tail_relerr = self._pick_switch(head)
         if alpha == 1.0:
             return
@@ -849,10 +861,11 @@ def _rows_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
                scratch: np.ndarray) -> None:
     """Write G^(1/alpha) Z into the rows of out, of shape (m, d) with d >= 2.
 
-    G ~ Gamma(t, 1) and Z in R^d is rotation-invariant alpha-stable: for
-    alpha < 2, Z = sqrt(2A) N(0, I) with A a one-sided (alpha/2)-stable draw
-    (`_log_positive_stable_into`); at alpha = 2 directly X = sqrt(2G) N(0, I).
-    The generator is called for log G, then for A, then for the normals,
+    G ~ Gamma(t, 1), or G = 1 when t is None, and Z in R^d is
+    rotation-invariant alpha-stable: for alpha < 2, Z = sqrt(2A) N(0, I) with
+    A a one-sided (alpha/2)-stable draw (`_log_positive_stable_into`); at
+    alpha = 2 directly X = sqrt(2G) N(0, I).  The generator is called for
+    log G (not at all when t is None), then for A, then for the normals,
     which `standard_normal` writes into out in place.  Until then the first
     2m entries of out, a C-contiguous array, are the scratch of those two
     draws.  scratch, of shape (2, m), receives log G and log A.
@@ -916,18 +929,22 @@ def _stable_draws(alpha, t, dim, rng, size):
 
 
 def sample_stable(spec: ProcessSpec, rng: RngStream, size=None):
-    """Scalar symmetric alpha-stable draw(s) with char. function exp(-|xi|^alpha).
+    """Symmetric alpha-stable draw(s) in R^dim with characteristic function exp(-|xi|^alpha).
 
-    Chambers-Mallows-Stuck from a uniform angle and an exponential clock
-    (`_stable_into` with G = 1), every sine and cosine taken from SIMD tan
-    through sin 2x = 1/cosh(log tan x); alpha = 2 reduces to sqrt(2) times a
-    standard normal, alpha = 1 to tan(U).
+    For dim = 1, Chambers-Mallows-Stuck from a uniform angle and an
+    exponential clock (`_stable_into` with G = 1), every sine and cosine
+    taken from SIMD tan through sin 2x = 1/cosh(log tan x); alpha = 2 reduces
+    to sqrt(2) times a standard normal, alpha = 1 to tan(U).  For dim > 1,
+    rotation-invariant draws `_rows_into` with G = 1: sqrt(2A) N(0, I), A a
+    one-sided (alpha/2)-stable draw, and sqrt(2) N(0, I) at alpha = 2.
 
     Up to 2^18 draws come from rng.gen alone.  More are drawn in batches of
     2^18 from split substreams, on every usable core (`_stable_draws`): their
     bits depend on the seed and the batch plan, not on the number of cores.
+
+    Returns shape () or (size,) for dim = 1, and (dim,) or (size, dim) else.
     """
-    return _stable_draws(spec.alpha, None, 1, rng, size)
+    return _stable_draws(spec.alpha, None, spec.dim, rng, size)
 
 
 def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.ndarray,

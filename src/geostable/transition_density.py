@@ -3,8 +3,8 @@
 p_t(x) exists for every t > 0 and x != 0.  In d = 1 and 3 it is the radial Fourier
 integral of f(r) = (1+r^alpha)^(-t) by Ooura & Mori's double-exponential rule
 for Fourier integrals (J. Comput. Appl. Math. 38:353, 1991), with no cutoff and
-no tail correction: stable_kernel's `_char_integral`, cos in d = 1 and sin in
-d = 3, whose kernels also give the 1 < alpha < 2 stable heads.  For alpha*t <= d
+no tail correction: stable_kernel's `_radial_inversion`, cos in d = 1 and sin in
+d = 3, which also gives the 1 < alpha < 2 stable heads.  For alpha*t <= d
 f is not integrable, but the integral converges, as does the CDF's sine integral
 of f(r)/r for all t > 0.  d = 2 takes the gamma mixture p_t(x) = t K_t(|x|)/|x|^d
 (`density_gamma_mixture`, through levy_structure's polar integral).  p_t(0) is
@@ -24,33 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist as _cdist
-from scipy.special import gamma as _gamma
 
-from .errors import ConfigError, SingularPointError, UnsupportedDimensionError
-from .levy_structure import _polar_integral, surface_measure
-from .process_core import (ProcessSpec, inversion_integrable, over_radius_power, point_radii,
-                           positive_time)
-from .stable_kernel import _DE_H, RngStream, _char_integral, _fourier_rule, sample_increment
+from .errors import ConfigError, UnsupportedDimensionError
+from .levy_structure import _polar_integral
+from .process_core import ProcessSpec, over_radius_power, point_radii, positive_time
+from .stable_kernel import (_DE_H, RngStream, _char_integral, _fourier_rule, _radial_inversion,
+                            sample_increment)
 
 # float64 entries of density_mc's working block: 16 MB
 _KDE_BLOCK = 2 ** 21
 # density_mc's d = 1 lattice spacing is bw / _BINS_PER_BW; exp(-z^2 / 2) is 0
 # in float64 for z > 38.6, so samples past _KERNEL_REACH bandwidths add nothing
 _BINS_PER_BW, _KERNEL_REACH = 64, 38.7
-
-
-def _density_at_zero(spec: ProcessSpec, t: float) -> float:
-    a, d = spec.alpha, spec.dim
-    beta = _gamma(d / a) * _gamma(t - d / a) / _gamma(t)
-    return surface_measure(d) * beta / (a * (2.0 * np.pi) ** d)
-
-
-def _finite_at_zero(spec: ProcessSpec, t: float) -> float:
-    """p_t(0), the Beta value; SingularPointError for t <= d/alpha, where it is infinite."""
-    if not inversion_integrable(spec, t):
-        raise SingularPointError(
-            f"p_t(0) is infinite for t <= d/alpha = {spec.dim / spec.alpha:g}, got t = {t}")
-    return _density_at_zero(spec, t)
 
 
 def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
@@ -66,7 +51,8 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     """
     xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     at_zero = xs == 0.0
-    out = np.full(xs.shape, _finite_at_zero(spec, t) if at_zero.any() else 0.0)
+    out = np.empty(xs.shape)
+    out[at_zero] = _radial_inversion(spec.alpha, t, spec.dim, xs[at_zero])
     r = xs[~at_zero]
     out[~at_zero] = over_radius_power(t * _polar_integral(spec, t, r), r, spec.dim)
     return out
@@ -75,24 +61,22 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
 def density_inversion(spec: ProcessSpec, t: float, x):
     """p_t(x) by radial Fourier inversion of (1 + r^alpha)^(-t), for every t > 0.
 
-    d = 2 takes density_gamma_mixture, which needs alpha >= 0.3.  p_t(0) is the
-    Beta value, and raises SingularPointError where t <= d/alpha makes it infinite.
-    One point gives a float, and a batch (see point_radii) an array whose values
-    are bit-equal to their single-point values.
+    d = 1 and 3 take `_radial_inversion`; d = 2 takes density_gamma_mixture,
+    which needs alpha >= 0.3, as the J0 rule is wrong for an f that decays as
+    slowly as (1 + r^alpha)^(-t).  p_t(0) is the Beta value, and raises
+    SingularPointError where t <= d/alpha makes it infinite.  One point gives a
+    float, and a batch (see point_radii) an array whose values are bit-equal
+    to their single-point values.
     """
     if spec.dim > 3:
         raise UnsupportedDimensionError(
             f"inversion supports dim in {{1, 2, 3}}, got {spec.dim}")
     positive_time(t)
     r, point = point_radii(spec, x)
-    a, d, rp = spec.alpha, spec.dim, r[r > 0]
-    out = np.full(r.size, _finite_at_zero(spec, t) if rp.size < r.size else 0.0)
-    if d == 1:
-        out[r > 0] = _char_integral("cos", 0, a, t, rp) / np.pi
-    elif d == 2:
-        out[r > 0] = density_gamma_mixture(spec, t, rp)
+    if spec.dim == 2:
+        out = density_gamma_mixture(spec, t, r)
     else:
-        out[r > 0] = _char_integral("sin", 1, a, t, rp) / (2.0 * np.pi ** 2 * rp)
+        out = _radial_inversion(spec.alpha, t, spec.dim, r)
     # far tails are accurate to about 1e-16 in absolute terms, so rounding can dip below 0
     out[(out < 0) & (out > -1e-8)] = 0.0
     return float(out[0]) if point else out

@@ -14,7 +14,6 @@ from scipy.special import kv
 from geostable import ProcessSpec, SingularPointError, acceptance, levy_structure
 from geostable.levy_structure import large_x_constant, surface_measure
 from geostable.stable_kernel import _panel_nodes, q1_at_zero, tail_coefficients
-from geostable.transition_density import _density_at_zero
 
 
 def _run(check, seed=None):
@@ -100,6 +99,14 @@ def test_acceptance_12_kato_diagnostic():
     assert r.elapsed < 10.0
 
 
+def test_sub_suites_reproduce_their_entries_of_the_all_suite():
+    # each check is seeded by its place in CHECKS, whatever suite runs it
+    every = {r.name: r for r in acceptance.run_suite("all", seed=42)}
+    for suite in ("density", "feynman-kac"):
+        for r in acceptance.run_suite(suite, seed=42):
+            assert (r.passed, r.detail) == (every[r.name].passed, every[r.name].detail), r.name
+
+
 def test_gaussian_free_mean_oracles():
     # alpha = 2, t = 1 is the Laplace law: E e^(-X^2) = e^(1/4) (sqrt(pi)/2) erfc(1/2)
     laplace = math.exp(0.25) * math.sqrt(math.pi) / 2.0 * math.erfc(0.5)
@@ -162,7 +169,8 @@ def test_gamma_mixture_small_x_law(alpha, dim, t):
     c = (alpha * t * 2.0 ** (-alpha * t) * math.gamma((dim - alpha * t) / 2.0)
          / (surface_measure(dim) * math.gamma(dim / 2.0) * math.gamma(1.0 + alpha * t / 2.0)))
     x = 10.0 ** (-6.0 / (dim - alpha * t))
-    rate = _density_at_zero(spec, t) / c * x ** (dim - alpha * t)
+    p_0 = q1_at_zero(alpha, dim) * math.gamma(t - dim / alpha) / math.gamma(t)
+    rate = p_0 / c * x ** (dim - alpha * t)
     rel = acceptance.density_gamma_mixture(spec, t, [x])[0] / (c * x ** (alpha * t - dim)) - 1.0
     assert abs(rel - rate) <= 1e-2 * abs(rate), (rel, rate)
 

@@ -11,8 +11,9 @@ from geostable import (ConfigError, ConsistencyError, ProcessSpec, Regime, Singu
                        asymptotic_report, density_inversion, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
 from geostable.acceptance import k_closed_form, k_tail_identity_d3
-from geostable.levy_structure import (_polar_integral, exponential_tail_constant,
+from geostable.levy_structure import (_flat_radius, _polar_integral, exponential_tail_constant,
                                       large_x_constant, small_x_constant, surface_measure)
+from geostable.stable_kernel import _char_integral
 
 
 def j_closed_a2_d1(r):
@@ -310,12 +311,35 @@ def test_tail_identity_is_exact_at_alpha_2():
 
 
 def test_d1_kernel_at_tiny_radii_is_its_limit():
-    # (y/r)^alpha overflows there but for the log-space rows; k(0+) = alpha/2,
-    # and P(|X_1| <= r) is below 1e-16 of it at these radii for alpha >= 0.3
+    # k(0+) = alpha/2, and P(|X_1| <= r) is below 1e-16 of it at these radii for
+    # alpha >= 0.3.  They lie below r_c, where k_radial returns the limit; the
+    # sine rule, whose (y/r)^alpha overflows there but for the log-space rows,
+    # gives it too
     r = np.array([1e-300, 1e-200, 1e-100])
     for alpha in SWEEP:
         k = k_radial(ProcessSpec(alpha, 1), r)
         assert np.max(np.abs(k / (alpha / 2.0) - 1.0)) < 1e-13, alpha
+        rule = alpha / math.pi * _char_integral("sin", alpha - 1.0, alpha, 1.0, r)
+        assert np.max(np.abs(rule / (alpha / 2.0) - 1.0)) < 1e-13, alpha
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_below_flat_radius_is_its_limit(dim):
+    # below r_c every route returns k(0+) = alpha/|S^(d-1)|; the polar integral
+    # had drifted off it there, by -8.1e-2 at 1e-300 and -1.4e-3 at 1e-80 for (1.5, 3)
+    r = np.array([1e-300, 1e-80, 1e-40, 1e-20])
+    above = np.geomspace(1e-6, 10.0, 9)
+    omega = (2.0, 2.0 * math.pi, 4.0 * math.pi)[dim - 1]
+    for alpha in (1.0, 1.5, 1.9, 2.0):
+        spec = ProcessSpec(alpha, dim)
+        assert r.max() < _flat_radius(spec)
+        k = k_radial(spec, r)
+        assert np.all(k == alpha / surface_measure(dim)), (alpha, k)
+        assert abs(k[0] / (alpha / omega) - 1.0) < 1e-15
+        assert [k_radial(spec, x) for x in r] == list(k)
+        # a tiny radius in the batch leaves the others' bits alone
+        assert np.array_equal(k_radial(spec, np.concatenate([r, above]))[r.size:],
+                              k_radial(spec, above))
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])

@@ -16,10 +16,10 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        stable_density_radial)
 from geostable import stable_kernel as sk
 from geostable.stable_kernel import (_DRAW_BATCH, StableRadialProfile, _cms_into,
-                                     _envelope_columns, _inversion_head, _log_gamma_into,
+                                     _envelope_columns, _log_gamma_into,
                                      _log_positive_stable_into, _mixture_head, _panel_nodes,
-                                     _rows_into, _stable_into, _walk_into, _walk_screen,
-                                     q1_at_zero)
+                                     _radial_inversion, _rows_into, _stable_into, _walk_into,
+                                     _walk_screen, q1_at_zero)
 from geostable.transition_density import density_gamma_mixture
 
 
@@ -156,7 +156,8 @@ def test_inversion_head_matches_panel_quadrature(alpha):
     for dim in (1, 2, 3):
         tail = 1.3 * radial_profile(alpha, dim).tail_start
         us = np.concatenate([np.geomspace(1e-3, tail, 64), np.linspace(1e-3, tail, 64)])
-        err = np.max(np.abs(_inversion_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0))
+        err = np.max(np.abs(_radial_inversion(alpha, None, dim, us) / _fourier_head(alpha, dim, us)
+                            - 1.0))
         assert err < 1e-9, (dim, err)
 
 
@@ -227,7 +228,8 @@ def test_mixture_head_matches_double_exponential_inversion(alpha, dim):
     # the cos and sin rules of the 1 < alpha < 2 heads: an independent route
     # where the panel reference would need ~10 GB (alpha = 0.3)
     us = np.concatenate([np.linspace(0.0, 57.2, 300), np.geomspace(1e-3, 57.2, 300)])
-    err = np.max(np.abs(_inversion_head(alpha, dim)(us) / _mixture_head(alpha, dim)(us) - 1.0))
+    err = np.max(np.abs(_radial_inversion(alpha, None, dim, us) / _mixture_head(alpha, dim)(us)
+                        - 1.0))
     assert err < 1e-10, err
 
 
@@ -272,8 +274,8 @@ def test_lowest_alpha_build_memory(dim):
 
 def test_sub_one_builds_never_call_fourier_head(monkeypatch):
     def refuse(*args):
-        raise AssertionError("alpha < 1 profile called _inversion_head")
-    monkeypatch.setattr(sk, "_inversion_head", refuse)
+        raise AssertionError("alpha < 1 profile called _radial_inversion")
+    monkeypatch.setattr(sk, "_radial_inversion", refuse)
     for alpha in (0.3, 0.5, 0.75, 0.999):
         for dim in (1, 2, 3):
             StableRadialProfile(alpha, dim)
@@ -679,9 +681,10 @@ def test_draws_of_one_batch_come_from_the_stream_itself(alpha, dim, size):
     assert np.array_equal(got, _one_batch(dim, alpha, 0.5, RngStream(41).gen, size))
     point = sample_increment(ProcessSpec(alpha, dim), 0.5, RngStream(41))
     assert np.array_equal(point, _one_batch(dim, alpha, 0.5, RngStream(41).gen, 1)[0])
-    if dim == 1:
-        stable = sample_stable(ProcessSpec(alpha, dim), RngStream(41), size=size)
-        assert np.array_equal(stable, _one_batch(1, alpha, None, RngStream(41).gen, size))
+    stable = sample_stable(ProcessSpec(alpha, dim), RngStream(41), size=size)
+    assert np.array_equal(stable, _one_batch(dim, alpha, None, RngStream(41).gen, size))
+    point = sample_stable(ProcessSpec(alpha, dim), RngStream(41))
+    assert np.array_equal(point, _one_batch(dim, alpha, None, RngStream(41).gen, 1)[0])
 
 
 # three batches, the last of them partial
@@ -722,6 +725,18 @@ def test_batched_draws_match_characteristic_function(alpha, dim, t):
             c = np.cos(xi * proj)
             se = c.std() / math.sqrt(len(c))
             assert abs(c.mean() - (1.0 + xi ** alpha) ** -t) < 5.0 * se, (e, xi)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+def test_stable_draws_in_d3_match_characteristic_function(alpha):
+    # rotation-invariant: E cos(xi e . Z) = exp(-xi^alpha) along every unit e
+    z = sample_stable(ProcessSpec(alpha, 3), RngStream(59), size=200_000)
+    assert z.shape == (200_000, 3)
+    for e in (np.array([1.0, 0.0, 0.0]), np.array([0.6, -0.48, 0.64])):
+        for xi in (0.3, 1.0, 3.0):
+            c = np.cos(xi * (z @ e))
+            se = c.std() / math.sqrt(len(c))
+            assert abs(c.mean() - math.exp(-xi ** alpha)) < 5.0 * se, (e, xi)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])

@@ -18,7 +18,7 @@ from scipy.special import exp1 as _exp1, gamma as _gamma, k1 as _k1
 
 from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              polar_levy_mass, verify_selfdecomposable)
-from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
+from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence, positive_time
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  _periodized_jump_lags, dense_ground_state, energy_form,
                                  feynman_kac_estimate, generator_matrix,
@@ -71,8 +71,7 @@ def gaussian_free_mean(spec: ProcessSpec, t: float) -> float:
     """
     if spec.dim != 1:
         raise ValueError(f"gaussian_free_mean is one-dimensional, got dim {spec.dim}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    positive_time(t)
     xi, w = _panel_nodes(np.concatenate([
         [0.0], np.geomspace(1e-12, 1.0, 49), np.linspace(1.0, 40.0, 161)[1:]]))
     vals = np.exp(-0.25 * xi ** 2) * (1.0 + xi ** spec.alpha) ** -t

@@ -222,15 +222,6 @@ def _cmd_levy(cfg, out):
     return outputs
 
 
-def _cmd_kfun(cfg, out):
-    table = verify_selfdecomposable(ProcessSpec(cfg["alpha"], cfg["dim"]), cfg["t"],
-                                    _grid(cfg, geometric=True))
-    path = out / "kfunction.csv"
-    _write_csv(path, ["r", "k_value"], zip(table.r_grid, table.values))
-    print(path)
-    return [path]
-
-
 def _cmd_selfdecomp(cfg, out):
     spec = ProcessSpec(cfg["alpha"], cfg["dim"])
     table = verify_selfdecomposable(spec, cfg["t"], _grid(cfg, geometric=True))
@@ -347,9 +338,7 @@ _COMMANDS = {
     "levy": ("jump density table and asymptotic report", _cmd_levy,
              {**_SPEC, "x_min": 0.1, "x_max": 10.0, "n": 64, "asymptotics": None,
               "output_path": None}),
-    "kfun": ("polar k-function table", _cmd_kfun,
-             {**_SPEC, "t": 1.0, "x_min": 0.01, "x_max": 10.0, "n": 64, "output_path": None}),
-    "selfdecomp": ("monotonicity certificate", _cmd_selfdecomp,
+    "selfdecomp": ("t k(r) table and its monotonicity certificate", _cmd_selfdecomp,
                    {**_SPEC, "t": 1.0, "x_min": 0.01, "x_max": 10.0, "n": 48,
                     "output_path": None}),
     "density": ("transition density table", _cmd_density,

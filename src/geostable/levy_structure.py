@@ -51,7 +51,7 @@ from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
 from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
-                           surface_measure)
+                           radial_args, surface_measure)
 from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
                             _series_rows, q1_at_zero, radial_profile)
 
@@ -110,7 +110,7 @@ def _head_grid(prof, n_panels):
     u, w = _panel_nodes(np.exp(log_edges))
     u = u.reshape(n_panels, -1)[::-1]
     w = w.reshape(n_panels, -1)[::-1]
-    return u, prof.alpha * u ** (prof.dim - 1) * prof.density(u.ravel()).reshape(u.shape) * w
+    return u, prof.alpha * u ** (prof.dim - 1) * prof.density(u) * w
 
 
 def _tail_sum(prof, t, r):
@@ -120,22 +120,8 @@ def _tail_sum(prof, t, r):
                         * _gamma(k + t), r, prof.coeffs)[0]
 
 
-def _positive_radii(r):
-    """r as a float array and its flat view; ConfigError unless every radius is > 0 (NaN too)."""
-    r_arr = np.asarray(r, dtype=float)
-    flat = r_arr.ravel()
-    if not np.all(flat > 0):
-        raise ConfigError(f"r must be positive, got {flat[~(flat > 0)][0]}")
-    return r_arr, flat
-
-
-def _shaped(out, r_arr):
-    """A float for a scalar radius, else out in r's shape."""
-    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
-
-
 def _polar_integral(spec: ProcessSpec, t: float, r):
-    """K_t(r) of the module docstring at radii r > 0 of any shape, for t >= 0.
+    """K_t(r) of the module docstring at a 1-d array of radii r > 0, for t >= 0.
 
     Each radius sums the head over the top panels of one fixed log-u grid in a
     fixed order, so its value does not depend on the batch.  The grid stops
@@ -143,27 +129,26 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
     which w^t e^(-w) < e^(-690); t = 0 skips the log pass of w^t.  Radii run
     sorted, in place, in blocks of at most _PAIR_BLOCK (radius, node) pairs.
     """
-    r_arr, flat = _positive_radii(r)
     a = spec.alpha
     prof = radial_profile(a, spec.dim)
     w_floor = _EXP_FLOOR + t * math.log(_EXP_FLOOR + t * math.log(_EXP_FLOOR))
-    depth = np.log(prof.tail_start) - np.log(flat * w_floor ** (-1.0 / a))
+    depth = np.log(prof.tail_start) - np.log(r * w_floor ** (-1.0 / a))
     n_panels = np.maximum(np.ceil(depth / (_LOG_PANEL / a)), 0).astype(int)
     # ascending radii need nonincreasing panel counts; rows with none have no head
-    order = np.argsort(flat)[:np.count_nonzero(n_panels)]
-    head = np.zeros(flat.size)
+    order = np.argsort(r)[:np.count_nonzero(n_panels)]
+    head = np.zeros(r.size)
     if order.size:
         u, g = _head_grid(prof, n_panels[order[0]])
         start = 0
         while start < order.size:
             m = n_panels[order[start]]
             idx = order[start:start + max(1, _PAIR_BLOCK // u[:m].size)]
-            z = flat[idx, None, None] / u[None, :m]  # r/u, then log(w^t e^(-w))
+            z = r[idx, None, None] / u[None, :m]  # r/u, then log(w^t e^(-w))
             z = t * a * np.log(z) - z ** a if t else np.negative(z ** a, out=z)
             panel = np.multiply(np.exp(z, out=z), g[None, :m], out=z).sum(axis=2)
             head[idx] = np.cumsum(panel, axis=1)[np.arange(idx.size), n_panels[idx] - 1]
             start += idx.size
-    return _shaped((head + _tail_sum(prof, t, flat)) / _gamma(1.0 + t), r_arr)
+    return (head + _tail_sum(prof, t, r)) / _gamma(1.0 + t)
 
 
 def k_radial(spec: ProcessSpec, r):
@@ -182,14 +167,14 @@ def k_radial(spec: ProcessSpec, r):
     a = spec.alpha
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
-    r_arr, flat = _positive_radii(r)
+    flat, shaped = radial_args(r, positive=True)
     if spec.dim > 1 or _SINE_ALPHA_MAX < a < 2.0:
         k = _polar_integral(spec, 0.0, flat)
     else:
         k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
     if np.any(flat < _FLAT_PROBE):
         k[flat < _flat_radius(spec)] = a / surface_measure(spec.dim)
-    return _shaped(k, r_arr)
+    return shaped(k)
 
 
 def levy_density(spec: ProcessSpec, x):
@@ -198,11 +183,10 @@ def levy_density(spec: ProcessSpec, x):
     One point gives a float, and a batch (see point_radii) an array of values
     from one k_radial call.
     """
-    r, point = point_radii(spec, x)
+    r, shaped = point_radii(spec, x)
     if np.any(r == 0.0):
         raise SingularPointError("levy density blows up like |x|^(-d) at the origin")
-    j = over_radius_power(k_radial(spec, r), r, spec.dim)
-    return float(j[0]) if point else j
+    return shaped(over_radius_power(k_radial(spec, r), r, spec.dim))
 
 
 def _flat_radius(spec: ProcessSpec) -> float:

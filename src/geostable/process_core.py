@@ -36,10 +36,6 @@ class ProcessSpec:
         object.__setattr__(self, "dim", int(self.dim))
 
 
-def _maybe_scalar(arr, scalar_input):
-    return float(arr) if scalar_input else arr
-
-
 def _log1p_power(xi, alpha):
     """log(1 + xi^alpha) for xi >= 0, as alpha log xi + log1p(xi^-alpha) past 1: no overflow."""
     big = np.where(xi > 1.0, xi, 1.0)
@@ -50,14 +46,38 @@ def _log1p_power(xi, alpha):
 def positive_time(t) -> None:
     """Refuse a time argument that is not positive and finite (NaN included) with ConfigError."""
     if not 0 < t < np.inf:
-        raise ConfigError(f"t must be positive and finite, got {t}")
+        raise ConfigError(f"time must be positive and finite, got {t}")
+
+
+def _shaper(shape):
+    """The return rule: a Python float for shape (), else flat results in that shape."""
+    if shape == ():
+        return lambda flat: float(flat[0])
+    return lambda flat: flat.reshape(shape)
+
+
+def radial_args(r, name="r", positive=False):
+    """Flat float radii of r (any shape) and the function that shapes results like r.
+
+    The shaping function gives a Python float for a scalar or 0-d r, else an
+    array of r's shape.  A NaN or negative radius, or 0 when positive, raises
+    ConfigError naming the first one.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    ok = flat > 0 if positive else flat >= 0
+    if not ok.all():
+        raise ConfigError(f"{name} must be {'positive' if positive else 'nonnegative'}, "
+                          f"got {flat[~ok][0]}")
+    return flat, _shaper(r.shape)
 
 
 def point_radii(spec: ProcessSpec, x):
-    """Norms of one point or a batch of points, and whether x was one point.
+    """Norms of one point or a batch of points, and the function that shapes results.
 
-    One point is a scalar for d = 1 or a 1-d array of d coordinates; a batch is
-    an (n, d) array or, for d = 1, any 1-d array.  NaN raises ConfigError.
+    One point is a scalar for d = 1 or a 1-d array of d coordinates, and its
+    result is a Python float; a batch is an (n, d) array or, for d = 1, any
+    1-d array, and gives an array of n values.  NaN raises ConfigError.
     Norms are taken by hypot, which squares no coordinate, so none underflows
     to 0 or overflows to inf.
     """
@@ -72,7 +92,7 @@ def point_radii(spec: ProcessSpec, x):
                          f"got shape {xv.shape}")
     if np.isnan(xv).any():
         raise ConfigError("x must not be NaN")
-    return r, xv.ndim == (0 if d == 1 else 1)
+    return r, _shaper(() if xv.ndim == (0 if d == 1 else 1) else r.shape)
 
 
 def surface_measure(dim: int) -> float:
@@ -90,18 +110,16 @@ def over_radius_power(values, r, dim: int):
 
 
 def symbol(spec: ProcessSpec, xi_norm):
-    """Characteristic exponent log(1 + |xi|^alpha) at radial frequency xi_norm >= 0."""
-    scalar = np.isscalar(xi_norm)
-    xi = np.asarray(xi_norm, dtype=float)
-    if not np.all(xi >= 0):
-        raise ConfigError("xi_norm must be nonnegative")
-    return _maybe_scalar(_log1p_power(xi, spec.alpha), scalar)
+    """Characteristic exponent log(1 + |xi|^alpha) at radial frequencies xi_norm >= 0."""
+    xi, shaped = radial_args(xi_norm, "xi_norm")
+    return shaped(_log1p_power(xi, spec.alpha))
 
 
 def char_function(spec: ProcessSpec, t: float, xi_norm):
     """Characteristic function (1 + |xi|^alpha)^(-t) of the time-t marginal."""
     positive_time(t)
-    return _maybe_scalar(np.exp(-t * symbol(spec, xi_norm)), np.isscalar(xi_norm))
+    xi, shaped = radial_args(xi_norm, "xi_norm")
+    return shaped(np.exp(-t * _log1p_power(xi, spec.alpha)))
 
 
 def classify_recurrence(spec: ProcessSpec) -> RecurrenceClass:
@@ -127,9 +145,7 @@ def hartman_wintner_ratio(spec: ProcessSpec, xi_norms):
     divergence condition sufficient for smooth densities fails here; an
     infinite entry gets that limit.
     """
-    xi = np.asarray(xi_norms, dtype=float)
-    if not np.all(xi > 0):
-        raise ConfigError("xi_norms must be strictly positive")
+    xi, shaped = radial_args(xi_norms, "xi_norms", positive=True)
     inf = np.isinf(xi)
     safe = np.where(inf, 1.0, xi)
-    return np.where(inf, spec.alpha, _log1p_power(safe, spec.alpha) / np.log1p(safe))[()]
+    return shaped(np.where(inf, spec.alpha, _log1p_power(safe, spec.alpha) / np.log1p(safe)))

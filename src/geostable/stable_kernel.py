@@ -44,7 +44,7 @@ from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rga
 
 from .errors import ConfigError, ConsistencyError, SingularPointError, UnsupportedDimensionError
 from .process_core import (ProcessSpec, inversion_integrable, point_radii, positive_time,
-                           surface_measure)
+                           radial_args, surface_measure)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -114,8 +114,15 @@ def _fourier_rule(kernel: str):
     return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
 
 
+# (nodes, weights) of each kernel's rule, built once and read-only
+_FOURIER_RULES = {kernel: _fourier_rule(kernel) for kernel in ("sin", "cos", "j0")}
+for _table in _FOURIER_RULES.values():
+    for _column in _table:
+        _column.flags.writeable = False
+
+
 def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) -> np.ndarray:
-    """int_0^inf p^power f(p) K(r p) dp at each r > 0 of a 1-d array, by `_fourier_rule`.
+    """int_0^inf p^power f(p) K(r p) dp at each r > 0 of a 1-d array, by `_fourier_rule`'s table.
 
     f(p) = (1 + p^alpha)^(-t), or the stable law's exp(-p^alpha) when t is
     None.  Blocks hold at most _PAIR_BLOCK (point, node) pairs, and each
@@ -125,7 +132,7 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
     logaddexp(alpha log r, alpha log y), so the row's scale r^(t alpha) and
     r^(-1-power) join each node's exponent; the other rows are unchanged.
     """
-    y, w = _fourier_rule(kernel)
+    y, w = _FOURIER_RULES[kernel]
     y_alpha, wy = y ** alpha, w * y ** power
     with np.errstate(over="ignore"):
         tiny = ~(np.isfinite(r ** -alpha * y_alpha[-1]) & np.isfinite(np.pi * r ** (-1.0 - power)))
@@ -404,9 +411,8 @@ class StableRadialProfile:
             f"to {best:.1e} at best over switch radii {_SWITCH_CANDIDATES}, not 3e-9")
 
     def density(self, u):
-        """q_1 at radii u (scalar or array); exact closed form when available."""
-        point = np.ndim(u) == 0
-        u = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
+        """q_1 at radii u >= 0 (a float for a scalar, else u's shape); exact closed form if any."""
+        u, shaped = radial_args(u)
         out = self._closed_form(u)
         if out is None:
             out = np.empty_like(u)
@@ -415,7 +421,7 @@ class StableRadialProfile:
                 out[near] = np.exp(self._spline(np.arcsinh(u[near] / self._scale)))
             if not near.all():
                 out[~near] = _series_batch(self.alpha, self.dim, u[~near], self.coeffs)[0]
-        return float(out[0]) if point else out
+        return shaped(out)
 
 
 _PROFILE_CACHE: dict = {}
@@ -441,20 +447,17 @@ def stable_density(spec: ProcessSpec, s: float, x):
 
     One point gives a float, and a batch (see point_radii) an array.
     """
-    r, point = point_radii(spec, x)
-    q = stable_density_radial(spec, s, r)
-    return float(q[0]) if point else q
+    r, shaped = point_radii(spec, x)
+    return shaped(stable_density_radial(spec, s, r))
 
 
 def stable_density_radial(spec: ProcessSpec, s: float, r):
-    """Radial variant of stable_density, vectorized over radii r >= 0."""
-    if not s > 0:
-        raise ConfigError(f"s must be positive, got {s}")
+    """Radial variant of stable_density at radii r >= 0 (a float for a scalar, else r's shape)."""
+    positive_time(s)
+    r, shaped = radial_args(r)
     prof = radial_profile(spec.alpha, spec.dim)
     scale = s ** (-1.0 / spec.alpha)
-    point = np.ndim(r) == 0
-    vals = s ** (-spec.dim / spec.alpha) * prof.density(scale * np.abs(np.atleast_1d(r)))
-    return float(vals[0]) if point else vals
+    return shaped(s ** (-spec.dim / spec.alpha) * prof.density(scale * r))
 
 
 class RngStream:
@@ -475,10 +478,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"
-
-
-def _maybe_item(arr, size):
-    return float(arr[0]) if size is None else arr
 
 
 def _draw_count(size) -> int:
@@ -640,45 +639,22 @@ def _cms_into(alpha: float, out: np.ndarray, uw: np.ndarray) -> None:
     np.copysign(out, u, out=out)
 
 
-def _cms_inputs_into(alpha: float, t, gen: np.random.Generator, log_gw: np.ndarray,
-                     uw: np.ndarray, p_floor=None) -> None:
-    """Draw what `_cms_into` takes: log G + (alpha - 1) log W into log_gw, r into uw[0].
-
-    The generator is called for log G (`_log_gamma_into`, truncated by
-    p_floor), then for the uniforms r and V of W = -log(1 - V) in one call
-    on the C-contiguous uw.  1 - V is exact, so 0 <= W <= 53 log 2, and
-    W = 0 (V = 0) is floored to _R_FLOOR, the midpoint of its cell: log W
-    is finite and W lies in [2^-54, 53 log 2], which `_walk_screen` relies on.
-    """
-    u, w = uw
-    _log_gamma_into(t, gen, log_gw, u, w, p_floor)
-    gen.random(out=uw)
-    np.subtract(1.0, w, out=w)
-    np.log(w, out=w)
-    np.negative(w, out=w)
-    np.maximum(w, _R_FLOOR, out=w)
-    np.log(w, out=w)
-    w *= alpha - 1.0
-    log_gw += w
-
-
 def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
                  uw: np.ndarray, p_floor=None) -> None:
     """Write G^(1/alpha) Z into out: one d = 1 draw per entry, no full-size allocation.
 
     G ~ Gamma(t, 1), or G = 1 when t is None, and Z is symmetric alpha-stable
-    with characteristic function exp(-|xi|^alpha).  log G comes from
+    with characteristic function exp(-|xi|^alpha).  log G comes first, from
     `_log_gamma_into`, truncated by p_floor when that is given; then
     alpha = 2 is sqrt(2 G) N, alpha = 1 is G tan(U), and every other alpha
-    sends a uniform and the log of an exponential to `_cms_into`
-    (`_cms_inputs_into`).  The generator is called for log G, then uniform
-    (normal at alpha = 2), then, for alpha not in {1, 2}, the uniform of the
-    exponential.  uw is a C-contiguous scratch buffer of shape (2,) + out.shape.
+    adds (alpha - 1) log W to log G and sends it with a uniform r to
+    `_cms_into`.  The generator is called for log G, then for the normal
+    (alpha = 2), the uniform (alpha = 1), or r and V of W = -log(1 - V) in one
+    call on the C-contiguous uw.  1 - V is exact, so 0 <= W <= 53 log 2, and
+    W = 0 (V = 0) is floored to _R_FLOOR, the midpoint of its cell: log W is
+    finite and W lies in [2^-54, 53 log 2], which `_walk_screen` relies on.
+    uw is a C-contiguous scratch buffer of shape (2,) + out.shape.
     """
-    if alpha not in (1.0, 2.0):
-        _cms_inputs_into(alpha, t, gen, out, uw, p_floor)
-        _cms_into(alpha, out, uw)
-        return
     u, w = uw
     _log_gamma_into(t, gen, out, u, w, p_floor)
     if alpha == 2.0:
@@ -687,20 +663,30 @@ def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
         out *= 0.5
         np.exp(out, out=out)
         out *= u
-        return
-    gen.random(out=u)  # alpha = 1: G tan(U)
-    np.exp(out, out=out)
-    u -= 0.5
-    u *= np.pi
-    np.tan(u, out=u)
-    out *= u
+    elif alpha == 1.0:  # G tan(U)
+        gen.random(out=u)
+        np.exp(out, out=out)
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
+        out *= u
+    else:
+        gen.random(out=uw)
+        np.subtract(1.0, w, out=w)
+        np.log(w, out=w)
+        np.negative(w, out=w)
+        np.maximum(w, _R_FLOOR, out=w)
+        np.log(w, out=w)
+        w *= alpha - 1.0
+        out += w
+        _cms_into(alpha, out, uw)
 
 
 def _walk_screen(alpha: float, t: float):
     """Constants (t C, log Gamma(1 + t)) of the walk's screen, or None where it is off.
 
     With s = max(min(r, 1 - r), 2^-54) >= 2^-54 and W in [2^-54, 53 log 2]
-    (`_cms_inputs_into`), the bound on the Chambers-Mallows-Stuck draw,
+    (`_stable_into`), the bound on the Chambers-Mallows-Stuck draw,
 
         alpha log|G^(1/alpha) Z| <= log G - log(2 s) + (alpha - 1) log W + c,
 
@@ -989,7 +975,7 @@ def sample_gamma(t: float, rng: RngStream, size=None):
     """
     positive_time(t)
     out = rng.gen.gamma(shape=t, scale=1.0, size=_draw_count(size))
-    return _maybe_item(out, size)
+    return out if size is not None else float(out[0])
 
 
 def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):

@@ -27,8 +27,9 @@ from scipy.spatial.distance import cdist as _cdist
 
 from .errors import ConfigError, UnsupportedDimensionError
 from .levy_structure import _polar_integral
-from .process_core import ProcessSpec, over_radius_power, point_radii, positive_time
-from .stable_kernel import (_DE_H, RngStream, _char_integral, _fourier_rule, _radial_inversion,
+from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
+                           radial_args)
+from .stable_kernel import (_DE_H, _FOURIER_RULES, RngStream, _char_integral, _radial_inversion,
                             sample_increment)
 
 # float64 entries of density_mc's working block: 16 MB
@@ -38,8 +39,8 @@ _KDE_BLOCK = 2 ** 21
 _BINS_PER_BW, _KERNEL_REACH = 64, 38.7
 
 
-def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
-    """p_t(x) by the gamma mixture int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds, at radii xs.
+def density_gamma_mixture(spec: ProcessSpec, t: float, xs):
+    """p_t(x) by the gamma mixture int q_s(x) s^(t-1) e^(-s)/Gamma(t) ds, at radii |xs|.
 
     Valid for every t > 0 and x != 0.  The substitution u = s^(-1/alpha)|x|
     makes it the polar integral of the jump kernel at time t,
@@ -47,15 +48,17 @@ def density_gamma_mixture(spec: ProcessSpec, t: float, xs) -> np.ndarray:
     follows |x|, plus the incomplete-gamma tail of the power series.  At x = 0
     every s contributes q_s(0) ~ s^(-d/alpha), so there the value is the Beta
     closed form for t > d/alpha, and p_t(0) = inf is refused with
-    SingularPointError for t <= d/alpha.
+    SingularPointError for t <= d/alpha.  A scalar gives a float, an array an
+    array of its shape.
     """
-    xs = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
+    positive_time(t)
+    xs, shaped = radial_args(np.abs(xs))
     at_zero = xs == 0.0
     out = np.empty(xs.shape)
     out[at_zero] = _radial_inversion(spec.alpha, t, spec.dim, xs[at_zero])
     r = xs[~at_zero]
     out[~at_zero] = over_radius_power(t * _polar_integral(spec, t, r), r, spec.dim)
-    return out
+    return shaped(out)
 
 
 def density_inversion(spec: ProcessSpec, t: float, x):
@@ -72,14 +75,15 @@ def density_inversion(spec: ProcessSpec, t: float, x):
         raise UnsupportedDimensionError(
             f"inversion supports dim in {{1, 2, 3}}, got {spec.dim}")
     positive_time(t)
-    r, point = point_radii(spec, x)
+    r, shaped = point_radii(spec, x)
     if spec.dim == 2:
         out = density_gamma_mixture(spec, t, r)
     else:
         out = _radial_inversion(spec.alpha, t, spec.dim, r)
-    # far tails are accurate to about 1e-16 in absolute terms, so rounding can dip below 0
-    out[(out < 0) & (out > -1e-8)] = 0.0
-    return float(out[0]) if point else out
+    # far tails are accurate to about 1e-16 in absolute terms, so rounding can
+    # dip below 0; -0.0, the value at |x| = inf, becomes +0.0 too
+    out[(out <= 0) & (out > -1e-8)] = 0.0
+    return shaped(out)
 
 
 def cdf_numeric(spec: ProcessSpec, t: float, x):
@@ -93,11 +97,10 @@ def cdf_numeric(spec: ProcessSpec, t: float, x):
     if spec.dim != 1:
         raise UnsupportedDimensionError("cdf_numeric is one-dimensional")
     positive_time(t)
-    r, point = point_radii(spec, x)
+    r, shaped = point_radii(spec, x)
     half = np.zeros(r.size)
     half[r > 0] = _char_integral("sin", -1, spec.alpha, t, r[r > 0]) / np.pi
-    out = np.clip(0.5 + np.sign(np.ravel(x)) * half, 0.0, 1.0)
-    return float(out[0]) if point else out
+    return shaped(np.clip(0.5 + np.sign(np.ravel(x)) * half, 0.0, 1.0))
 
 
 def inversion_table(spec: ProcessSpec, t: float, x_grid) -> "DensityTable":
@@ -256,7 +259,7 @@ class DensityTable:
             "binning_error_bound": (None if self.bin_width is None
                                     else _binning_error_bound(self.bandwidth, self.bin_width)),
             "quadrature_h": _DE_H if inversion else None,
-            "quadrature_nodes": _fourier_rule("cos")[0].size if inversion else None,
+            "quadrature_nodes": _FOURIER_RULES["cos"][0].size if inversion else None,
         }
 
 

@@ -123,16 +123,16 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_symbol_and_kfun_tables(tmp_path):
+def test_symbol_and_k_tables(tmp_path):
     assert run(["symbol", "--alpha", "2", "--dim", "1", "--x-min", "0",
                 "--x-max", "2", "--n", "5", "--output-path", str(tmp_path)]) == 0
     lines = (tmp_path / "symbol.csv").read_text().strip().splitlines()
     assert lines[0] == "xi,psi"
     xi, psi = (float(v) for v in lines[-1].split(","))
     assert xi == 2.0 and abs(psi - np.log(5.0)) < 1e-12
-    assert run(["kfun", "--alpha", "2", "--dim", "1", "--x-min", "1", "--x-max", "2",
+    assert run(["selfdecomp", "--alpha", "2", "--dim", "1", "--x-min", "1", "--x-max", "2",
                 "--n", "3", "--output-path", str(tmp_path)]) == 0
-    klines = (tmp_path / "kfunction.csv").read_text().strip().splitlines()
+    klines = (tmp_path / "kfunction_table.csv").read_text().strip().splitlines()
     assert klines[0] == "r,k_value"
     r0, k0 = (float(v) for v in klines[1].split(","))
     assert abs(k0 - np.exp(-r0)) < 1e-9
@@ -159,14 +159,12 @@ def test_selfdecomp_kfunction_table_file(tmp_path):
 
 
 def test_k_tables_where_k_underflows(tmp_path, capsys):
-    # at alpha = 2, k(r) = e^(-r) rounds to 0.0 past r ~ 745; kfun writes the
-    # certificate's own t*k table
+    # at alpha = 2, k(r) = e^(-r) rounds to 0.0 past r ~ 745, and the
+    # certificate's own t*k table holds that 0.0
     args = ["--alpha", "2", "--dim", "1", "--x-max", "1000", "--n", "48"]
     assert run(["selfdecomp", *args, "--output-path", str(tmp_path / "s")]) == 0
     assert "monotone_certificate: True" in capsys.readouterr().out
-    assert run(["kfun", *args, "--output-path", str(tmp_path / "k")]) == 0
     table = (tmp_path / "s" / "kfunction_table.csv").read_text()
-    assert (tmp_path / "k" / "kfunction.csv").read_text() == table
     k = np.array([float(line.split(",")[1]) for line in table.strip().splitlines()[1:]])
     assert k[-1] == 0.0 and k[-2] == 0.0 and np.all(k >= 0.0)
     cert = json.loads((tmp_path / "s" / "selfdecomp_certificate.json").read_text())
@@ -358,9 +356,9 @@ def test_verify_unknown_suite(tmp_path, capsys):
     "symbol --x-max -1", "levy --x-min 1 --x-max 0", "levy --x-max nan",
     "selfdecomp --x-min 1 --x-max 0.5", "density --x-min 5 --x-max -5",
     "feynman-kac --seed 1 --t nan", "feynman-kac --seed 1 --dt nan", "groundstate --tol nan",
-    "symbol --x-max nan", "kfun --t nan", "selfdecomp --t nan", "sample --seed 1 --t nan",
+    "symbol --x-max nan", "selfdecomp --t nan", "sample --seed 1 --t nan",
     "density --method mc --seed 1 --t nan", "kato --t-values nan,0.1",
-    "symbol --n 0", "levy --n 0", "kfun --n 0", "kfun --t -1",
+    "symbol --n 0", "levy --n 0", "selfdecomp --n 0", "selfdecomp --t -1",
 ])
 def test_bad_grids_and_non_finite_values_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv.split(), "--output-path", str(tmp_path)]) == 2
@@ -453,3 +451,17 @@ def test_only_cli_touches_files():
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in names
                           if n.split(".")[0] in ("csv", "json", "open()")]
     assert not offenders
+
+
+def test_readme_python_quick_tour_runs():
+    # the tour's lines run as written, and its commented values hold
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Python quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    gs = namespace["gs"]
+    spec = namespace["spec"]
+    assert gs.classify_recurrence(spec) is gs.RecurrenceClass.RECURRENT
+    assert gs.char_function(spec, t=2.0, xi_norm=1.0) == 0.25
+    assert namespace["table"].monotone_certificate is True
+    assert namespace["result"].h.shape == (256,)

@@ -8,6 +8,7 @@ from geostable import (ConfigError, ProcessSpec, RecurrenceClass, char_function,
                        classify_recurrence, hartman_wintner_ratio,
                        inversion_integrable, symbol)
 from geostable.process_core import point_radii
+from geostable.transition_density import density_gamma_mixture
 
 
 def test_spec_validation():
@@ -70,6 +71,11 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=-1),
     lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=np.float64(3.0)),
     lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=True),
+    lambda: gs.stable_density_radial(_S, 1.0, [math.nan]),
+    lambda: gs.radial_profile(1.5, 1).density(math.nan),
+    lambda: gs.stable_density(_S, math.inf, 1.0),
+    lambda: gs.stable_density_radial(_S, math.inf, 1.0),
+    lambda: symbol(_S, np.array([0.5, math.nan])),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
         "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
@@ -81,10 +87,28 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
         "cdf_numeric_inf", "sample_increment_size_negative", "sample_increment_size_fraction",
         "sample_increment_size_numpy_negative", "sample_stable_size_negative",
         "sample_stable_size_float", "sample_gamma_size_negative", "sample_gamma_size_numpy_float",
-        "sample_gamma_size_bool"])
+        "sample_gamma_size_bool", "stable_density_radial_nan", "profile_density_nan",
+        "stable_density_inf", "stable_density_radial_inf", "symbol_nan"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_gamma_mixture_refuses_bad_times(t):
+    # it returned 0.0 and -0.0 at t = 0 and -1, and warned at nan and inf
+    with pytest.raises(ConfigError, match="time must be positive and finite"):
+        density_gamma_mixture(ProcessSpec(1.5, 2), t, [1.0])
+
+
+def test_radial_arguments_name_the_refused_value():
+    with pytest.raises(ConfigError, match="r must be nonnegative, got nan"):
+        gs.stable_density_radial(_S, 1.0, [1.0, math.nan])
+    with pytest.raises(ConfigError, match="r must be nonnegative, got -2.0"):
+        gs.radial_profile(1.5, 1).density([1.0, -2.0])
+    for r in (0.0, -1.0, math.nan):  # k_radial keeps its message for r <= 0
+        with pytest.raises(ConfigError, match=f"r must be positive, got {r}"):
+            gs.k_radial(_S, [1.0, r])
 
 
 def test_sampler_size_names_the_refused_value():
@@ -217,8 +241,9 @@ def test_small_frequency_symbol_ratio():
 
 def test_point_radii_square_no_coordinate():
     spec = ProcessSpec(1.5, 2)
-    r, point = point_radii(spec, [[3e-200, 4e-200], [3e200, -4e200], [-3.0, 4.0]])
-    assert not point and np.allclose(r, [5e-200, 5e200, 5.0], rtol=1e-15, atol=0.0)
-    r, point = point_radii(ProcessSpec(1.0, 3), [-1e-300, 0.0, 0.0])
-    assert point and r[0] == 1e-300
+    r, shaped = point_radii(spec, [[3e-200, 4e-200], [3e200, -4e200], [-3.0, 4.0]])
+    assert np.allclose(r, [5e-200, 5e200, 5.0], rtol=1e-15, atol=0.0)
+    assert shaped(r).shape == (3,)
+    r, shaped = point_radii(ProcessSpec(1.0, 3), [-1e-300, 0.0, 0.0])
+    assert shaped(r) == 1e-300 and type(shaped(r)) is float
     assert point_radii(ProcessSpec(1.0, 1), [[-2.0], [3.0]])[0].tolist() == [2.0, 3.0]

@@ -10,10 +10,10 @@ from scipy.special import digamma, gamma, j0, polygamma
 from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
-                       UnsupportedDimensionError, cdf_numeric, density_inversion,
+                       UnsupportedDimensionError, cdf_numeric, char_function, density_inversion,
                        k_radial, levy_density, radial_profile, sample_gamma,
                        sample_increment, sample_stable, stable_density,
-                       stable_density_radial)
+                       stable_density_radial, symbol)
 from geostable import stable_kernel as sk
 from geostable.stable_kernel import (_DRAW_BATCH, StableRadialProfile, _cms_into,
                                      _envelope_columns, _log_gamma_into,
@@ -197,8 +197,10 @@ _SPEC = ProcessSpec(1.5, 1)
     lambda u: radial_profile(1.5, 1).density(u),
     lambda u: density_inversion(_SPEC, 1.0, u),
     lambda u: cdf_numeric(_SPEC, 1.0, u),
+    lambda u: symbol(_SPEC, u),
+    lambda u: char_function(_SPEC, 1.0, u),
 ], ids=["k_radial", "levy_density", "stable_density", "stable_density_radial",
-        "profile_density", "density_inversion", "cdf_numeric"])
+        "profile_density", "density_inversion", "cdf_numeric", "symbol", "char_function"])
 def test_zero_dim_array_gives_float(fn):
     got = fn(np.array(0.8))
     assert type(got) is float
@@ -538,7 +540,7 @@ def test_cms_transform_property(alpha, r, w, log_g):
 def test_skip_bound_property(alpha, r, w, log_g):
     # the Chambers-Mallows-Stuck bound alpha log|X| <= B with
     # B = log G - log(2 s) + (alpha - 1) log W + c, for W in the range
-    # _cms_inputs_into draws it from
+    # _stable_into draws it from
     assume(alpha != 1.0)
     s = max(min(r, 1.0 - r), 2.0 ** -54)
     c = -(alpha - 1.0) * math.log(math.cos((alpha - 1.0) * math.pi / 2.0)) if alpha > 1.0 else 0.0

@@ -284,8 +284,11 @@ def test_inversion_refuses_nan_and_nonpositive_t():
         cdf_numeric(spec, 1.0, np.array([1.0, np.nan]))
     with pytest.raises(ConfigError):
         density_inversion(spec, 1.0, np.nan)
-    # infinite x is a limit, not an error
+    # infinite x is a limit, not an error, and the limit is +0.0 (it read -0.0)
     assert density_inversion(spec, 1.0, np.inf) == 0.0
+    for dim in (1, 2, 3):
+        x = np.inf if dim == 1 else np.array([np.inf] + [0.0] * (dim - 1))
+        assert math.copysign(1.0, density_inversion(ProcessSpec(1.5, dim), 1.0, x)) == 1.0
     assert np.allclose(cdf_numeric(spec, 1.0, [-np.inf, np.inf]), [0.0, 1.0], rtol=0.0, atol=1e-15)
 
 

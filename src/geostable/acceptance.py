@@ -20,9 +20,10 @@ from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
                              polar_levy_mass, verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence, positive_time
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
-                                 _periodized_jump_lags, dense_ground_state, energy_form,
-                                 feynman_kac_estimate, generator_matrix,
-                                 irreducibility_cross_term, kato_diagnostic, solve_ground_state)
+                                 _periodized_jump_lags, _spectral_apply, dense_ground_state,
+                                 energy_form, feynman_kac_estimate, generator_matrix,
+                                 irreducibility_cross_term, kato_diagnostic, solve_ground_state,
+                                 torus_symbol)
 from .stable_kernel import RngStream, _panel_nodes, sample_increment
 # perfbench/ and the tests import density_gamma_mixture from here
 from .transition_density import (EmpiricalCdf, cdf_numeric, density_gamma_mixture,
@@ -84,6 +85,25 @@ def killed_oracle(problem: SchrodingerProblem, f, t: float) -> float:
     rho = problem.mu_plus.density_values()
     i0 = int(np.argmin(np.abs(problem.domain.nodes())))
     return float((expm(-t * (h_dense + np.diag(rho))) @ f(problem.domain.nodes()))[i0])
+
+
+def trapezoid_chain(problem: SchrodingerProblem, f, t: float, dt: float) -> float:
+    """(e^(-dt rho/2) P (e^(-dt rho) P)^(n-1) e^(-dt rho/2) f)(0), n = t/dt, P = e^(-dt H).
+
+    The grid's own trapezoid (Strang) chain: the mean of
+    e^(-dt (rho(x_0)/2 + rho(x_1) + ... + rho(x_n)/2)) f(x_n) over the torus
+    walk observed every dt, so its gap to the chain at a finer step is the
+    time-step bias of the trapezoid clock.  P is applied by one FFT pair.
+    """
+    steps = round(t / dt)
+    rho = problem.mu_plus.density_values()
+    step_symbol = np.exp(-dt * torus_symbol(problem))
+    full, half = np.exp(-dt * rho), np.exp(-0.5 * dt * rho)
+    u = half * f(problem.domain.nodes())
+    for _ in range(steps - 1):
+        u = full * _spectral_apply(step_symbol, u)
+    u = half * _spectral_apply(step_symbol, u)
+    return float(u[int(np.argmin(np.abs(problem.domain.nodes())))])
 
 
 def gridded_cdf(spec: ProcessSpec, t: float, samples):
@@ -314,29 +334,41 @@ def check_eigenvalue_laws(seed: int = 0) -> CheckResult:
 
 
 def check_feynman_kac(seed: int = 2024) -> CheckResult:
-    """10: path estimate within 3 SE + O(dt) of the matrix exponential; rho=0 reduction.
+    """10: trapezoid-clock path estimate at dt = 1/16 within 3 SE + time step + torus wrap
+    of the grid chain; rho = 0 reduction within 3 SE of the free mean.
 
-    The killed estimate uses f(X_t) as a control variate, whose exact mean is
-    gaussian_free_mean; the free (rho = 0) estimate stays plain, because that
-    same mean is its oracle.
+    S_L(dt) is trapezoid_chain on the reference problem of half-width L, h = 1/8.
+    The killed estimate (100k paths) is compared with S_32(1/1024); its budget
+    is 3 SE, the time step 2 |S_16(1/16) - S_16(1/1024)| and the torus wrap
+    |S_32(1/1024) - S_16(1/1024)|.  The dense matrix exponential at L = 16
+    must equal S_16(1/1024) to 1e-8, so the chain is checked by an
+    independent route.  The killed estimate uses f(X_t) as a control variate,
+    whose exact mean is gaussian_free_mean; the free estimate (200k paths)
+    stays plain, because that same mean is its oracle.
     """
     t0 = time.perf_counter()
     prob = reference_problem()
-    t, dt = 0.5, 1.0 / 256
+    t, dt, fine = 0.5, 1.0 / 16, 1.0 / 1024
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     free_mean = gaussian_free_mean(prob.spec, t)
-    rho = prob.mu_plus.density_values()
-    oracle = killed_oracle(prob, f, t)
-    est, se = feynman_kac_estimate(prob, f, 0.0, t, 20_000, dt, RngStream(seed),
+    chain = trapezoid_chain(prob, f, t, fine)
+    oracle = trapezoid_chain(reference_problem(L=32.0, N=512), f, t, fine)
+    expm_gap = abs(killed_oracle(prob, f, t) - chain)
+    step = 2.0 * abs(trapezoid_chain(prob, f, t, dt) - chain)
+    wrap = abs(oracle - chain)
+    est, se = feynman_kac_estimate(prob, f, 0.0, t, 100_000, dt, RngStream(seed),
                                    free_mean=free_mean)
-    budget = 3.0 * se + 2.0 * dt * float(rho.max()) * 1.0
-    ok1 = abs(est - oracle) < budget
+    budget = 3.0 * se + step + wrap
+    ok1 = abs(est - oracle) < budget and expm_gap < 1e-8
 
     est0, se0 = feynman_kac_estimate(prob, f, 0.0, t, 200_000, dt, RngStream(seed + 1),
                                      rho=lambda z: 0.0)
     ok2 = abs(est0 - free_mean) < 3.0 * se0
     return _result("feynman-kac-crosscheck", t0, ok1 and ok2,
-                   f"killed (control variate): |{est:.5f} - {oracle:.5f}| vs budget {budget:.5f}; "
+                   f"killed (control variate, dt = 1/16): |{est:.6f} - {oracle:.6f}| = "
+                   f"{abs(est - oracle):.2e} vs budget {budget:.2e} = 3se {3 * se:.2e} "
+                   f"+ time step {step:.2e} + torus wrap {wrap:.2e}; "
+                   f"expm vs chain at L = 16: {expm_gap:.1e} (tol 1e-8); "
                    f"free: |{est0:.5f} - {free_mean:.5f}| vs 3se {3 * se0:.5f}")
 
 

@@ -349,7 +349,7 @@ _COMMANDS = {
     "groundstate": ("principal eigenvalue and ground state", _cmd_groundstate,
                     {**_TORUS, "tol": 1e-10, "max_iter": 800, "output_path": None}),
     "feynman-kac": ("killed-semigroup Monte Carlo", _cmd_feynman_kac,
-                    {**_TORUS, "t": 0.5, "dt": 1.0 / 256, "n_paths": 100_000, "x0": 0.0,
+                    {**_TORUS, "t": 0.5, "dt": 1.0 / 32, "n_paths": 100_000, "x0": 0.0,
                      "f": "gaussian:half_width=1,height=1", "seed": None,
                      "output_path": None}),
     "kato": ("Kato-class diagnostic", _cmd_kato,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -452,12 +453,24 @@ def stable_density(spec: ProcessSpec, s: float, x):
 
 
 def stable_density_radial(spec: ProcessSpec, s: float, r):
-    """Radial variant of stable_density at radii r >= 0 (a float for a scalar, else r's shape)."""
+    """Radial variant of stable_density at radii r >= 0 (a float for a scalar, else r's shape).
+
+    q_s(r) is at most q_s(0) = s^(-d/alpha) q_1(0).  An s below
+    (DBL_MAX / (2 max(q_1(0), 1)))^(-alpha/d), 1.1e-154 at (alpha, d) = (0.5, 1),
+    is refused with ConfigError: there q_s(0) or the power s^(-d/alpha) comes
+    within a factor 2 of overflow, a margin for the powers' rounding.  Where
+    s^(-1/alpha) r overflows, q_1 is taken at inf, 0.
+    """
     positive_time(s)
     r, shaped = radial_args(r)
     prof = radial_profile(spec.alpha, spec.dim)
-    scale = s ** (-1.0 / spec.alpha)
-    return shaped(s ** (-spec.dim / spec.alpha) * prof.density(scale * r))
+    bound = (sys.float_info.max / (2.0 * max(prof.density(0.0), 1.0))) ** (-spec.alpha / spec.dim)
+    if s < bound:
+        raise ConfigError(f"s must be at least {bound!r} at (alpha, d) = ({spec.alpha:g}, "
+                          f"{spec.dim}), below which q_s(0) overflows, got {s}")
+    with np.errstate(over="ignore"):  # q_1(inf) = 0
+        u = float(s) ** (-1.0 / spec.alpha) * r
+    return shaped(float(s) ** (-spec.dim / spec.alpha) * prof.density(u))
 
 
 class RngStream:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,27 @@ def test_gamma_mixture_refuses_bad_times(t):
     # it returned 0.0 and -0.0 at t = 0 and -1, and warned at nan and inf
     with pytest.raises(ConfigError, match="time must be positive and finite"):
         density_gamma_mixture(ProcessSpec(1.5, 2), t, [1.0])
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.5, 1), (1.5, 2), (0.3, 3)])
+def test_tiny_scale_is_refused_and_just_above_its_bound_is_finite(alpha, dim):
+    # s ** (-d/alpha) raised a bare OverflowError at s = 1e-300
+    spec = ProcessSpec(alpha, dim)
+    for r in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="s must be at least") as refused:
+            gs.stable_density_radial(spec, 1e-300, r)
+    with pytest.raises(ConfigError, match="s must be at least"):
+        gs.stable_density(spec, 1e-300, np.ones(dim))
+    bound = float(re.search(r"at least (\S+) at", str(refused.value)).group(1))
+    with pytest.raises(ConfigError, match="s must be at least"):
+        gs.stable_density_radial(spec, math.nextafter(bound, 0.0), 0.0)
+    s = math.nextafter(bound, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = gs.stable_density_radial(spec, s, np.array([0.0, 1.0, 1e300]))
+        point = gs.stable_density(spec, s, np.eye(dim)[0])  # |x| = 1
+    assert np.all(np.isfinite(near)) and near[0] > 1e306 and near[2] == 0.0
+    assert point == near[1]
 
 
 def test_radial_arguments_name_the_refused_value():

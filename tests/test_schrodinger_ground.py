@@ -11,10 +11,11 @@ from geostable import (ConfigError, GridDomain, MeasureOnGrid, ProcessSpec,
                        dense_ground_state, energy_form, feynman_kac_estimate,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
-from geostable.acceptance import gaussian_free_mean, killed_oracle, reference_problem
+from geostable.acceptance import (gaussian_free_mean, killed_oracle, reference_problem,
+                                  trapezoid_chain)
 from geostable.levy_structure import k_radial, small_x_constant
 from geostable import schrodinger_ground
-from geostable.schrodinger_ground import _periodized_jump_lags, torus_symbol
+from geostable.schrodinger_ground import _periodized_jump_lags, _spectral_apply, torus_symbol
 
 # jump-kernel energy of exp(-x^2) on (L, N) = (16, 1024), summed lag by lag
 # over node pairs before the jump route became a spectral symbol; the alpha = 1.5
@@ -340,15 +341,53 @@ def test_feynman_kac_control_variate_matches_expm_and_cuts_se(prob):
 
 
 def test_feynman_kac_plain_path_pinned(prob):
-    # the plain path must stay bit-identical whatever the control-variate code does
+    # the plain path must stay bit-identical whatever the control-variate code does;
+    # the pins were re-taken for the trapezoid clock (CHANGES.md has the old values)
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schrodinger_ground, "_FK_BATCH", 1_000)
         got = feynman_kac_estimate(prob, f, 0.0, 0.125, 3_000, 1.0 / 32, RngStream(5))
-    assert got == (0.8567711519463843, 0.0038801267116867527)
+    assert got == (0.8568087591905034, 0.003877989531196626)
     got = feynman_kac_estimate(prob, f, 0.3, 0.125, 2_000, 1.0 / 32, RngStream(6),
                                free_mean=None)
-    assert got == (0.7942472040904518, 0.004306297495113554)
+    assert got == (0.7942861472630417, 0.004303666994230611)
+
+
+def test_feynman_kac_trapezoid_clock_matches_grid_chain(prob):
+    # at dt = 1/8 the left-point chain is 4.3e-4 below the trapezoid chain, so
+    # the estimate tells the two clocks apart; the budget is 3 SE plus the
+    # torus wrap, the gap of the chain between L = 16 and L = 32
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    wide = reference_problem(L=32.0, N=512)
+    t, dt = 0.5, 1.0 / 8
+    est, se = feynman_kac_estimate(prob, f, 0.0, t, 200_000, dt, RngStream(808),
+                                   free_mean=gaussian_free_mean(prob.spec, t))
+    chain = trapezoid_chain(wide, f, t, dt)
+    budget = 3.0 * se + abs(chain - trapezoid_chain(prob, f, t, dt))
+    assert abs(est - chain) < budget
+    # the left-point chain (e^(-dt rho) P)^n f, P = e^(-dt H), at x = 0
+    rho = wide.mu_plus.density_values()
+    step = np.exp(-dt * torus_symbol(wide))
+    u = f(wide.domain.nodes())
+    for _ in range(round(t / dt)):
+        u = np.exp(-dt * rho) * _spectral_apply(step, u)
+    assert abs(est - u[wide.domain.N // 2]) > 2.0 * budget
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_feynman_kac_constant_potential_scales_free_estimate(prob, alpha):
+    # rho = c kills every path by e^(-c t), on the same draws: the trapezoid's
+    # endpoint term is (dt/2)(c - c) = 0; alpha = 2 takes every step as an event
+    problem = SchrodingerProblem(ProcessSpec(alpha, 1), prob.domain, prob.mu_plus,
+                                 prob.mu_minus)
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    c, t, dt = 0.7, 0.5, 1.0 / 32
+    est, se = feynman_kac_estimate(problem, f, 0.2, t, 20_000, dt, RngStream(41),
+                                   rho=lambda z: c)
+    est0, se0 = feynman_kac_estimate(problem, f, 0.2, t, 20_000, dt, RngStream(41),
+                                     rho=lambda z: 0.0)
+    assert abs(est - math.exp(-c * t) * est0) < 1e-12
+    assert abs(se - math.exp(-c * t) * se0) < 1e-12
 
 
 def test_feynman_kac_validates_steps(prob):

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from scipy.integrate import quad
 from scipy.special import exp1 as _exp1, gamma as _gamma, k1 as _k1
 
-from .levy_structure import (Regime, asymptotic_report, k_radial, levy_density,
+from .levy_structure import (Regime, _polar_integral, asymptotic_report, k_radial, levy_density,
                              polar_levy_mass, verify_selfdecomposable)
 from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence, positive_time
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
@@ -198,23 +198,11 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
     return _gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
 
 
-def k_tail_identity_d3(alpha: float, r) -> np.ndarray:
-    """d = 3 oracle for k from the 1-D marginal X^(1) of X_1: no d = 3 profile.
-
-    The tail identity k = (alpha/|S^(d-1)|) P(|X_1| > r) and, for an isotropic
-    law in R^3, P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r) give
-    k_3(r) = (alpha/2 pi) r p_1^(1)(r) + k_1(r)/(2 pi), with p_1^(1) from the
-    d = 1 cos rule and k_1 = alpha P(X^(1) > r) from the d = 1 sine rule.
-    """
-    r = np.asarray(r, dtype=float)
-    p1 = density_inversion(ProcessSpec(alpha, 1), 1.0, r)
-    return (alpha * r * p1 + k_radial(ProcessSpec(alpha, 1), r)) / (2.0 * np.pi)
-
-
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:
     """4: verify_selfdecomposable certifies k on 12 radii in [1e-2, 10] for 16 alpha in
-    [0.5, 2] and d in {1, 2, 3}; k against closed forms at alpha in {1, 2}, and the d = 3
-    tail identity at alpha in {0.5, 1.5, 1.9}.
+    [0.5, 2] and d in {1, 2, 3}; k against closed forms at alpha in {1, 2}, and d = 3 k
+    (the tail identity of the 1-D cos and sine rules) against the polar integral at
+    alpha in {0.5, 1.5, 1.9}.
 
     The (2, 1) closed form is left out: d = 1 k_radial returns e^-r there itself.
     The check draws nothing; seed is kept for the registry's signature.
@@ -233,15 +221,17 @@ def check_selfdecomposability(seed: int = 77001) -> CheckResult:
         spec = ProcessSpec(a, d)
         oracle_err = max(oracle_err, float(np.max(np.abs(
             k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0))))
-    identity_err = max(float(np.max(np.abs(
-        k_radial(ProcessSpec(a, 3), radii) / k_tail_identity_d3(a, radii) - 1.0)))
-        for a in (0.5, 1.5, 1.9))
+    polar_err = 0.0
+    for a in (0.5, 1.5, 1.9):
+        spec = ProcessSpec(a, 3)
+        polar_err = max(polar_err, float(np.max(np.abs(
+            k_radial(spec, radii) / _polar_integral(spec, 0.0, radii) - 1.0))))
     certified = (f"certificate failed at (alpha, d) = {', '.join(failed)}" if failed else
                  f"48 tables certified monotone (smallest relative drop {margin:.2e})")
     return _result("selfdecomposability-certificate", t0,
-                   not failed and oracle_err < 1e-6 and identity_err < 1e-6,
+                   not failed and oracle_err < 1e-6 and polar_err < 1e-6,
                    f"{certified}; k vs closed forms at alpha 1, 2 rel err {oracle_err:.2e}, "
-                   f"d = 3 vs tail identity at alpha 0.5, 1.5, 1.9 rel err {identity_err:.2e} "
+                   f"d = 3 vs polar integral at alpha 0.5, 1.5, 1.9 rel err {polar_err:.2e} "
                    f"(tol 1e-6)")
 
 

@@ -19,12 +19,26 @@ this gives -k'(r) = alpha r^(d-1) p_1(r), so k(r) = (alpha/|S^(d-1)|) P(|X_1| > 
 k is nonincreasing because it is a tail probability.  In d = 1 this is
 k(r) = (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one call
 of stable_kernel's Ooura-Mori sine rule with no profile, and e^(-r) at
-alpha = 2; k_radial takes it there for alpha <= _SINE_ALPHA_MAX.  The rule is
-accurate in absolute terms, while far out k ~ alpha Gamma(alpha)
-sin(pi alpha/2)/pi r^(-alpha) vanishes with 2 - alpha, so its relative error
-grows like 2e-13/(2 - alpha): 1.9e-9 at alpha = 1.999, 1.6e-8 at 1.9999.
-Past the cut, and in d = 2 and 3, k is K_0 below.  K_t at t > 0 (the d = 2
-densities) and the d = 1 test oracle stay on the polar integral.
+alpha = 2; k_radial takes it there for alpha <= _SINE_ALPHA_MAX.  In d = 3,
+P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r) for the 1-D marginal X^(1), so
+k_3 = (alpha/2 pi) r p_1^(1)(r) + k_1(r)/(2 pi): the d = 1 cos rule for the
+marginal density p_1^(1) and the sine rule for k_1, again with no profile;
+k_radial takes it for alpha <= _IDENTITY_ALPHA_MAX.  Both rules are accurate
+in absolute terms, while far out k ~ alpha Gamma(alpha) sin(pi alpha/2)/pi
+r^(-alpha) (d = 1) vanishes with 2 - alpha, so their relative error grows
+like 2e-13/(2 - alpha) until k's own power series takes over (below).
+Past these cuts (1.999 < alpha < 2 in d = 1, 1.9 < alpha <= 2 in d = 3),
+and in d = 2, k is K_0 below.  K_t at t > 0 (the d = 2 densities) and the
+test oracles stay on the polar integral.
+
+Far series.  Letting the tail radius U of the polar integral go to 0 turns
+its tail terms c_k r^(-k alpha) gamma(k, (r/U)^alpha) into c_k Gamma(k)
+r^(-k alpha), so k(r) ~ sum_k c_k Gamma(k) r^(-k alpha), with q_1's power-tail
+coefficients c_k.  The series diverges for every alpha, but far out its
+terms first fall fast: each radius of the two rule routes takes it where its
+last kept term (`_series_rows`) is at most _FAR_SERIES_TOL of its sum, which
+holds from r of about 30 to 610 on, depending on (alpha, d).  There it is
+within about 2e-13 of the polar integral.
 
 Quadrature of the polar integral: the u-integral is split at the kernel
 switch radius U.  The head is smooth in log u: Gauss-Legendre on one fixed
@@ -53,7 +67,8 @@ from .errors import ConfigError, SingularPointError
 from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
                            radial_args, surface_measure)
 from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
-                            _series_rows, q1_at_zero, radial_profile)
+                            _radial_inversion, _series_rows, q1_at_zero, radial_profile,
+                            tail_coefficients)
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -64,6 +79,10 @@ _LOG_PANEL = 0.05
 _MONOTONE_SLACK = 1e-12
 # largest alpha < 2 whose d = 1 kernel takes the sine rule (module docstring)
 _SINE_ALPHA_MAX = 1.999
+# largest alpha whose d = 3 kernel takes the tail identity (module docstring)
+_IDENTITY_ALPHA_MAX = 1.9
+# a radius takes k's far series where its last kept term is at most this of the sum
+_FAR_SERIES_TOL = 1e-13
 # every r_c of _flat_radius lies below 2^-26: its bound holds a term r^alpha >= r^2
 _FLAT_PROBE = 2.0 ** -26
 
@@ -151,27 +170,65 @@ def _polar_integral(spec: ProcessSpec, t: float, r):
     return (head + _tail_sum(prof, t, r)) / _gamma(1.0 + t)
 
 
+def _k_tail_identity_d1(alpha: float, r):
+    """k_1 = alpha P(X^(1) > r) at radii r > 0 (1-d): e^(-r) at alpha = 2, else the sine rule."""
+    if alpha == 2.0:
+        return np.exp(-r)
+    return alpha / np.pi * _char_integral("sin", alpha - 1.0, alpha, 1.0, r)
+
+
+def _k_tail_identity_d3(alpha: float, r):
+    """k in d = 3 from the 1-D marginal X^(1) of X_1 at radii r > 0 (1-d), with no profile.
+
+    For an isotropic law in R^3, P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r), so
+    k_3(r) = (alpha/2 pi) r p_1^(1)(r) + k_1(r)/(2 pi), with p_1^(1) from the
+    d = 1 cos rule and k_1 from `_k_tail_identity_d1`.
+    """
+    p1 = _radial_inversion(alpha, 1.0, 1, r)
+    return (alpha * r * p1 + _k_tail_identity_d1(alpha, r)) / (2.0 * np.pi)
+
+
+def _far_series(spec: ProcessSpec, r):
+    """k's own large-r series sum_k c_k Gamma(k) r^(-k alpha) at radii r, by _series_rows.
+
+    It is _tail_sum's series in the limit r/U -> inf, where gamma(k, (r/U)^alpha)
+    -> Gamma(k).  Returns the sums and a mask of the rows whose last kept term
+    is at most _FAR_SERIES_TOL of their sum; every other row is NaN.
+    """
+    a = spec.alpha
+    sums, last = _series_rows(lambda x, c, k: c * _gamma(k) * x ** (-k * a), r,
+                              tail_coefficients(a, spec.dim))
+    ok = last <= _FAR_SERIES_TOL * np.abs(sums)
+    return np.where(ok, sums, np.nan), ok
+
+
 def k_radial(spec: ProcessSpec, r):
     """Polar kernel k(r) = r^d j(r theta) at radii r > 0 (a float for a scalar, else r's shape).
 
     d = 1 takes the tail identity k = alpha P(X_1 > r) of the module docstring:
     e^(-r) at alpha = 2, else, for alpha <= _SINE_ALPHA_MAX, the sine integral
     (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one
-    `_char_integral` call that builds no profile.  1.999 < alpha < 2 and
-    d = 2, 3 take K_0 of the polar integral, whose profile refuses alpha near 2
-    (from about 1.99999 in d = 1) with ConsistencyError.  Below r_c =
-    _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, every route
-    returns that limit; r_c is sought only for a batch holding a radius below
-    _FLAT_PROBE.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
+    `_char_integral` call that builds no profile.  d = 3 with
+    alpha <= _IDENTITY_ALPHA_MAX takes the identity
+    k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi), also with no profile.  On both
+    routes a radius where k's far series has converged (module docstring)
+    takes that series.  1.999 < alpha < 2 in d = 1, 1.9 < alpha <= 2 in d = 3
+    and all of d = 2 take K_0 of the polar integral, whose profile refuses
+    alpha near 2 (from about 1.99999 in d = 1) with ConsistencyError.  Below
+    r_c = _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, every
+    route returns that limit; r_c is sought only for a batch holding a radius
+    below _FLAT_PROBE.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
     a = spec.alpha
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
     flat, shaped = radial_args(r, positive=True)
-    if spec.dim > 1 or _SINE_ALPHA_MAX < a < 2.0:
-        k = _polar_integral(spec, 0.0, flat)
+    d1 = spec.dim == 1 and (a <= _SINE_ALPHA_MAX or a == 2.0)
+    if d1 or (spec.dim == 3 and a <= _IDENTITY_ALPHA_MAX):
+        k, far = _far_series(spec, flat)  # alpha = 2 has no power tail: no far radius
+        k[~far] = (_k_tail_identity_d1 if d1 else _k_tail_identity_d3)(a, flat[~far])
     else:
-        k = np.exp(-flat) if a == 2.0 else a / np.pi * _char_integral("sin", a - 1.0, a, 1.0, flat)
+        k = _polar_integral(spec, 0.0, flat)
     if np.any(flat < _FLAT_PROBE):
         k[flat < _flat_radius(spec)] = a / surface_measure(spec.dim)
     return shaped(k)
@@ -256,11 +313,11 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     The certificate holds for every valid spec and every t > 0, since the
     time-t jump measure is t times the time-one measure and k is decreasing:
     k(r) = (alpha/|S^(d-1)|) P(|X_1| > r), a tail probability (the module's
-    tail identity; k_radial computes d = 1 from it up to alpha = 1.999, the
-    rest by the polar integral).  A failed certificate is reported in the
-    table, not raised.  k depends on the direction of x only through |x|, so
-    one radial table covers every direction.  Neighbours may rise by
-    _MONOTONE_SLACK relative (rounding).
+    tail identity; k_radial computes d = 1 from it up to alpha = 1.999 and
+    d = 3 up to alpha = 1.9, the rest by the polar integral).  A failed
+    certificate is reported in the table, not raised.  k depends on the
+    direction of x only through |x|, so one radial table covers every
+    direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).
     """
     positive_time(t)
     r_grid = np.asarray(r_grid, dtype=float)

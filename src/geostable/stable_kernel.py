@@ -26,7 +26,7 @@ Radial evaluation strategy:
     from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
     one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 inverts
     exp(-rho^alpha) by Ooura & Mori's rule (`_radial_inversion`, shared with
-    transition_density; its `_char_integral` gives the d = 1 jump kernel),
+    transition_density; its `_char_integral` gives the d = 1 and 3 jump kernels),
     with a cos, J0 or sin kernel for d = 1, 2, 3.  The switch radius is
     validated against the head at build time, and a profile whose series
     matches at no candidate is refused: it is self-checking.

@@ -10,8 +10,10 @@ from scipy.special import exp1, k0, sici
 from geostable import (ConfigError, ConsistencyError, ProcessSpec, Regime, SingularPointError,
                        asymptotic_report, density_inversion, k_radial, levy_density,
                        polar_levy_mass, verify_selfdecomposable)
-from geostable.acceptance import k_closed_form, k_tail_identity_d3
-from geostable.levy_structure import (_flat_radius, _polar_integral, exponential_tail_constant,
+from geostable import stable_kernel
+from geostable.acceptance import k_closed_form
+from geostable.levy_structure import (_far_series, _flat_radius, _k_tail_identity_d3,
+                                      _polar_integral, exponential_tail_constant,
                                       large_x_constant, small_x_constant, surface_measure)
 from geostable.stable_kernel import _char_integral
 
@@ -233,14 +235,17 @@ def test_asymptotic_report_json():
     assert data["empirical_limit"] == rep.empirical_limit
 
 
-@pytest.mark.parametrize("route", ["k_radial", "k_radial_sine_d1", "density_inversion_d2"])
+@pytest.mark.parametrize("route", ["k_radial", "k_radial_sine_d1", "k_radial_identity_d3",
+                                   "density_inversion_d2"])
 def test_polar_integral_memory_is_bounded(route):
     # head and power-tail series both run in row blocks of 2^18 pairs
     r = np.geomspace(1e-2, 1e3, 50_000)
     if route == "k_radial":  # K_0 of the polar integral
-        call = lambda x: k_radial(ProcessSpec(0.5, 3), x)
+        call = lambda x: k_radial(ProcessSpec(0.5, 2), x)
     elif route == "k_radial_sine_d1":
         call = lambda x: k_radial(ProcessSpec(0.5, 1), x)
+    elif route == "k_radial_identity_d3":
+        call = lambda x: k_radial(ProcessSpec(0.5, 3), x)
     else:
         call = lambda x: density_inversion(ProcessSpec(0.7, 2), 4.0 / 0.7,
                                            np.column_stack([x, np.zeros_like(x)]))
@@ -276,6 +281,29 @@ def test_d1_sine_route_matches_polar_integral():
         assert gap < 1e-8, alpha
 
 
+def test_far_series_matches_polar_integral():
+    # k = sum c_k Gamma(k) r^(-k alpha), taken where its last kept term is at
+    # most 1e-13 of the sum; every alpha takes it by r = 1e3
+    r = np.geomspace(50.0, 1e5, 80)
+    for dim, sweep in ((1, SWEEP), (3, [a for a in SWEEP if a <= 1.9])):
+        for alpha in sweep:
+            spec = ProcessSpec(alpha, dim)
+            far, ok = _far_series(spec, r)
+            assert ok[r >= 1e3].all(), (alpha, dim)
+            gap = np.abs(far[ok] / _polar_integral(spec, 0.0, r[ok]) - 1.0)
+            assert np.max(gap) < 1e-12, (alpha, dim)
+            assert np.array_equal(k_radial(spec, r[ok]), far[ok])
+
+
+def test_d1_far_tail_near_alpha_2_matches_linnik_integral():
+    # the far series lifts the sine rule's relative error of 2e-13/(2 - alpha)
+    # far out: 1.8e-9 before it, 9.3e-11 with it (past r ~ 7e4 quad warns of
+    # roundoff on the piece [1, r], whose integrand is 0 in floats past v ~ 745)
+    r = np.geomspace(10.0, 1e5, 36)
+    want = np.array([k_linnik(1.999, x) for x in r])
+    assert np.max(np.abs(k_radial(ProcessSpec(1.999, 1), r) / want - 1.0)) < 2e-10
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.999, 1.001, 1.5, 1.9, 1.99, 1.999, 1.9999])
 def test_d1_kernel_matches_linnik_integral(alpha):
     # the sine rule's far-tail error grows like 2e-13/(2 - alpha): 1.9e-9 at
@@ -294,12 +322,39 @@ def test_d1_kernel_near_alpha_2_is_the_polar_integral():
             k_radial(ProcessSpec(alpha, 1), r)
 
 
-def test_d3_kernel_matches_tail_identity():
-    # k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi): 1-D cos and sine rules, no d = 3 profile
-    r = np.geomspace(1e-3, 100.0, 60)
+def test_d3_identity_route_matches_polar_integral():
+    # k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi) by the 1-D cos and sine rules near,
+    # k's far series far out, against K_0 of the polar integral
+    r = np.geomspace(1e-3, 1e4, 120)
     for alpha in [a for a in SWEEP if a <= 1.9]:
-        got = k_radial(ProcessSpec(alpha, 3), r)
-        assert np.max(np.abs(got / k_tail_identity_d3(alpha, r) - 1.0)) < 1e-8, alpha
+        spec = ProcessSpec(alpha, 3)
+        gap = np.max(np.abs(k_radial(spec, r) / _polar_integral(spec, 0.0, r) - 1.0))
+        assert gap < 1e-8, alpha
+
+
+def test_d3_identity_route_builds_no_profile(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stable profile was built")
+
+    monkeypatch.setattr(stable_kernel, "StableRadialProfile", refuse)
+    monkeypatch.setattr(stable_kernel, "_PROFILE_CACHE", {})
+    r = np.concatenate([[1e-300, 1e-20], np.geomspace(1e-6, 1e6, 50)])
+    for alpha in (0.3, 0.5, 1.0, 1.5, 1.9):
+        k = k_radial(ProcessSpec(alpha, 3), r)
+        assert np.all(np.isfinite(k) & (k > 0.0)), alpha
+    with pytest.raises(AssertionError, match="profile"):
+        k_radial(ProcessSpec(1.95, 3), r)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+def test_d3_kernel_just_above_flat_radius_stays_below_its_limit(alpha):
+    # k is a tail probability, so it never exceeds k(0+) = alpha/(4 pi); the
+    # polar integral rose 2.4e-10 above it between r_c and 1e-5 at alpha = 1.5
+    spec = ProcessSpec(alpha, 3)
+    r = np.geomspace(0.99 * _flat_radius(spec), 1e-5, 200)
+    table = verify_selfdecomposable(spec, 1.0, r)
+    assert np.all(table.values <= alpha / (4.0 * math.pi) * (1.0 + 1e-14))
+    assert table.monotone_certificate
 
 
 def test_tail_identity_is_exact_at_alpha_2():
@@ -307,7 +362,7 @@ def test_tail_identity_is_exact_at_alpha_2():
     r = np.geomspace(1e-2, 5.0, 40)
     assert np.array_equal(k_radial(ProcessSpec(2.0, 1), r), np.exp(-r))
     d3 = k_closed_form(ProcessSpec(2.0, 3), r)
-    assert np.max(np.abs(k_tail_identity_d3(2.0, r) / d3 - 1.0)) < 1e-12
+    assert np.max(np.abs(_k_tail_identity_d3(2.0, r) / d3 - 1.0)) < 1e-12
 
 
 def test_d1_kernel_at_tiny_radii_is_its_limit():

@@ -329,13 +329,19 @@ def test_feynman_kac_bounds_and_zero_potential(prob):
 
 
 def test_feynman_kac_control_variate_matches_expm_and_cuts_se(prob):
+    # check 10's budget: 3 SE, the time step 2 |S_16(dt) - S_16(fine)| and the
+    # torus wrap |S_32(fine) - S_16(fine)|, against S_32(fine), where S_L is the
+    # trapezoid chain at half-width L; the dense expm at L = 16 checks S_16
     f = lambda x: np.exp(-np.asarray(x) ** 2)
-    t, dt = 0.5, 1.0 / 256
+    t, dt, fine = 0.5, 1.0 / 256, 1.0 / 1024
     free_mean = gaussian_free_mean(prob.spec, t)
     est, se = feynman_kac_estimate(prob, f, 0.0, t, 20_000, dt, RngStream(2024),
                                    free_mean=free_mean)
-    budget = 3.0 * se + 2.0 * dt * float(prob.mu_plus.density_values().max())
-    assert abs(est - killed_oracle(prob, f, t)) < budget
+    chain = trapezoid_chain(prob, f, t, fine)
+    oracle = trapezoid_chain(reference_problem(L=32.0, N=512), f, t, fine)
+    assert abs(killed_oracle(prob, f, t) - chain) < 1e-8
+    budget = 3.0 * se + 2.0 * abs(trapezoid_chain(prob, f, t, dt) - chain) + abs(oracle - chain)
+    assert abs(est - oracle) < budget
     _, se_plain = feynman_kac_estimate(prob, f, 0.0, t, 20_000, dt, RngStream(2024))
     assert se_plain >= 10.0 * se
 

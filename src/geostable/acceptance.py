@@ -200,9 +200,9 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
 
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:
     """4: verify_selfdecomposable certifies k on 12 radii in [1e-2, 10] for 16 alpha in
-    [0.5, 2] and d in {1, 2, 3}; k against closed forms at alpha in {1, 2}, and d = 3 k
-    (the tail identity of the 1-D cos and sine rules) against the polar integral at
-    alpha in {0.5, 1.5, 1.9}.
+    [0.5, 2] and d in {1, 2, 3}; k against closed forms at alpha in {1, 2}, and d = 2
+    and 3 k (the tail identities of the J1 rule and of the 1-D cos and sine rules)
+    against the polar integral at alpha in {0.5, 1.5, 1.9}.
 
     The (2, 1) closed form is left out: d = 1 k_radial returns e^-r there itself.
     The check draws nothing; seed is kept for the registry's signature.
@@ -223,15 +223,16 @@ def check_selfdecomposability(seed: int = 77001) -> CheckResult:
             k_radial(spec, radii) / k_closed_form(spec, radii) - 1.0))))
     polar_err = 0.0
     for a in (0.5, 1.5, 1.9):
-        spec = ProcessSpec(a, 3)
-        polar_err = max(polar_err, float(np.max(np.abs(
-            k_radial(spec, radii) / _polar_integral(spec, 0.0, radii) - 1.0))))
+        for d in (2, 3):
+            spec = ProcessSpec(a, d)
+            polar_err = max(polar_err, float(np.max(np.abs(
+                k_radial(spec, radii) / _polar_integral(spec, 0.0, radii) - 1.0))))
     certified = (f"certificate failed at (alpha, d) = {', '.join(failed)}" if failed else
                  f"48 tables certified monotone (smallest relative drop {margin:.2e})")
     return _result("selfdecomposability-certificate", t0,
                    not failed and oracle_err < 1e-6 and polar_err < 1e-6,
                    f"{certified}; k vs closed forms at alpha 1, 2 rel err {oracle_err:.2e}, "
-                   f"d = 3 vs polar integral at alpha 0.5, 1.5, 1.9 rel err {polar_err:.2e} "
+                   f"d = 2, 3 vs polar integral at alpha 0.5, 1.5, 1.9 rel err {polar_err:.2e} "
                    f"(tol 1e-6)")
 
 

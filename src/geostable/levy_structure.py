@@ -19,17 +19,20 @@ this gives -k'(r) = alpha r^(d-1) p_1(r), so k(r) = (alpha/|S^(d-1)|) P(|X_1| > 
 k is nonincreasing because it is a tail probability.  In d = 1 this is
 k(r) = (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one call
 of stable_kernel's Ooura-Mori sine rule with no profile, and e^(-r) at
-alpha = 2; k_radial takes it there for alpha <= _SINE_ALPHA_MAX.  In d = 3,
+alpha = 2; k_radial takes it there for alpha <= _SINE_ALPHA_MAX.  In d = 2,
+the disc's mass is P(|X_1| <= r) = r int_0^inf J_1(r xi)/(1 + xi^alpha) dxi,
+so k_2 = (alpha/2 pi)(1 - r int_0^inf J_1(r xi)/(1 + xi^alpha) dxi), one
+call of the J1 rule.  In d = 3,
 P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r) for the 1-D marginal X^(1), so
 k_3 = (alpha/2 pi) r p_1^(1)(r) + k_1(r)/(2 pi): the d = 1 cos rule for the
-marginal density p_1^(1) and the sine rule for k_1, again with no profile;
-k_radial takes it for alpha <= _IDENTITY_ALPHA_MAX.  Both rules are accurate
-in absolute terms, while far out k ~ alpha Gamma(alpha) sin(pi alpha/2)/pi
-r^(-alpha) (d = 1) vanishes with 2 - alpha, so their relative error grows
-like 2e-13/(2 - alpha) until k's own power series takes over (below).
-Past these cuts (1.999 < alpha < 2 in d = 1, 1.9 < alpha <= 2 in d = 3),
-and in d = 2, k is K_0 below.  K_t at t > 0 (the d = 2 densities) and the
-test oracles stay on the polar integral.
+marginal density p_1^(1) and the sine rule for k_1.  Neither builds a
+profile; k_radial takes them for alpha <= _IDENTITY_ALPHA_MAX.  The rules are
+accurate in absolute terms, while far out k ~ alpha Gamma(alpha)
+sin(pi alpha/2)/pi r^(-alpha) (d = 1) vanishes with 2 - alpha, so their
+relative error grows like 2e-13/(2 - alpha) until k's own power series
+takes over (below).  Past these cuts (1.999 < alpha < 2 in d = 1,
+1.9 < alpha <= 2 in d = 2 and 3), k is K_0 below.  K_t at t > 0 (the d = 2
+densities) and the test oracles stay on the polar integral.
 
 Far series.  Letting the tail radius U of the polar integral go to 0 turns
 its tail terms c_k r^(-k alpha) gamma(k, (r/U)^alpha) into c_k Gamma(k)
@@ -79,7 +82,9 @@ _LOG_PANEL = 0.05
 _MONOTONE_SLACK = 1e-12
 # largest alpha < 2 whose d = 1 kernel takes the sine rule (module docstring)
 _SINE_ALPHA_MAX = 1.999
-# largest alpha whose d = 3 kernel takes the tail identity (module docstring)
+# largest alpha whose d = 2 and 3 kernels take the tail identity (module
+# docstring); at 1.999 the d = 3 identity is 1.1e-9 off the tests' Linnik
+# real-integral oracle on [1e-3, 1e4], the polar integral 7.3e-10
 _IDENTITY_ALPHA_MAX = 1.9
 # a radius takes k's far series where its last kept term is at most this of the sum
 _FAR_SERIES_TOL = 1e-13
@@ -177,6 +182,17 @@ def _k_tail_identity_d1(alpha: float, r):
     return alpha / np.pi * _char_integral("sin", alpha - 1.0, alpha, 1.0, r)
 
 
+def _k_tail_identity_d2(alpha: float, r):
+    """k_2 = (alpha/2 pi) P(|X_1| > r) at radii r > 0 (1-d), with no profile.
+
+    The disc's mass P(|X_1| <= r) = r int_0^inf J_1(r xi)/(1 + xi^alpha) dxi,
+    one J1 rule call.  The direct form r int J_1(r xi) xi^alpha/(1 + xi^alpha)
+    dxi of the tail loses up to 30x more to the rule: 4.9e-10 against 1.6e-11
+    at alpha = 1.9.
+    """
+    return alpha / (2.0 * np.pi) * (1.0 - r * _char_integral("j1", 0.0, alpha, 1.0, r))
+
+
 def _k_tail_identity_d3(alpha: float, r):
     """k in d = 3 from the 1-D marginal X^(1) of X_1 at radii r > 0 (1-d), with no profile.
 
@@ -208,25 +224,27 @@ def k_radial(spec: ProcessSpec, r):
     d = 1 takes the tail identity k = alpha P(X_1 > r) of the module docstring:
     e^(-r) at alpha = 2, else, for alpha <= _SINE_ALPHA_MAX, the sine integral
     (alpha/pi) int_0^inf sin(r xi) xi^(alpha-1)/(1 + xi^alpha) dxi, one
-    `_char_integral` call that builds no profile.  d = 3 with
-    alpha <= _IDENTITY_ALPHA_MAX takes the identity
-    k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi), also with no profile.  On both
-    routes a radius where k's far series has converged (module docstring)
-    takes that series.  1.999 < alpha < 2 in d = 1, 1.9 < alpha <= 2 in d = 3
-    and all of d = 2 take K_0 of the polar integral, whose profile refuses
-    alpha near 2 (from about 1.99999 in d = 1) with ConsistencyError.  Below
+    `_char_integral` call that builds no profile.  d = 2 and 3 with
+    alpha <= _IDENTITY_ALPHA_MAX take the identity too, with no profile:
+    k_2 = (alpha/2 pi)(1 - r int_0^inf J_1(r xi)/(1 + xi^alpha) dxi) and
+    k_3 = (alpha/2 pi) r p_1^(1) + k_1/(2 pi).  On these routes a radius
+    where k's far series has converged (module docstring) takes that series.
+    1.999 < alpha < 2 in d = 1 and 1.9 < alpha <= 2 in d = 2 and 3 take K_0
+    of the polar integral, whose profile refuses alpha near 2 (from about
+    1.99999 in d = 1) with ConsistencyError.  Below
     r_c = _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, every
     route returns that limit; r_c is sought only for a batch holding a radius
     below _FLAT_PROBE.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
-    a = spec.alpha
+    a, d = spec.alpha, spec.dim
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
     flat, shaped = radial_args(r, positive=True)
-    d1 = spec.dim == 1 and (a <= _SINE_ALPHA_MAX or a == 2.0)
-    if d1 or (spec.dim == 3 and a <= _IDENTITY_ALPHA_MAX):
+    if (d == 1 and (a <= _SINE_ALPHA_MAX or a == 2.0)
+            or d in (2, 3) and a <= _IDENTITY_ALPHA_MAX):
         k, far = _far_series(spec, flat)  # alpha = 2 has no power tail: no far radius
-        k[~far] = (_k_tail_identity_d1 if d1 else _k_tail_identity_d3)(a, flat[~far])
+        identity = (_k_tail_identity_d1, _k_tail_identity_d2, _k_tail_identity_d3)[d - 1]
+        k[~far] = identity(a, flat[~far])
     else:
         k = _polar_integral(spec, 0.0, flat)
     if np.any(flat < _FLAT_PROBE):
@@ -314,7 +332,7 @@ def verify_selfdecomposable(spec: ProcessSpec, t: float, r_grid) -> KFunctionTab
     time-t jump measure is t times the time-one measure and k is decreasing:
     k(r) = (alpha/|S^(d-1)|) P(|X_1| > r), a tail probability (the module's
     tail identity; k_radial computes d = 1 from it up to alpha = 1.999 and
-    d = 3 up to alpha = 1.9, the rest by the polar integral).  A failed
+    d = 2, 3 up to alpha = 1.9, the rest by the polar integral).  A failed
     certificate is reported in the table, not raised.  k depends on the
     direction of x only through |x|, so one radial table covers every
     direction.  Neighbours may rise by _MONOTONE_SLACK relative (rounding).

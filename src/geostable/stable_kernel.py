@@ -21,14 +21,11 @@ Radial evaluation strategy:
     first growth of their envelope, in blocks of at most _PAIR_BLOCK
     (point, term) pairs.
 
-    The head for alpha < 1 is the sub-Gaussian mixture
-    Z = sqrt(2S) N(0, I), with the density of the positive (alpha/2)-stable S
-    from Kanter's non-oscillatory integral: no Bessel function, no cutoff,
-    one formula for d = 1, 2, 3.  The head for 1 < alpha < 2 inverts
-    exp(-rho^alpha) by Ooura & Mori's rule (`_radial_inversion`, shared with
-    transition_density; its `_char_integral` gives the d = 1 and 3 jump kernels),
-    with a cos, J0 or sin kernel for d = 1, 2, 3.  The switch radius is
-    validated against the head at build time, and a profile whose series
+    The head, for every alpha of the profile, inverts exp(-rho^alpha) by
+    Ooura & Mori's rule (`_radial_inversion`, shared with transition_density)
+    with a cos, J0 or sin kernel for d = 1, 2, 3; its `_char_integral`, with
+    a J1 kernel too, gives levy_structure's jump kernels.  The switch radius
+    is validated against the head at build time, and a profile whose series
     matches at no candidate is refused: it is self-checking.
 """
 from __future__ import annotations
@@ -41,11 +38,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma, j0 as _j0, lambertw as _lambertw, rgamma as _rgamma
+from scipy.special import gamma as _gamma, j0 as _j0, j1 as _j1, rgamma as _rgamma
 
 from .errors import ConfigError, ConsistencyError, SingularPointError, UnsupportedDimensionError
-from .process_core import (ProcessSpec, inversion_integrable, point_radii, positive_time,
-                           radial_args, surface_measure)
+from .process_core import (ProcessSpec, inversion_integrable, over_radius_power, point_radii,
+                           positive_time, radial_args, surface_measure)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -53,19 +50,9 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _DE_H = 1.0 / 80.0
 # (point, node) pairs per block of the Fourier rule: 2 MB
 _PAIR_BLOCK = 2 ** 18
-# smallest alpha the radial profile supports: the Kanter mixture head and the
+# smallest alpha the radial profile supports: its Fourier head and the
 # validated power-tail series are tested down to here, not below
 MIN_NUMERIC_ALPHA = 0.3
-# Kanter mixture head (alpha < 1): Gauss-Legendre(10) panel counts in the
-# log-s variable y, and in u = pi - theta, geometric toward theta = pi and then
-# linear over u in [1, pi].  Doubling all three moves q_1 by under 1e-13.
-_MIX_Y_PANELS = 96
-_MIX_U_GEOMETRIC = 40
-_MIX_U_LINEAR = 6
-# the mixture grid drops what lies e^(-40) below the integrand's peak for
-# every radius up to _MIX_R_MAX, which covers the largest switch probe 1.3 * 44
-_MIX_MARGIN = 40.0
-_MIX_R_MAX = 60.0
 
 
 def _panel_nodes(edges):
@@ -87,17 +74,21 @@ def q1_at_zero(alpha: float, dim: int) -> float:
 def _fourier_rule(kernel: str):
     """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
 
-    Ooura & Mori (J. Comput. Appl. Math. 38:353, 1991): K = sin, cos or J0,
-    y_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h, tau_k = k h,
-    shifted by h/2 for cos so that M tau_k falls on its zeros, and by h/4 for
-    J0, whose zeros lie there only asymptotically.  So the J0 weights do not
-    vanish far out, and g must be negligible there.  Every kernel loses digits
-    at small r: the alpha = 1.999, d = 3 stable head is 5.9e-13 off at
-    r = 1e-3 and 3.5e-9 at r = 1e-5, below every profile knot but 0 (the
-    smallest is 5.0e-3, at alpha = 1.001, d = 3).
+    Ooura & Mori (J. Comput. Appl. Math. 38:353, 1991): K = sin, cos, J0 or J1,
+    x_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h, tau_k = k h,
+    shifted by h/2 for cos, h/4 for J0 and -h/4 for J1, so that M tau_k falls
+    on the zeros of sin and cos and on the leading term of McMahon's expansion
+    of the zeros of J_nu.  The J nodes are then moved onto those zeros:
+    y = x - b1 x/q - b2 x/q^2 with q = x^2 + 9, mu = 4 nu^2, b1 = (mu - 1)/8
+    and b2 = 4 (mu - 1)(7 mu - 31)/1536 + 9 b1, which is McMahon's expansion
+    (Abramowitz & Stegun 9.5.12) to x^-3 far out and smooth down to x = 0;
+    the weights are phi' y'(x) J_nu(y).  So every kernel's weights vanish far
+    out.  Every kernel loses digits at small r: the alpha = 1.999, d = 3
+    stable head is 5.9e-13 off at r = 1e-3 and 3.5e-9 at r = 1e-5, below
+    every profile knot but 0 (the smallest is 5.0e-3, at alpha = 1.001, d = 3).
     """
     k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
-    tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25}[kernel]) * _DE_H
+    tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25, "j1": -0.25}[kernel]) * _DE_H
     s = 6.0 * np.sinh(tau)
     with np.errstate(invalid="ignore"):  # 0/0 at tau = 0, set to the limits below
         phi = tau / -np.expm1(-s)
@@ -106,8 +97,16 @@ def _fourier_rule(kernel: str):
     at_zero = tau == 0.0
     phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
     m = np.pi / _DE_H
-    if kernel == "j0":
-        return m * phi, dphi * _j0(m * phi)
+    if kernel in ("j0", "j1"):
+        nu, bessel = {"j0": (0, _j0), "j1": (1, _j1)}[kernel]
+        mu = 4.0 * nu ** 2
+        b1 = (mu - 1.0) / 8.0
+        b2 = 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / 1536.0 + 9.0 * b1
+        x = m * phi
+        q = x * x + 9.0
+        y = x - b1 * x / q - b2 * x / q ** 2
+        dy = 1.0 - b1 * (9.0 - x * x) / q ** 2 - b2 * (q - 4.0 * x * x) / q ** 3
+        return y, dphi * dy * bessel(y)
     # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
     # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
     near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
@@ -116,7 +115,7 @@ def _fourier_rule(kernel: str):
 
 
 # (nodes, weights) of each kernel's rule, built once and read-only
-_FOURIER_RULES = {kernel: _fourier_rule(kernel) for kernel in ("sin", "cos", "j0")}
+_FOURIER_RULES = {kernel: _fourier_rule(kernel) for kernel in ("sin", "cos", "j0", "j1")}
 for _table in _FOURIER_RULES.values():
     for _column in _table:
         _column.flags.writeable = False
@@ -131,7 +130,9 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
     of the batch.  Rows where (y/r)^alpha or r^(-1-power) would overflow
     (tiny r) are summed in log space: log1p((y/r)^alpha) + alpha log r is
     logaddexp(alpha log r, alpha log y), so the row's scale r^(t alpha) and
-    r^(-1-power) join each node's exponent; the other rows are unchanged.
+    r^(-1-power) join each node's exponent, and the signed terms are summed
+    shifted by the row's largest exponent; a sum past the float range is
+    +-inf, never NaN.  The other rows are unchanged.
     """
     y, w = _FOURIER_RULES[kernel]
     y_alpha, wy = y ** alpha, w * y ** power
@@ -154,7 +155,11 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
             z = -t * np.logaddexp(alpha * log_r, alpha * log_y)
             scale = scale + t * alpha * log_r
         z += scale + log_wy
-        return np.pi * (np.sign(wy) * np.exp(z, out=z)).sum(axis=1)
+        top = z.max(axis=1)
+        z -= top[:, None]
+        shifted = (np.sign(wy) * np.exp(z, out=z)).sum(axis=1)
+        with np.errstate(divide="ignore", over="ignore"):  # a sum of 0, or one past the range
+            return np.pi * np.sign(shifted) * np.exp(top + np.log(np.abs(shifted)))
 
     sums = np.empty(r.size)
     rows = max(1, _PAIR_BLOCK // y.size)
@@ -165,70 +170,17 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
     return sums
 
 
-def _kanter_log_a(beta, u):
-    """log A(pi - u) for Kanter's function, the one `_log_positive_stable_into` draws with:
-
-        A(theta) = sin(beta theta)^(beta/(1-beta)) sin((1-beta) theta) / sin(theta)^(1/(1-beta)).
-
-    Taken at theta = pi - u so that theta near pi, where A blows up like
-    sin(beta pi)^(1/(1-beta)) u^(-1/(1-beta)), keeps full precision.
-    """
-    th = np.pi - u
-    return (beta / (1.0 - beta) * np.log(np.sin(beta * th)) + np.log(np.sin((1.0 - beta) * th))
-            - np.log(np.sin(u)) / (1.0 - beta))
-
-
-def _mixture_head(alpha, dim):
-    """q_1 for 0 < alpha < 1 as a function of radii up to _MIX_R_MAX.
-
-    Z = sqrt(2S) N(0, I) with S positive (alpha/2)-stable (Samorodnitsky &
-    Taqqu 1994, 2.5), and S has Kanter's density (Kanter 1975).  With
-    s = e^(-y), beta = alpha/2 and c = beta/(1 - beta):
-
-        q_1(r) = (c/pi) (4 pi)^(-d/2) int dy e^((d/2) y) e^(-r^2 e^y / 4) G(y),
-        G(y)   = int_0^pi A(theta) e^(c y) exp(-A(theta) e^(c y)) dtheta.
-
-    G is tabulated once on a Gauss-Legendre y-grid, so each radius costs one
-    row of a matrix product.  Every integrand is positive: no cancellation.
-    """
-    beta = alpha / 2.0
-    c = beta / (1.0 - beta)
-    # y -> -inf: G ~ e^(beta y), and radius r peaks near e^y = 4 rate / r^2
-    rate = dim / 2.0 + beta
-    y_lo = math.log(4.0 * rate / _MIX_R_MAX ** 2) - _MIX_MARGIN / rate
-    # y -> +inf: with z = e^(c y) the r = 0 integrand is below z^k e^(-A(0) z),
-    # k = d/(2c) + 1; cut where that falls e^(-margin) below its peak z = k/A(0)
-    k = dim / (2.0 * c) + 1.0
-    x = -_lambertw(-math.exp(-1.0 - _MIX_MARGIN / k), -1).real
-    y_hi = math.log(x * k / (beta ** c * (1.0 - beta))) / c
-    # at small z, G lives in a bump at u ~ sin(beta pi) z^(1 - beta) near theta = pi
-    u_min = 0.01 * math.sin(beta * math.pi) * math.exp(beta * y_lo)
-    u, wu = _panel_nodes(np.concatenate([np.geomspace(u_min, 1.0, _MIX_U_GEOMETRIC + 1),
-                                         np.linspace(1.0, np.pi, _MIX_U_LINEAR + 1)[1:]]))
-    y, wy = _panel_nodes(np.linspace(y_lo, y_hi, _MIX_Y_PANELS + 1))
-    log_z = c * y[:, None] + _kanter_log_a(beta, u)[None, :]
-    weights = ((np.exp(0.5 * dim * y[:, None] + log_z - np.exp(log_z)) @ wu) * wy
-               * (c / np.pi * (4.0 * np.pi) ** (-dim / 2.0)))
-    quarter_ey = 0.25 * np.exp(y)
-
-    def head(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        for i0 in range(0, r.size, 128):  # blocks keep the (radius, y) scratch small
-            out[i0:i0 + 128] = np.exp(-np.square(r[i0:i0 + 128])[:, None] * quarter_ey[None, :]) @ weights
-        return out
-
-    return head
-
-
 def _radial_inversion(alpha, t, dim, r):
     """Radial Fourier inversion of f at radii r >= 0 (1-d): q_1 for t None, else p_t.
 
     f(p) = exp(-p^alpha) for t None, else (1 + p^alpha)^(-t).  `_char_integral`
     with a cos, J0 or sin kernel for d = 1, 2, 3, times 1/pi, 1/(2 pi) or
-    1/(2 pi^2 r); J0 only for exp(-p^alpha), as its weights do not vanish far
-    out.  At r = 0, q_1(0) or, for t > d/alpha, the Beta value of p_t(0) in
-    transition_density's docstring; SingularPointError for t <= d/alpha.
+    1/(2 pi^2 r), the last division by `over_radius_power`, so a value past
+    the float range is inf.  It is q_1 for every alpha of the stable profile;
+    transition_density takes p_t from it in d = 1 and 3 only (its
+    density_inversion says why not in d = 2).  At r = 0, q_1(0) or, for
+    t > d/alpha, the Beta value of p_t(0) in transition_density's docstring;
+    SingularPointError for t <= d/alpha.
     """
     out = np.empty(r.shape)
     pos = r > 0
@@ -242,11 +194,11 @@ def _radial_inversion(alpha, t, dim, r):
             raise SingularPointError(
                 f"p_t(0) is infinite for t <= d/alpha = {dim / alpha:g}, got t = {t}")
     if pos.any():
-        kernel, power, norm = (("cos", 0, 1.0 / np.pi), ("j0", 1, 0.5 / np.pi),
-                               ("sin", 1, 0.5 / np.pi ** 2))[dim - 1]
-        out[pos] = norm * _char_integral(kernel, power, alpha, t, r[pos])
-        if dim == 3:
-            out[pos] /= r[pos]
+        # kernel, power of p, constant factor, power of 1/r
+        kernel, power, norm, over_r = (("cos", 0, 1.0 / np.pi, 0), ("j0", 1, 0.5 / np.pi, 0),
+                                       ("sin", 1, 0.5 / np.pi ** 2, 1))[dim - 1]
+        out[pos] = over_radius_power(norm * _char_integral(kernel, power, alpha, t, r[pos]),
+                                     r[pos], over_r)
     return out
 
 
@@ -366,8 +318,6 @@ class StableRadialProfile:
             return
         if alpha == 1.0:
             head = self._closed_form
-        elif alpha < 1.0:
-            head = _mixture_head(alpha, dim)
         else:
             head = functools.partial(_radial_inversion, alpha, None, dim)
         self.tail_start, self.tail_relerr = self._pick_switch(head)

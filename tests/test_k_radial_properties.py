@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from geostable import ProcessSpec, k_radial, radial_profile
-from geostable.stable_kernel import _mixture_head, _panel_nodes
+from geostable.stable_kernel import _panel_nodes
+
+from kanter_oracle import mixture_head
 
 SPECS = [ProcessSpec(a, d) for a in (0.7, 1.0, 1.5, 2.0) for d in (1, 2, 3)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -79,7 +81,7 @@ def test_sub_one_kernel_matches_spline_free_oracle(dim):
     a = 0.5
     prof = radial_profile(a, dim)
     u, w = _panel_nodes(np.geomspace(1e-12, prof.tail_start, 801))
-    g = a * u ** (dim - 1) * _mixture_head(a, dim)(u) * w
+    g = a * u ** (dim - 1) * mixture_head(a, dim)(u) * w
     rs = np.array([0.01, 0.5, 5.0])
     want = [float(g @ np.exp(-(r / u) ** a))
             + quad(lambda v: a * v ** (dim - 1) * prof.density(v) * np.exp(-(r / v) ** a),

@@ -31,16 +31,15 @@ def j_closed_a2_d3(r):
     return math.exp(-r) * (1.0 + 1.0 / r) / (2.0 * math.pi * r ** 2)
 
 
-def k_linnik(alpha, r):
-    """d = 1 kernel alpha P(X_1 > r) from the Linnik law's real-integral density.
+def _linnik_moment(alpha, r, power):
+    """int_0^inf v^power e^(-v) / ((1 - z)^2 + 4 sin^2(pi (2 - alpha)/4) z) dv, z = (v/r)^alpha.
 
-    p_1(x) = sin(pi a/2)/pi int_0^inf y^a e^(-y|x|)/(1 + 2 y^a cos(pi a/2) + y^(2a)) dy
-    (Kotz & Ostrovskii 1996), integrated over x > r, with v = y r.  The
-    denominator is (1 - z)^2 + 4 sin^2(pi (2 - a)/4) z, z = (v/r)^a, which
-    cancels nothing near its peak at v = r as alpha -> 2.  No oscillation and
-    no stable profile: it shares no code with either k_radial route.  Within
-    1e-12 of mpmath on [1e-3, 1e4] for alpha <= 1.9999; from 1.99999 the
-    peak, of width ~(2 - alpha), defeats quad.
+    The Linnik law's real-integral density (Kotz & Ostrovskii 1996) is
+    p_1(x) = sin(pi a/2)/pi int_0^inf y^a e^(-y|x|)/(1 + 2 y^a cos(pi a/2) + y^(2a)) dy;
+    with v = y r its denominator is the one above, which cancels nothing near
+    its peak at v = r as alpha -> 2.  One quad a piece, split at min(r, 1),
+    r and 2 r, and where e^(-v) underflows: past it the integrand is 0 in
+    floats, and quad warns of roundoff on a piece that runs far beyond it.
     """
     e = 4.0 * math.sin(math.pi * (2.0 - alpha) / 4.0) ** 2
 
@@ -50,12 +49,53 @@ def k_linnik(alpha, r):
         return math.exp(-v) / (gap * gap + e * z)
 
     kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
-    lo = min(r, 1.0)
-    total = quad(f, 0.0, lo, weight="alg", wvar=(alpha - 1.0, 0.0), **kw)[0]
-    for a, b in ((lo, r), (r, 2.0 * r), (2.0 * r, math.inf)):
+    lo, cut = min(r, 1.0), min(r, 745.0)
+    total = quad(f, 0.0, lo, weight="alg", wvar=(power, 0.0), **kw)[0]
+    for a, b in ((lo, cut), (cut, r), (r, 2.0 * r), (2.0 * r, math.inf)):
         if b > a:
-            total += quad(lambda v: v ** (alpha - 1.0) * f(v), a, b, **kw)[0]
-    return alpha * math.sin(math.pi * alpha / 2.0) / math.pi * r ** -alpha * total
+            total += quad(lambda v: v ** power * f(v), a, b, **kw)[0]
+    return total
+
+
+def k_linnik(alpha, r):
+    """d = 1 kernel alpha P(X_1 > r) from the Linnik law's real-integral density.
+
+    p_1 of `_linnik_moment` integrated over x > r.  No oscillation and no
+    stable profile: it shares no code with either k_radial route.  Within
+    1e-12 of mpmath on [1e-3, 1e4] for alpha <= 1.9999; from 1.99999 the
+    peak, of width ~(2 - alpha), defeats quad.
+    """
+    moment = _linnik_moment(alpha, r, alpha - 1.0)
+    return alpha * math.sin(math.pi * alpha / 2.0) / math.pi * r ** -alpha * moment
+
+
+def k3_linnik(alpha, r):
+    """d = 3 kernel (alpha/2 pi) r p_1(r) + k_linnik(alpha, r)/(2 pi), with p_1 the Linnik density.
+
+    The tail identity P(|X_1| > r) = 2 P(X^(1) > r) + 2 r p_1^(1)(r) of an
+    isotropic law in R^3, with both 1-D terms from `_linnik_moment`: no
+    oscillation, no profile, and no code shared with k_radial.
+    """
+    r_p1 = math.sin(math.pi * alpha / 2.0) / math.pi * r ** -alpha * _linnik_moment(alpha, r, alpha)
+    return (alpha * r_p1 + k_linnik(alpha, r)) / (2.0 * math.pi)
+
+
+def k2_projected(alpha, r):
+    """d = 2 kernel at radii r (1-d) as the Abel projection of d = 3 k_radial.
+
+    The first two coordinates of the d = 3 process form the d = 2 process, so
+    k_2(r) = int_-1^1 k_3(r/sqrt(1 - v^2)) dv.  Tanh-sinh, v = tanh(pi/2 sinh s)
+    with sqrt(1 - v^2) = 1/cosh(pi/2 sinh s) taken exactly, on |s| <= 3.5 at
+    step 1/16, where halving the step moves k_2 by under 1.1e-12.  d = 3
+    k_radial is the tail identity of the d = 1 cos and sine rules, held to
+    the Linnik oracle `k3_linnik`; it shares no code with the d = 2 J1 rule.
+    """
+    h = 1.0 / 16.0
+    s = np.arange(0.0, 3.5 + h / 2.0, h)
+    u = 0.5 * np.pi * np.sinh(s)
+    w = h * 0.5 * np.pi * np.cosh(s) / np.cosh(u) ** 2
+    w[1:] *= 2.0  # the s < 0 half
+    return k_radial(ProcessSpec(alpha, 3), np.multiply.outer(r, np.cosh(u))) @ w
 
 
 def test_levy_density_variance_gamma_oracle():
@@ -235,15 +275,17 @@ def test_asymptotic_report_json():
     assert data["empirical_limit"] == rep.empirical_limit
 
 
-@pytest.mark.parametrize("route", ["k_radial", "k_radial_sine_d1", "k_radial_identity_d3",
-                                   "density_inversion_d2"])
+@pytest.mark.parametrize("route", ["k_radial", "k_radial_sine_d1", "k_radial_identity_d2",
+                                   "k_radial_identity_d3", "density_inversion_d2"])
 def test_polar_integral_memory_is_bounded(route):
     # head and power-tail series both run in row blocks of 2^18 pairs
     r = np.geomspace(1e-2, 1e3, 50_000)
     if route == "k_radial":  # K_0 of the polar integral
-        call = lambda x: k_radial(ProcessSpec(0.5, 2), x)
+        call = lambda x: k_radial(ProcessSpec(1.95, 2), x)
     elif route == "k_radial_sine_d1":
         call = lambda x: k_radial(ProcessSpec(0.5, 1), x)
+    elif route == "k_radial_identity_d2":
+        call = lambda x: k_radial(ProcessSpec(0.5, 2), x)
     elif route == "k_radial_identity_d3":
         call = lambda x: k_radial(ProcessSpec(0.5, 3), x)
     else:
@@ -332,7 +374,7 @@ def test_d3_identity_route_matches_polar_integral():
         assert gap < 1e-8, alpha
 
 
-def test_d3_identity_route_builds_no_profile(monkeypatch):
+def _identity_route_builds_no_profile(dim, monkeypatch):
     def refuse(*args):
         raise AssertionError("a stable profile was built")
 
@@ -340,21 +382,64 @@ def test_d3_identity_route_builds_no_profile(monkeypatch):
     monkeypatch.setattr(stable_kernel, "_PROFILE_CACHE", {})
     r = np.concatenate([[1e-300, 1e-20], np.geomspace(1e-6, 1e6, 50)])
     for alpha in (0.3, 0.5, 1.0, 1.5, 1.9):
-        k = k_radial(ProcessSpec(alpha, 3), r)
+        k = k_radial(ProcessSpec(alpha, dim), r)
         assert np.all(np.isfinite(k) & (k > 0.0)), alpha
     with pytest.raises(AssertionError, match="profile"):
-        k_radial(ProcessSpec(1.95, 3), r)
+        k_radial(ProcessSpec(1.95, dim), r)
+
+
+def test_d3_identity_route_builds_no_profile(monkeypatch):
+    _identity_route_builds_no_profile(3, monkeypatch)
+
+
+def test_d2_identity_route_builds_no_profile(monkeypatch):
+    _identity_route_builds_no_profile(2, monkeypatch)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 1.9])
+def test_d3_kernel_matches_linnik_oracle(alpha):
+    # the polar integral is 2.1e-10 off the same oracle at 1.9
+    r = np.geomspace(1e-3, 1e4, 20)
+    want = np.array([k3_linnik(alpha, x) for x in r])
+    assert np.max(np.abs(k_radial(ProcessSpec(alpha, 3), r) / want - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.9])
+def test_d2_kernel_matches_abel_projection_of_d3(alpha):
+    # the J1 rule's disc mass against the projected d = 3 identity; the polar
+    # integral is 1.2e-10 off the projection at 1.9
+    r = np.geomspace(1e-3, 300.0, 200)
+    got = k_radial(ProcessSpec(alpha, 2), r)
+    assert np.max(np.abs(got / k2_projected(alpha, r) - 1.0)) < 1e-10
+
+
+def test_d2_identity_route_matches_polar_integral():
+    r = np.geomspace(1e-3, 1e4, 120)
+    for alpha in [a for a in SWEEP if a <= 1.9]:
+        spec = ProcessSpec(alpha, 2)
+        gap = np.max(np.abs(k_radial(spec, r) / _polar_integral(spec, 0.0, r) - 1.0))
+        assert gap < 1e-9, alpha
+
+
+def _stays_below_its_limit(dim, alpha):
+    spec = ProcessSpec(alpha, dim)
+    r = np.geomspace(0.99 * _flat_radius(spec), 1e-5, 200)
+    table = verify_selfdecomposable(spec, 1.0, r)
+    assert np.all(table.values <= alpha / surface_measure(dim) * (1.0 + 1e-14))
+    assert table.monotone_certificate
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
 def test_d3_kernel_just_above_flat_radius_stays_below_its_limit(alpha):
     # k is a tail probability, so it never exceeds k(0+) = alpha/(4 pi); the
     # polar integral rose 2.4e-10 above it between r_c and 1e-5 at alpha = 1.5
-    spec = ProcessSpec(alpha, 3)
-    r = np.geomspace(0.99 * _flat_radius(spec), 1e-5, 200)
-    table = verify_selfdecomposable(spec, 1.0, r)
-    assert np.all(table.values <= alpha / (4.0 * math.pi) * (1.0 + 1e-14))
-    assert table.monotone_certificate
+    _stays_below_its_limit(3, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+def test_d2_kernel_just_above_flat_radius_stays_below_its_limit(alpha):
+    # k(0+) = alpha/(2 pi); the polar integral rose 4.6e-11 above it at 1.5
+    _stays_below_its_limit(2, alpha)
 
 
 def test_tail_identity_is_exact_at_alpha_2():

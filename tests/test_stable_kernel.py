@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import digamma, gamma, j0, polygamma
+from scipy.special import digamma, gamma, j0, k0, k1, polygamma
 from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
@@ -17,10 +17,13 @@ from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
 from geostable import stable_kernel as sk
 from geostable.stable_kernel import (_DRAW_BATCH, StableRadialProfile, _cms_into,
                                      _envelope_columns, _log_gamma_into,
-                                     _log_positive_stable_into, _mixture_head, _panel_nodes,
+                                     _log_positive_stable_into, _panel_nodes,
                                      _radial_inversion, _rows_into, _stable_into, _walk_into,
                                      _walk_screen, q1_at_zero)
 from geostable.transition_density import density_gamma_mixture
+
+import kanter_oracle
+from kanter_oracle import mixture_head
 
 
 def _fourier_head(alpha, dim, u):
@@ -143,7 +146,7 @@ def test_profile_spline_matches_its_head_between_knots(alpha):
         prof = radial_profile(alpha, dim)
         us = np.concatenate([np.linspace(0.0, prof.tail_start, 500),
                              np.geomspace(1e-6, prof.tail_start, 500)])
-        head = _mixture_head(alpha, dim)(us) if alpha < 1.0 else _fourier_head(alpha, dim, us)
+        head = mixture_head(alpha, dim)(us) if alpha < 1.0 else _fourier_head(alpha, dim, us)
         err = np.max(np.abs(prof.density(us) / head - 1.0))
         assert err < _SPLINE_BOUNDS[alpha], (dim, err)
 
@@ -159,6 +162,14 @@ def test_inversion_head_matches_panel_quadrature(alpha):
         err = np.max(np.abs(_radial_inversion(alpha, None, dim, us) / _fourier_head(alpha, dim, us)
                             - 1.0))
         assert err < 1e-9, (dim, err)
+
+
+def test_bessel_rules_on_their_zeros_match_closed_forms():
+    # int J_0(r p) p/(1 + p^2) dp = K_0(r) and int J_1(r p)/(1 + p^2) dp = 1/r - K_1(r);
+    # with nodes off the zeros of J0 the first was 4.2e-9 off
+    r = np.geomspace(1e-3, 34.0, 400)
+    assert np.max(np.abs(sk._char_integral("j0", 1.0, 2.0, 1.0, r) - k0(r))) < 1e-14
+    assert np.max(np.abs(sk._char_integral("j1", 0.0, 2.0, 1.0, r) - (1.0 / r - k1(r)))) < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
@@ -217,31 +228,31 @@ def test_unsupported_dimension_rejected():
 @pytest.mark.parametrize("alpha", [0.5, 0.7])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixture_profile_matches_fourier_head(alpha, dim):
-    # the mixture head gives the profile its values from u = 0 to tail_start,
-    # and the oscillatory Fourier / Hankel quadrature checks them independently
+    # the Kanter mixture oracle and the oscillatory Fourier / Hankel panel
+    # quadrature check each other from u = 0 to tail_start
     us = np.concatenate([np.linspace(0.0, 0.1, 5),
                          np.geomspace(0.1, radial_profile(alpha, dim).tail_start, 11)[1:]])
-    assert np.max(np.abs(_mixture_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
+    assert np.max(np.abs(mixture_head(alpha, dim)(us) / _fourier_head(alpha, dim, us) - 1.0)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixture_head_matches_double_exponential_inversion(alpha, dim):
-    # the cos and sin rules of the 1 < alpha < 2 heads: an independent route
-    # where the panel reference would need ~10 GB (alpha = 0.3)
+    # the profile's cos, J0 and sin heads against the Kanter mixture, an
+    # independent route where the panel reference would need ~10 GB (alpha = 0.3)
     us = np.concatenate([np.linspace(0.0, 57.2, 300), np.geomspace(1e-3, 57.2, 300)])
-    err = np.max(np.abs(_radial_inversion(alpha, None, dim, us) / _mixture_head(alpha, dim)(us)
+    err = np.max(np.abs(_radial_inversion(alpha, None, dim, us) / mixture_head(alpha, dim)(us)
                         - 1.0))
     assert err < 1e-10, err
 
 
 def test_mixture_head_self_convergence(monkeypatch):
     us = np.concatenate([[0.0], np.geomspace(1e-4, 57.2, 60)])
-    before = {(a, d): _mixture_head(a, d)(us) for a in (0.3, 0.6, 0.95) for d in (1, 2, 3)}
-    for name in ("_MIX_Y_PANELS", "_MIX_U_GEOMETRIC", "_MIX_U_LINEAR"):
-        monkeypatch.setattr(sk, name, 2 * getattr(sk, name))
+    before = {(a, d): mixture_head(a, d)(us) for a in (0.3, 0.6, 0.95) for d in (1, 2, 3)}
+    for name in ("MIX_Y_PANELS", "MIX_U_GEOMETRIC", "MIX_U_LINEAR"):
+        monkeypatch.setattr(kanter_oracle, name, 2 * getattr(kanter_oracle, name))
     for (a, d), q in before.items():
-        assert np.max(np.abs(_mixture_head(a, d)(us) / q - 1.0)) < 1e-13, (a, d)
+        assert np.max(np.abs(mixture_head(a, d)(us) / q - 1.0)) < 1e-13, (a, d)
 
 
 def test_lowest_alpha_matches_scipy_d1():
@@ -274,13 +285,19 @@ def test_lowest_alpha_build_memory(dim):
     assert peak < 100e6
 
 
-def test_sub_one_builds_never_call_fourier_head(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("alpha < 1 profile called _radial_inversion")
-    monkeypatch.setattr(sk, "_radial_inversion", refuse)
+def test_sub_one_builds_take_radial_inversion(monkeypatch):
+    # one q_1 head for every alpha of the profile: the Fourier inversion
+    heads = set()
+
+    def counted(alpha, t, dim, r):
+        heads.add((alpha, t, dim))
+        return _radial_inversion(alpha, t, dim, r)
+
+    monkeypatch.setattr(sk, "_radial_inversion", counted)
     for alpha in (0.3, 0.5, 0.75, 0.999):
         for dim in (1, 2, 3):
             StableRadialProfile(alpha, dim)
+            assert (alpha, None, dim) in heads, (alpha, dim)
 
 
 def test_every_supported_alpha_validates_its_tail():

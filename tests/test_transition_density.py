@@ -440,6 +440,22 @@ def test_inversion_at_tiny_x_follows_small_x_law(alpha, t):
                           np.full(6, 0.5))
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_d3_inversion_at_tiny_x_is_its_law_or_inf(t):
+    # below d/alpha, p_t(x) ~ 2^(-a t) pi^(-3/2) Gamma((3 - a t)/2)/Gamma(a t/2) |x|^(a t - 3);
+    # where that is past the float range the value is inf: the log-space rows
+    # once added +inf and -inf (NaN at 1e-300), and the division by |x| overflowed
+    alpha, x = 1.5, np.array([1e-150, 1e-200, 1e-300])
+    at = alpha * t
+    with np.errstate(over="ignore"):
+        law = (2.0 ** -at * math.pi ** -1.5 * math.gamma((3.0 - at) / 2.0) / math.gamma(at / 2.0)
+               * np.exp((at - 3.0) * np.log(x)))
+    got = density_inversion(ProcessSpec(alpha, 3), t, np.column_stack([x, 0.0 * x, 0.0 * x]))
+    assert np.array_equal(np.isinf(got), np.isinf(law)) and np.all(got > 0.0)
+    finite = np.isfinite(law)
+    assert np.max(np.abs(got[finite] / law[finite] - 1.0), initial=0.0) < 1e-12
+
+
 def test_d2_density_where_x_squared_underflows():
     # |x|^2 = 1e-400 is 0 in floats, while p_t(x) ~ C |x|^(alpha t - 2) is ~1e249
     p = density_inversion(ProcessSpec(1.5, 2), 0.5, [[1e-200, 0.0], [0.0, 1e-300]])

@@ -281,8 +281,10 @@ def _cmd_groundstate(cfg, out):
     json_path = out / "ground_state.json"
     _write_csv(csv_path, ["x", "h"], zip(problem.domain.nodes(), result.h))
     _write_json(json_path, result.to_dict(problem))
+    support = int(np.count_nonzero(problem.mu_plus.weights))
     print(f"lambda = {result.lambda_!r} (residual {result.residual:.2e}, "
-          f"{result.iterations} iterations, {result.cg_iterations} CG steps)")
+          f"{result.iterations} iterations, {result.cg_iterations} CG steps, "
+          f"preconditioner exact on {result.corrected_nodes} of {support} mu_plus nodes)")
     return [csv_path, json_path]
 
 

@@ -10,9 +10,10 @@ symbol is the multiplier log(1 + |xi_k|^alpha).  The variational problem
 becomes the generalized eigenproblem (h H + W+) v = lambda W- v with diagonal
 weight matrices; since W- is singular on the complement of its support, the
 solver runs inexact inverse iteration on (h H + W+)^(-1) W-: the definite side
-is inverted by conjugate gradients preconditioned with the circulant
-h H + mean(W+), each solve only as tight as the outer residual needs, and a
-dense eigensolve of the same pencil in the real Fourier modes is the check.
+is inverted by conjugate gradients, preconditioned by h H + W+ itself on the
+heaviest nodes of mu_plus (a circulant plus a low-rank update, inverted by the
+Woodbury identity), each solve only as tight as the outer residual needs, and
+a dense eigensolve of the same pencil in the real Fourier modes is the check.
 
 The energy form has two faces: the multiplier, and the Beurling-Deny double
 sum over node pairs with the periodized jump kernel j_per(z) = sum_m j(z + 2Lm).
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import circulant, eigh
+from scipy.linalg import circulant, eigh, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, ConsistencyError, ConvergenceError
@@ -287,6 +288,8 @@ class GroundStateResult:
     iterations: int
     normalization_check: float
     cg_iterations: int
+    corrected_nodes: int  # mu_plus nodes the CG preconditioner holds exactly; 0 if dense
+    residual_history: list[float]  # pencil residual after each outer iteration
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
@@ -309,13 +312,16 @@ class GroundStateResult:
             "residual": self.residual,
             "iterations": self.iterations,
             "cg_iterations": self.cg_iterations,
+            "corrected_nodes": self.corrected_nodes,
+            "residual_history": self.residual_history,
             "normalization_check": self.normalization_check,
             "h": [float(v) for v in self.h],
             "seed": None,  # the solve draws nothing; the key keeps the file's layout
         }
 
 
-def _finalize(problem, lam, vec, residual, iterations, cg_iterations):
+def _finalize(problem, lam, vec, residual, iterations, cg_iterations, corrected_nodes,
+              residual_history):
     wm = problem.mu_minus.weights
     norm2 = float(vec @ (wm * vec))
     hvec = vec / np.sqrt(norm2)
@@ -325,7 +331,8 @@ def _finalize(problem, lam, vec, residual, iterations, cg_iterations):
         lambda_=float(lam), h=hvec, residual=float(residual),
         iterations=int(iterations),
         normalization_check=float(hvec @ (wm * hvec)),
-        cg_iterations=int(cg_iterations))
+        cg_iterations=int(cg_iterations), corrected_nodes=int(corrected_nodes),
+        residual_history=[float(r) for r in residual_history])
 
 
 # inexact inverse iteration (Golub & Ye 2000): each inner CG solve is asked for
@@ -336,19 +343,75 @@ _INNER_RTOL_MIN = 1e-13
 _INNER_RTOL_MAX = 1e-2
 
 
+def _corrected_rank(N: int) -> int:
+    """r = floor(2 sqrt(N)): how many of mu_plus's nodes the preconditioner holds exactly."""
+    return math.isqrt(4 * N)
+
+
+def _capacitance_preconditioner(h_psi: np.ndarray, wp: np.ndarray):
+    """M^(-1) for M = h H + wbar (I - P_R^T P_R) + P_R^T W_R P_R, and |R|.
+
+    R is the r = _corrected_rank(N) heaviest nodes of w+ (all of its support
+    when that is smaller) and wbar the mass outside R over N, so M = h H + W+
+    whenever R covers the support.  M is the circulant C = h H + wbar I, its
+    zero mode lifted by tau = sum(w+), plus the rank |R| + 1 update U D U^T
+    with U = [P_R^T, 1/sqrt(N)] and D = diag(W_R - wbar, -tau); the Woodbury
+    identity inverts it (capacitance matrices, Buzbee, Dorr, George & Golub
+    1971).  The capacitance matrix I + D U^T C^(-1) U is gathered from one
+    column of C^(-1) and LU-factored once; each application is two FFT pairs
+    and one small lu_solve.
+    """
+    N = wp.size
+    support = np.flatnonzero(wp)
+    rank = _corrected_rank(N)
+    if support.size > rank:
+        support = support[np.argsort(-wp[support], kind="stable")[:rank]]
+    outside = wp.copy()
+    outside[support] = 0.0
+    wbar = float(outside.sum()) / N
+    tau = float(wp.sum())
+    symbol = h_psi + wbar
+    symbol[0] += tau
+    inv_symbol = 1.0 / symbol
+    col = np.fft.irfft(inv_symbol, n=N)
+    m = support.size
+    root_n = math.sqrt(N)
+    gram = np.empty((m + 1, m + 1))  # U^T C^(-1) U; C^(-1) 1 = inv_symbol[0] 1
+    gram[:m, :m] = col[(support[:, None] - support[None, :]) % N]
+    gram[:m, m] = gram[m, :m] = inv_symbol[0] / root_n
+    gram[m, m] = inv_symbol[0]
+    d = np.append(wp[support] - wbar, -tau)
+    lu = lu_factor(np.eye(m + 1) + d[:, None] * gram)
+
+    def apply(v):
+        t = _spectral_apply(inv_symbol, v)
+        q = lu_solve(lu, d * np.append(t[support], t.sum() / root_n))
+        update = np.full(N, q[m] / root_n)
+        update[support] += q[:m]
+        return t - _spectral_apply(inv_symbol, update)
+
+    return LinearOperator((N, N), matvec=apply, dtype=float), m
+
+
 def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
                        max_iter: int = 800) -> GroundStateResult:
     """Principal eigenpair by inexact inverse iteration, inverse-free on the singular side.
 
     Iterates v <- (h H + W+)^(-1) W- v; the definite side h H + W+ is invertible
     because mu_plus is non-trivial.  Each solve is conjugate gradients with the
-    multiplier applied spectrally, O(N log N) per CG step, preconditioned by the
-    circulant h H + mean(W+) (one FFT pair, T. Chan 1988), so the step count
-    does not grow with N.  A solve starts at v / lambda, the fixed point, and
-    stops at a relative residual tied to the last outer residual (Golub & Ye
-    2000), so late solves take a few steps.  Convergence is declared on the
-    exactly computed pencil residual ||(h H + W+) v - lambda W- v|| / ||v|| < tol;
-    the result's cg_iterations counts the inner steps.
+    multiplier applied spectrally, O(N log N) per CG step, preconditioned by
+    h H + W+ itself on the r = floor(2 sqrt(N)) heaviest nodes of mu_plus and by
+    the mean of the rest elsewhere (_capacitance_preconditioner).  When mu_plus
+    has at most r nodes the preconditioner is exact and every solve takes one
+    CG step; otherwise the step count does not grow with N.  After the first,
+    a solve finds the correction to v / lambda, the fixed point, whose
+    right-hand side is the scaled pencil residual, and stops at a residual of
+    rtol ||W- v||, rtol tied to the last outer residual (Golub & Ye 2000), so
+    late solves take a few steps.
+    Convergence is declared on the exactly computed pencil residual
+    ||(h H + W+) v - lambda W- v|| / ||v|| < tol; the result's cg_iterations
+    counts the inner steps and residual_history holds one pencil residual per
+    outer iteration.
     """
     if not tol > 0 or max_iter < 1:
         raise ConfigError(f"tol must be positive and max_iter >= 1, got tol={tol}, "
@@ -363,15 +426,13 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
         return h * _spectral_apply(psi, v) + wp * v
 
     a_op = LinearOperator((N, N), matvec=a_apply, dtype=float)
-    # circulant preconditioner: W+ replaced by its mean, inverted by one FFT pair;
-    # psi_0 = 0 and mean(w+) > 0 because mu_plus is non-trivial
-    precond_symbol = 1.0 / (h * psi + float(wp.mean()))
-    precond = LinearOperator((N, N), matvec=lambda v: _spectral_apply(precond_symbol, v),
-                             dtype=float)
+    precond, corrected = _capacitance_preconditioner(h * psi, wp)
     x = (wm > 0).astype(float)
     x /= np.linalg.norm(x)
-    z = x.copy()
+    start = np.zeros(N)  # warm start of the next solve
+    a_start = np.zeros(N)  # (h H + W+) start, known from the last outer step
     residual = np.inf
+    history = []
     rtol = _INNER_RTOL_MAX
     cg_steps = 0
 
@@ -381,8 +442,10 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
 
     for it in range(1, max_iter + 1):
         y = wm * x
-        z, info = cg(a_op, y, x0=z, rtol=rtol, atol=0.0, maxiter=40 * N, M=precond,
-                     callback=count_step)
+        correction, info = cg(a_op, y - a_start, rtol=0.0,
+                              atol=rtol * float(np.linalg.norm(y)), maxiter=40 * N,
+                              M=precond, callback=count_step)
+        z = start + correction
         nz = np.linalg.norm(z)
         if info != 0 or nz == 0.0:
             raise ConvergenceError(f"inner CG solve failed at iteration {it}", residual=residual)
@@ -392,14 +455,15 @@ def solve_ground_state(problem: SchrodingerProblem, tol: float = 1e-10,
         theta = float(z @ bz) / float(z @ az)
         lam = 1.0 / theta
         residual = float(np.linalg.norm(az - lam * bz))
+        history.append(residual)
         x = z
         if residual < tol:
-            return _finalize(problem, lam, z, residual, it, cg_steps)
+            return _finalize(problem, lam, z, residual, it, cg_steps, corrected, history)
         # the next solve starts at the fixed point z / lam, whose CG residual is
         # rel ||W- z||; asking for a tenth of it keeps every solve doing work
         rel = residual / (lam * float(np.linalg.norm(bz)))
         rtol = min(_INNER_RTOL_MAX, max(_INNER_RTOL_MIN, _INNER_RTOL_FACTOR * rel))
-        z = z / lam
+        start, a_start = z / lam, az / lam
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} in {max_iter} iterations",
         residual=residual)
@@ -447,7 +511,7 @@ def dense_ground_state(problem: SchrodingerProblem) -> GroundStateResult:
     lam = 1.0 / float(theta[0])
     coef = vecs[:, 0]
     residual = float(np.linalg.norm(a_mat @ coef - lam * (b_mat @ coef)) / np.linalg.norm(coef))
-    return _finalize(problem, lam, q @ coef, residual, 0, 0)
+    return _finalize(problem, lam, q @ coef, residual, 0, 0, 0, [])
 
 
 # ---------------------------------------------------------------------------

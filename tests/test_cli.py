@@ -227,6 +227,10 @@ def test_groundstate_run(tmp_path, capsys):
     gs = json.loads((tmp_path / "ground_state.json").read_text())
     assert 0.0 < gs["lambda"] <= 0.26
     assert gs["cg_iterations"] > 0 and f"{gs['cg_iterations']} CG steps" in out
+    # h = 1/4 puts 9 nodes in [-1, 1], all held exactly by the CG preconditioner
+    assert gs["corrected_nodes"] == 9 and "preconditioner exact on 9 of 9 mu_plus nodes" in out
+    assert len(gs["residual_history"]) == gs["iterations"]
+    assert gs["residual_history"][-1] == gs["residual"]
     csv_lines = (tmp_path / "ground_state.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "x,h"
     assert len(csv_lines) == 129
@@ -237,7 +241,8 @@ def test_groundstate_files(tmp_path):
     assert run(["groundstate", "--output-path", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "ground_state.json").read_text())
     assert set(data) >= {"alpha", "L", "N", "lambda", "residual", "iterations",
-                         "cg_iterations", "h", "mu_plus", "mu_minus", "seed"}
+                         "cg_iterations", "corrected_nodes", "residual_history", "h",
+                         "mu_plus", "mu_minus", "seed"}
     assert len(data["h"]) == 256
     assert data["mu_minus"]["support"] == [-2.0, 2.0]
     lines = (tmp_path / "ground_state.csv").read_text().strip().splitlines()

@@ -222,15 +222,67 @@ def test_ground_state_cg_steps_flat_in_n(alpha):
     counts = {}
     for L, N in ((32.0, 1024), (128.0, 16384)):
         res = solve_ground_state(_bump_problem(alpha, GridDomain(L, N)), tol=1e-10)
-        assert 0 < res.cg_iterations <= 60, (N, res.cg_iterations)
+        assert 0 < res.cg_iterations <= res.iterations, (N, res.cg_iterations)
         assert res.iterations <= 13, (N, res.iterations)
         counts[N] = res.cg_iterations
     assert counts[16384] <= 1.5 * counts[1024], counts
 
 
 def test_reference_ground_state_cg_steps(ground):
-    assert 0 < ground.cg_iterations <= 60
+    assert 0 < ground.cg_iterations <= ground.iterations
     assert ground.iterations <= 13
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_ground_state_cg_steps_flat_in_l(alpha):
+    # at h = 1/16 mu_plus has 33 nodes, which r = floor(2 sqrt(N)) covers from N = 512 on
+    for L in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
+        dom = GridDomain(L, int(32 * L))
+        res = solve_ground_state(_bump_problem(alpha, dom), tol=1e-10)
+        assert res.residual < 1e-10
+        if L == 8.0:  # 32 of 33 nodes held exactly: the first solve takes a second step
+            assert res.corrected_nodes == 32
+            assert res.cg_iterations <= res.iterations + 2, (L, res.cg_iterations)
+        else:
+            assert res.corrected_nodes == 33
+            assert res.cg_iterations <= res.iterations, (L, res.cg_iterations)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("weight", [1e-9, 1e-2, 1.0, 10.0])
+def test_ground_state_cg_steps_flat_in_node_weight(N, weight):
+    # all of mu_plus on one node: the preconditioner holds it exactly at any weight
+    dom = GridDomain(8.0, N)
+    weights = np.zeros(N)
+    weights[N // 2] = weight
+    problem = SchrodingerProblem(ProcessSpec(2.0, 1), dom, MeasureOnGrid(dom, weights),
+                                 MeasureOnGrid.from_profile(dom, "indicator", half_width=1.0))
+    res = solve_ground_state(problem, tol=1e-10)
+    assert res.residual < 1e-10
+    assert res.corrected_nodes == 1
+    assert 0 < res.cg_iterations <= res.iterations, res.cg_iterations
+
+
+def test_ground_state_wide_support_partial_correction():
+    # 3483 nodes of mu_plus, r = 256 of them held exactly: the rest is the mean
+    dom = GridDomain(128.0, 16384)
+    problem = SchrodingerProblem(ProcessSpec(2.0, 1), dom,
+                                 _bump(dom, "gaussian", 0.0, 1.0, 0.5),
+                                 MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0))
+    assert np.count_nonzero(problem.mu_plus.weights) == 3483
+    res = solve_ground_state(problem, tol=1e-10)
+    assert res.corrected_nodes == 256
+    assert res.residual < 1e-10
+    assert 0 < res.cg_iterations <= 12, (res.iterations, res.cg_iterations)
+
+
+def test_ground_state_diagnostics(prob, ground):
+    assert ground.corrected_nodes == np.count_nonzero(prob.mu_plus.weights) == 17
+    assert len(ground.residual_history) == ground.iterations
+    assert ground.residual_history[-1] == ground.residual
+    assert all(r >= 1e-11 for r in ground.residual_history[:-1])
+    dense = dense_ground_state(prob)
+    assert dense.corrected_nodes == 0 and dense.residual_history == []
 
 
 def _bump(dom, profile, center, half_width, height):
@@ -244,13 +296,33 @@ _profiles = st.tuples(st.sampled_from(["indicator", "triangle", "gaussian"]),
                       st.floats(-2.0, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 5.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@example(alpha=2.0, N=256, minus=("triangle", 0.5, 2.0, 1.0), plus=None, node=(3, -9.0))
-@example(alpha=1.0, N=64, minus=("gaussian", -1.0, 1.0, 0.05), plus=None, node=(-32, 1.0))
-@given(alpha=st.floats(1.0, 2.0), N=st.sampled_from([64, 128, 256]),
-       minus=_profiles, plus=_profiles,
-       node=st.one_of(st.none(), st.tuples(st.integers(-32, 32), st.floats(-9.0, 1.0))))
+def _dense_property(test):
+    test = given(alpha=st.floats(1.0, 2.0), N=st.sampled_from([64, 128, 256]),
+                 minus=_profiles, plus=_profiles,
+                 node=st.one_of(st.none(),
+                                st.tuples(st.integers(-32, 32), st.floats(-9.0, 1.0))))(test)
+    test = example(alpha=1.0, N=64, minus=("gaussian", -1.0, 1.0, 0.05), plus=None,
+                   node=(-32, 1.0))(test)
+    test = example(alpha=2.0, N=256, minus=("triangle", 0.5, 2.0, 1.0), plus=None,
+                   node=(3, -9.0))(test)
+    return settings(derandomize=True, database=None, deadline=None, max_examples=30)(test)
+
+
+@_dense_property
 def test_ground_state_matches_dense_property(alpha, N, minus, plus, node):
+    _check_against_dense(alpha, N, minus, plus, node)
+
+
+@_dense_property
+def test_ground_state_partial_correction_matches_dense_property(alpha, N, minus, plus, node):
+    # only the 2 heaviest nodes of mu_plus are held exactly; the rest is the mean
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schrodinger_ground, "_corrected_rank", lambda N: 2)
+        problem, res = _check_against_dense(alpha, N, minus, plus, node)
+    assert res.corrected_nodes == min(2, np.count_nonzero(problem.mu_plus.weights))
+
+
+def _check_against_dense(alpha, N, minus, plus, node):
     dom = GridDomain(16.0, N)
     if node is None:
         mu_plus = _bump(dom, *plus)
@@ -266,6 +338,7 @@ def test_ground_state_matches_dense_property(alpha, N, minus, plus, node):
     hi = it.h / np.linalg.norm(it.h)
     hd = de.h / np.linalg.norm(de.h)
     assert np.linalg.norm(hi - np.sign(hi @ hd) * hd) < 1e-6
+    return problem, it
 
 
 def test_dense_ground_state_single_tiny_node():

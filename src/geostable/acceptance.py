@@ -11,14 +11,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
-from scipy.integrate import quad
 from scipy.special import exp1 as _exp1, gamma as _gamma, k1 as _k1
 
 from .levy_structure import (Regime, _polar_integral, asymptotic_report, k_radial, levy_density,
                              polar_levy_mass, verify_selfdecomposable)
-from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence, positive_time
+from .process_core import (CubicHermite, ProcessSpec, RecurrenceClass, classify_recurrence,
+                           positive_time)
 from .schrodinger_ground import (GridDomain, MeasureOnGrid, SchrodingerProblem,
                                  _periodized_jump_lags, _spectral_apply, dense_ground_state,
                                  energy_form, feynman_kac_estimate, generator_matrix,
@@ -107,13 +106,13 @@ def trapezoid_chain(problem: SchrodingerProblem, f, t: float, dt: float) -> floa
 
 
 def gridded_cdf(spec: ProcessSpec, t: float, samples):
-    """Monotone interpolant of cdf_numeric covering the sample range.
+    """Monotone (PCHIP) interpolant of cdf_numeric covering the sample range.
 
     The nodes are _CDF_NODES sample quantiles, which follow the mass into the
     cusp at 0 that the CDF has for small t.  Outside them it holds its end values.
     """
     grid = np.unique(np.quantile(samples, np.linspace(0.0005, 0.9995, _CDF_NODES)))
-    interp = PchipInterpolator(grid, cdf_numeric(spec, t, grid))
+    interp = CubicHermite.pchip(grid, cdf_numeric(spec, t, grid))
     return lambda v: interp(np.clip(v, grid[0], grid[-1]))
 
 
@@ -180,7 +179,8 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
     alpha = 2: e^-r (d = 1), r K_1(r)/pi (d = 2), e^-r (1 + r)/(2 pi) (d = 3).
     alpha = 1: the Cauchy mixture
     Gamma((d+1)/2) pi^(-(d+1)/2) r^d int_0^inf e^-s (s^2 + r^2)^(-(d+1)/2) ds,
-    one adaptive quad per radius.
+    one adaptive quad per radius; scipy.integrate is imported here, its one
+    library caller, so that importing geostable does not load it.
     """
     r = np.asarray(r, dtype=float)
     a, d = spec.alpha, spec.dim
@@ -192,6 +192,8 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
         return r * _k1(r) / np.pi
     if a == 2.0:
         return np.exp(-r) * (1.0 + r) / (2.0 * np.pi)
+    from scipy.integrate import quad
+
     p = (d + 1) / 2.0
     mixture = [quad(lambda s: np.exp(-s) * (s * s + rr * rr) ** -p, 0.0, np.inf,
                     epsabs=0.0, epsrel=1e-13, limit=200)[0] for rr in r.ravel()]

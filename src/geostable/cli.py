@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_SECONDS, __version__
 from .acceptance import SUITES, run_suite
 from .errors import ConfigError, ConsistencyError, ConvergenceError, GeoStableError
 from .levy_structure import (Regime, asymptotic_report, levy_density,
@@ -144,6 +144,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs, t0: f
         "config": config,
         "version": __version__,
         "duration_seconds": round(time.time() - t0, 3),
+        "import_seconds": round(_IMPORT_SECONDS, 3),
         "outputs": [str(p) for p in outputs],
     }
     if timings is not None:

@@ -32,13 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import circulant, eigh, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, ConsistencyError, ConvergenceError
 from .levy_structure import k_radial, small_x_constant
-from .process_core import ProcessSpec, RecurrenceClass, classify_recurrence
+from .process_core import CubicHermite, ProcessSpec, RecurrenceClass, classify_recurrence
 from .stable_kernel import RngStream, _usable_cores, _walk_into, _walk_scratch
 
 
@@ -167,8 +166,9 @@ class SchrodingerProblem:
 # ---------------------------------------------------------------------------
 # torus symbols: every operator is a real symbol applied by one FFT
 
-# lattice radii n h, n < _FOLD_ROWS N, folded into j_per
+# lattice radii n h, n < _FOLD_ROWS N, folded into j_per, about _LAG_PASS at a time
 _FOLD_ROWS = 65
+_LAG_PASS = 2 ** 14
 
 
 @functools.cache
@@ -177,19 +177,39 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain) -> np.ndarray:
 
     Every image radius |l h + 2Lm| is some n h, so the images fold modulo N:
     F_l = sum_k j((l + kN) h) over k < _FOLD_ROWS, the last row at weight 1/2,
-    and J_l = F_l + F_(N-l).  j is a log-log spline of k_radial on 1400 radii.
+    and J_l = F_l + F_(N-l).  j is exp of a not-a-knot cubic spline
+    (process_core.CubicHermite) of log j in log r, through k_radial at 1400
+    geometric radii; it is 0 beyond the last radius where j > 1e-290.  The
+    rows are evaluated a few at a time, about _LAG_PASS radii (one row of N
+    when N is larger), and added in the order k = 0, 1, ...; so the work
+    space stays O(N + _LAG_PASS), and rows past the kernel's reach cost
+    nothing.
     """
     h, N = domain.h, domain.N
     nodes = np.geomspace(h / 4.0, _FOLD_ROWS * N * h, 1400)
     jv = k_radial(spec, nodes) / nodes  # dim = 1
     keep = jv > 1e-290
-    spline = CubicSpline(np.log(nodes[keep]), np.log(jv[keep]))
-    log_r = np.log(h * np.arange(1, _FOLD_ROWS * N))
-    inside = log_r <= np.log(nodes[keep][-1])  # j is 0 beyond the last kept node
-    jn = np.zeros(_FOLD_ROWS * N)
-    jn[1:][inside] = np.exp(spline(log_r[inside]))
-    rows = jn.reshape(_FOLD_ROWS, N)
-    fold = rows[:-1].sum(axis=0) + 0.5 * rows[-1]
+    log_j = CubicHermite.spline(np.log(nodes[keep]), np.log(jv[keep]))
+    reach = np.log(nodes[keep][-1])
+    per_pass = -(-_LAG_PASS // N)  # rows, at least one
+    fold = np.zeros(N)
+    for k0 in range(0, _FOLD_ROWS, per_pass):
+        k1 = min(k0 + per_pass, _FOLD_ROWS)
+        radii = h * np.arange(k0 * N, k1 * N, dtype=float)
+        if k0 == 0:
+            radii[0] = h  # the origin is no image: its entry is zeroed below
+        log_r = np.log(radii)
+        inside = int(np.searchsorted(log_r, reach, side="right"))
+        j = np.zeros(radii.size)
+        j[:inside] = np.exp(log_j(log_r[:inside]))
+        if k0 == 0:
+            j[0] = 0.0
+        if k1 == _FOLD_ROWS:
+            j[-N:] *= 0.5
+        for row in j.reshape(-1, N):
+            fold += row
+        if inside < radii.size:
+            break
     jlag = np.append(0.0, fold[1:] + fold[:0:-1])
     jlag.flags.writeable = False
     return jlag

@@ -8,8 +8,9 @@ coordinate; with alpha = 1 it is the Cauchy (Poisson) kernel.
 Radial evaluation strategy:
   * alpha in {1, 2}: closed forms.
   * otherwise a cached radial profile per (alpha, dim).  Below a switch
-    radius, one cubic spline of log q_1 in v = asinh(u/s) through a head
-    route's values at knots uniform in v; s is the core width scaled by
+    radius, one cubic spline (process_core.CubicHermite, clamped flat at
+    v = 0) of log q_1 in v = asinh(u/s) through a head route's values at
+    knots uniform in v; s is the core width scaled by
     2^(3.5 alpha - 4), so v is linear in u through the core and logarithmic
     on the flank.  From the switch radius on, the power-tail series
 
@@ -37,12 +38,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, j0 as _j0, j1 as _j1, rgamma as _rgamma
 
 from .errors import ConfigError, ConsistencyError, SingularPointError, UnsupportedDimensionError
-from .process_core import (ProcessSpec, inversion_integrable, over_radius_power, point_radii,
-                           positive_time, radial_args, surface_measure)
+from .process_core import (CubicHermite, ProcessSpec, inversion_integrable, over_radius_power,
+                           point_radii, positive_time, radial_args, surface_measure)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -330,8 +330,7 @@ class StableRadialProfile:
         self._scale = sigma * 2.0 ** (3.5 * alpha - 4.0)
         v = np.linspace(0.0, math.asinh(self.tail_start / self._scale), 481 if alpha < 1.0 else 321)
         # q_1 is even: clamp its derivative at 0
-        self._spline = CubicSpline(v, np.log(head(self._scale * np.sinh(v))),
-                                   bc_type=((1, 0.0), "not-a-knot"))
+        self._spline = CubicHermite.spline(v, np.log(head(self._scale * np.sinh(v))), 0.0)
 
     def _closed_form(self, u):
         # neither form squares u, which overflows past u ~ 1.3e154: the Gaussian

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist as _cdist
 
 from .errors import ConfigError, UnsupportedDimensionError
 from .levy_structure import _polar_integral
@@ -33,8 +32,8 @@ from .process_core import (ProcessSpec, over_radius_power, point_radii, positive
 from .stable_kernel import (_DE_H, _FOURIER_RULES, RngStream, _char_integral, _radial_inversion,
                             sample_increment)
 
-# float64 entries of density_mc's working block: 16 MB
-_KDE_BLOCK = 2 ** 21
+# float64 entries of density_mc's working block: 512 KB, so that its passes stay in cache
+_KDE_BLOCK = 2 ** 16
 # density_mc's d = 1 lattice spacing is bw / _BINS_PER_BW; exp(-z^2 / 2) is 0
 # in float64 for z > 38.6, so samples past _KERNEL_REACH bandwidths add nothing
 _BINS_PER_BW, _KERNEL_REACH = 64, 38.7
@@ -117,23 +116,37 @@ def inversion_table(spec: ProcessSpec, t: float, x_grid) -> "DensityTable":
 def _kernel_sums(pts: np.ndarray, centres: np.ndarray, weights, bw: float) -> np.ndarray:
     """sum_j w_j exp(-|x - c_j|^2 / (2 bw^2)) at each row x of pts; weights None means all 1.
 
-    The (point, centre) pairs run through one reusable block of about
-    _KDE_BLOCK floats, whatever the sizes: cdist's squared distances of `rows`
-    points.  Each point is summed on its own row, so its value does not depend
-    on the rest of the grid.
+    The (point, centre) pairs run through one reusable block of whole rows,
+    _KDE_BLOCK floats unless one row is longer, which is filled at most
+    _KDE_BLOCK columns at a time so that its passes stay in cache.  Squared
+    distances are summed one coordinate at a time, in coordinate order, as
+    cdist sums them.  Each point is summed on its own whole row, so its value
+    does not depend on the rest of the grid or on the block's size.
     """
+    dim, n = pts.shape[1], len(centres)
+    coords = np.ascontiguousarray(centres.T)  # one row per coordinate
+    rows = max(1, min(len(pts), _KDE_BLOCK // max(1, n)))
+    width = max(1, min(n, _KDE_BLOCK))
+    block = np.empty((rows, n))
+    square = np.empty((rows, width if dim > 1 else 0))
     sums = np.empty(len(pts))
-    rows = max(1, min(len(pts), _KDE_BLOCK // max(1, len(centres))))
-    block = np.empty((rows, len(centres)))
     for i0 in range(0, len(pts), rows):
         p = pts[i0:i0 + rows]
-        d2 = _cdist(p, centres, "sqeuclidean", out=block[:len(p)])
-        d2 *= -0.5
-        d2 /= bw ** 2
-        np.exp(d2, out=d2)
-        if weights is not None:
-            d2 *= weights
-        sums[i0:i0 + rows] = d2.sum(axis=1)
+        for j0 in range(0, n, width):
+            d2 = block[:len(p), j0:j0 + width]
+            np.subtract(p[:, :1], coords[0, j0:j0 + width], out=d2)
+            d2 *= d2
+            for k in range(1, dim):
+                sq = square[:len(p), :d2.shape[1]]
+                np.subtract(p[:, k:k + 1], coords[k, j0:j0 + width], out=sq)
+                sq *= sq
+                d2 += sq
+            # -d2 / (2 bw^2) in one division, which rounds as (-0.5 d2, exact) / bw^2 does
+            np.divide(d2, -2.0 * bw ** 2, out=d2)
+            np.exp(d2, out=d2)
+            if weights is not None:
+                d2 *= weights[j0:j0 + width]
+        sums[i0:i0 + rows] = block[:len(p)].sum(axis=1)
     return sums
 
 

@@ -1,11 +1,15 @@
 import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geostable
 from geostable import (GridDomain, MeasureOnGrid, ProcessSpec, levy_density,
                        verify_selfdecomposable)
 from geostable.cli import main
@@ -13,6 +17,17 @@ from geostable.cli import main
 
 def run(argv):
     return main(argv)
+
+
+def test_import_loads_no_interpolate_optimize_spatial_or_integrate():
+    # they served two splines, one cdist and one test oracle's quad, and cost
+    # about 0.26 s of every start-up
+    code = ("import sys, geostable, geostable.cli; print([m for m in ('scipy.interpolate', "
+            "'scipy.optimize', 'scipy.spatial', 'scipy.integrate') if m in sys.modules])")
+    path = os.pathsep.join([str(Path(geostable.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_classify_stdout(capsys):
@@ -61,6 +76,8 @@ def test_density_inversion_writes_table_and_manifest(tmp_path):
     assert manifest["subcommand"] == "density"
     assert manifest["config"]["t"] == 1.0
     assert str(tmp_path / "density.csv") in manifest["outputs"]
+    # start-up apart from the work
+    assert manifest["import_seconds"] == round(geostable._IMPORT_SECONDS, 3) > 0.0
     # values match the Laplace closed form
     mid = table[21].split(",")
     assert abs(float(mid[0])) < 1e-12
@@ -348,6 +365,7 @@ def test_verify_manifest_times_each_check(tmp_path):
     report = json.loads((tmp_path / "verify_core.json").read_text())
     timings = manifest["timings"]
     assert sorted(timings) == sorted(r["name"] for r in report)
+    assert manifest["import_seconds"] == round(geostable._IMPORT_SECONDS, 3) > 0.0
     assert all(v > 0 for v in timings.values())
     assert all(set(r) == {"name", "passed", "detail"} for r in report)
 

@@ -174,6 +174,47 @@ def test_jump_lags_match_spline_free_image_sum(alpha, L, N):
     assert np.max(np.abs(jlag[1:] / want - 1.0)) < 1e-9
 
 
+def _whole_array_jump_lags(spec, dom):
+    """The lag table as one 65N-long array through scipy's CubicSpline, folded at once."""
+    from scipy.interpolate import CubicSpline
+    h, N = dom.h, dom.N
+    nodes = np.geomspace(h / 4.0, 65 * N * h, 1400)
+    jv = k_radial(spec, nodes) / nodes
+    keep = jv > 1e-290
+    spline = CubicSpline(np.log(nodes[keep]), np.log(jv[keep]))
+    log_r = np.log(h * np.arange(1, 65 * N))
+    inside = log_r <= np.log(nodes[keep][-1])
+    jn = np.zeros(65 * N)
+    jn[1:][inside] = np.exp(spline(log_r[inside]))
+    rows = jn.reshape(65, N)
+    fold = rows[:-1].sum(axis=0) + 0.5 * rows[-1]
+    return np.append(0.0, fold[1:] + fold[:0:-1])
+
+
+def test_jump_lags_fold_row_by_row_in_small_memory():
+    # the 65N radii were one array of 8.5 MB and its temporaries, a 35 MB peak
+    spec, dom = ProcessSpec(1.5, 1), GridDomain(128.0, 16384)
+    tracemalloc.start()
+    try:
+        jlag = _periodized_jump_lags.__wrapped__(spec, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    want = _whole_array_jump_lags(spec, dom)
+    assert jlag[0] == want[0] == 0.0
+    assert np.max(np.abs(jlag[1:] / want[1:] - 1.0)) <= 1e-13
+
+
+def test_jump_lags_stop_where_the_kernel_underflows():
+    # alpha = 2: j = e^-r / r is 0 in floats past r ~ 700, far inside 65 N h
+    spec, dom = ProcessSpec(2.0, 1), GridDomain(64.0, 4096)
+    want = _whole_array_jump_lags(spec, dom)
+    jlag = _periodized_jump_lags.__wrapped__(spec, dom)
+    assert np.array_equal(jlag == 0.0, want == 0.0)
+    assert np.max(np.abs(jlag[want > 0] / want[want > 0] - 1.0)) <= 1e-13
+
+
 def test_jump_energy_pinned():
     dom = GridDomain(16.0, 1024)
     u = np.exp(-dom.nodes() ** 2)

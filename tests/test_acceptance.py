@@ -59,6 +59,19 @@ def test_selfdecomposability_check_fails_on_a_rising_kernel(monkeypatch):
     assert "(1.3, 2)" in result.detail and "(1.3, 1)" not in result.detail
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cauchy_mixture_panels_match_adaptive_quad(dim):
+    # k_closed_form at alpha = 1 sums the mixture on Gauss-Legendre panels;
+    # check 4's radii, and radii where the geometric panels reach past 100 r to 1
+    p = (dim + 1) / 2.0
+    radii = np.concatenate([np.geomspace(1e-2, 10.0, 12), [1e-3, 3e-3, 1e2, 1e3]])
+    got = acceptance.k_closed_form(ProcessSpec(1.0, dim), radii)
+    mixture = [quad(lambda s: math.exp(-s) * (s * s + r * r) ** -p, 0.0, np.inf,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for r in radii]
+    want = math.gamma(p) * math.pi ** -p * radii ** dim * np.array(mixture)
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
 def test_acceptance_05_recurrence_table():
     r = _run(acceptance.check_recurrence_table)
     assert r.elapsed < 1.0

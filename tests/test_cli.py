@@ -30,6 +30,18 @@ def test_import_loads_no_interpolate_optimize_spatial_or_integrate():
     assert out.stdout.strip() == "[]"
 
 
+def test_check_4_loads_no_integrate():
+    # its alpha = 1 closed forms are summed on quadrature panels, so a CLI
+    # verify does not pay for importing scipy.integrate inside the check
+    code = ("import sys; from geostable import acceptance; "
+            "ok = acceptance.check_selfdecomposability().passed; "
+            "print(ok, 'scipy.integrate' in sys.modules)")
+    path = os.pathsep.join([str(Path(geostable.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_classify_stdout(capsys):
     assert run(["classify", "--alpha", "1.5", "--dim", "1"]) == 0
     assert capsys.readouterr().out.strip() == "Recurrent"
@@ -228,8 +240,10 @@ def test_levy_at_lowest_supported_alpha(tmp_path):
 
 def test_unvalidated_tail_series_is_numerical_failure(tmp_path, capsys, monkeypatch):
     # at u = 1 the alpha = 1.95 power series diverges, so no switch radius validates;
-    # jump kernels up to alpha = 1.9 build no profile, so d = 3 at 1.95 asks for one
+    # jump kernels up to alpha = 1.9 build no profile, so d = 3 at 1.95 asks for one;
+    # an empty cache keeps a profile built by an earlier test from answering
     monkeypatch.setattr("geostable.stable_kernel._SWITCH_CANDIDATES", (1.0,))
+    monkeypatch.setattr("geostable.stable_kernel._PROFILE_CACHE", {})
     assert run(["levy", "--alpha", "1.95", "--dim", "3", "--output-path", str(tmp_path)]) == 1
     assert "3e-9" in capsys.readouterr().err
 

@@ -462,15 +462,18 @@ def test_feynman_kac_control_variate_matches_expm_and_cuts_se(prob):
 
 def test_feynman_kac_plain_path_pinned(prob):
     # the plain path must stay bit-identical whatever the control-variate code does;
-    # the pins were re-taken for the trapezoid clock (CHANGES.md has the old values)
+    # the pins were re-taken for the plain walk at dt = 1/32 and the two-batch
+    # plan (CHANGES.md has the old values); dt = 1/256 pins the screened walk
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schrodinger_ground, "_FK_BATCH", 1_000)
         got = feynman_kac_estimate(prob, f, 0.0, 0.125, 3_000, 1.0 / 32, RngStream(5))
-    assert got == (0.8568087591905034, 0.003877989531196626)
+    assert got == (0.8538665401277937, 0.003942210277738872)
     got = feynman_kac_estimate(prob, f, 0.3, 0.125, 2_000, 1.0 / 32, RngStream(6),
                                free_mean=None)
-    assert got == (0.7942861472630417, 0.004303666994230611)
+    assert got == (0.7900847283614124, 0.004520184981702926)
+    got = feynman_kac_estimate(prob, f, 0.3, 0.125, 3_000, 1.0 / 256, RngStream(7))
+    assert got == (0.792822655672731, 0.0035387613524594497)
 
 
 def test_feynman_kac_trapezoid_clock_matches_grid_chain(prob):
@@ -567,11 +570,40 @@ def test_feynman_kac_independent_of_core_count(prob, monkeypatch):
     assert started == [1, 2, 1, 2, 3, 1, 2]
 
 
+def test_feynman_kac_runs_every_call_as_two_batches(prob, monkeypatch):
+    # n paths run as batches of min(_FK_BATCH, ceil(n/2)): check 10's 100k paths
+    # start two workers on two cores, and 200k paths keep batches of _FK_BATCH
+    f = lambda x: np.exp(-np.asarray(x) ** 2)
+    started, sizes = [], []
+
+    class Pool(schrodinger_ground.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    real_walk = schrodinger_ground._walk_into
+
+    def walk_into(alpha, dt, steps, gen, x, *args):
+        sizes.append(x.size)
+        real_walk(alpha, dt, steps, gen, x, *args)
+
+    monkeypatch.setattr(schrodinger_ground, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(schrodinger_ground, "_walk_into", walk_into)
+    monkeypatch.setattr(schrodinger_ground, "_usable_cores", lambda: 2)
+    feynman_kac_estimate(prob, f, 0.0, 1.0 / 16, 100_000, 1.0 / 16, RngStream(1))
+    assert started == [2] and sizes == [50_000, 50_000]
+    for n, plan in ((3, [2, 1]), (2_001, [1_001, 1_000]),
+                    (200_001, [100_000, 100_000, 1])):
+        sizes.clear()
+        feynman_kac_estimate(prob, f, 0.0, 1.0 / 16, n, 1.0 / 16, RngStream(1))
+        assert sorted(sizes, reverse=True) == plan
+
+
 def test_feynman_kac_memory_per_path(prob, monkeypatch):
     # each batch holds its positions and clocks, and no more batches are alive
-    # than workers; the event walk adds seven vectors a slot, for a block of
-    # 20,480 slots here, and at alpha = 2, where every step is an event, three
-    # vectors a path
+    # than workers; the event walk (dt = 1/256) adds seven vectors a slot, for
+    # a block of 20,480 slots here, and the plain walk, where every step is an
+    # event (dt = 1/32, or alpha = 2), three vectors a path
     monkeypatch.setattr(schrodinger_ground, "_usable_cores", lambda: 2)
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     feynman_kac_estimate(prob, f, 0.0, 1.0 / 32, 100, 1.0 / 32, RngStream(3))

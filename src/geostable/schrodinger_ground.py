@@ -582,19 +582,16 @@ def feynman_kac_estimate(problem: SchrodingerProblem, f, x0: float, t: float,
     O(dt^2).  rho defaults to the density of mu_plus; an explicit callable
     overrides it and may return a scalar (rho=lambda z: 0.0 is free).
 
-    At small dt the walk is event-driven (`stable_kernel._walk_into`): a
-    step whose Gamma(dt) clock has log G < L(x) = min(alpha log|x| + C,
-    -53 log 2) cannot move x by a quarter of its float spacing, whatever the
-    angle and exponential of its Chambers-Mallows-Stuck draw, so x stays
-    put.  Each path draws the geometric number of such still steps before
-    its next event, adds rho(x) dt for each of them and for the event step,
-    and at the event takes one increment with log G drawn conditioned on
+    The walk is event-driven (`stable_kernel._walk_into`): a step whose
+    Gamma(dt) clock has log G < L(x) = min(alpha log|x| + C, -53 log 2)
+    cannot move x by a quarter of its float spacing, whatever the angle and
+    exponential of its Chambers-Mallows-Stuck draw, so x stays put.  Each
+    path draws the geometric number of such still steps before its next
+    event, adds rho(x) dt for each of them and for the event step, and at
+    the event takes one increment with log G drawn conditioned on
     log G >= L(x).  That is the same estimator, exact in law, with rho
-    looked up once per event: at dt = 1/256 and |x| = 1, 25-38 % of the
-    steps are events.  Where a step at |x| = 1 is an event with probability
-    above 2/3 (`stable_kernel._walk_screen`: alpha = 1.5 at dt >= 1/64, the
-    default dt = 1/32 at every alpha), alpha in {1, 2} or dt >= 1, the walk
-    is plain and every step is an event; at x = 0 it always is.
+    looked up once per event: at dt = 1/256 about a third of the steps are
+    events.  At x = 0, alpha in {1, 2} or dt >= 1 every step is an event.
     The walk sums the left endpoints; once it ends, the same worker thread
     adds each path's trapezoid endpoint term (dt/2)(rho(x_n) - rho(x_0)),
     one lookup per path, with rho(x_n) written into the walk's scratch.

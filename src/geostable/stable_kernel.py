@@ -647,13 +647,6 @@ def _stable_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
 def _walk_screen(alpha: float, t: float):
     """Constants (t C, log Gamma(1 + t)) of the walk's screen, or None where it is off.
 
-    The screen is on only where it pays: where a step at |x| = 1 stays put
-    with probability e^(t C)/Gamma(1 + t) >= _SCREEN_MIN_STILL.  Elsewhere
-    most steps are events anyway, and the plain walk, which takes every step
-    of every path, is the cheaper exact route.  At alpha = 1.5 the screen is
-    on at dt = 1/128 and off at 1/64; at dt = 1/256 the probability is
-    0.62-0.75 over alpha in [0.3, 1.999], so it is on there.
-
     With s = max(min(r, 1 - r), 2^-54) >= 2^-54 and W in [2^-54, 53 log 2]
     (`_stable_into`), the bound on the Chambers-Mallows-Stuck draw,
 
@@ -664,8 +657,8 @@ def _walk_screen(alpha: float, t: float):
     and W.  So a step with log G < alpha log|x| + C, where
     C = -55 alpha log 2 - 53 log 2 - max_W (alpha - 1) log W - c, moves x by
     under 2^-55 |x|, a quarter of the float spacing at x: x + increment
-    rounds to x.  alpha in {1, 2} has no W and t >= 1 no GS draw (which
-    `p_floor` needs), so the screen is off there whatever the probability.
+    rounds to x.  alpha in {1, 2} has no W and t >= 1 no GS draw, so the
+    screen is off there.
     """
     a = alpha
     if a in (1.0, 2.0) or t >= 1.0:
@@ -677,16 +670,7 @@ def _walk_screen(alpha: float, t: float):
         c = 0.0
         log_w = (a - 1.0) * math.log(_R_FLOOR)
     big_c = -55.0 * a * math.log(2.0) - 53.0 * math.log(2.0) - log_w - c
-    log_gamma1p = math.lgamma(1.0 + t)
-    if t * big_c - log_gamma1p < math.log(_SCREEN_MIN_STILL):
-        return None
-    return t * big_c, log_gamma1p
-
-
-# the least probability of a still step at |x| = 1 at which the screen runs:
-# 200k paths at alpha = 1.5 on two cores walked faster plain at dt = 1/64
-# (probability 0.23) and faster screened at dt = 1/128 (probability 0.47)
-_SCREEN_MIN_STILL = 1.0 / 3.0
+    return t * big_c, math.lgamma(1.0 + t)
 
 
 # the screen's level never exceeds log 2^-53: below it, P(log G < L) is
@@ -738,10 +722,9 @@ def _walk_into(alpha: float, t: float, steps: int, gen: np.random.Generator,
     Paths run in the slots of one block (`_walk_block`): each round every
     slot draws its skip count and an increment, and a path that ends hands
     its slot to the next path of x, so the vectors stay full until the last
-    paths.  Where the screen is off (alpha in {1, 2}, t >= 1, or a step at
-    |x| = 1 that stays put with probability under _SCREEN_MIN_STILL, as at
-    dt = 1/32) the walk is plain: every step is an event for every path, so
-    a round is one step of all paths at once, taken in place in x and clock.
+    paths.  Where the screen is off (alpha in {1, 2}, t >= 1) every step is
+    an event for every path, so a round is one step of all paths at once,
+    taken in place in x and clock.
     """
     n = x.size
     screen = _walk_screen(alpha, t)

@@ -462,18 +462,19 @@ def test_feynman_kac_control_variate_matches_expm_and_cuts_se(prob):
 
 def test_feynman_kac_plain_path_pinned(prob):
     # the plain path must stay bit-identical whatever the control-variate code does;
-    # the pins were re-taken for the plain walk at dt = 1/32 and the two-batch
-    # plan (CHANGES.md has the old values); dt = 1/256 pins the screened walk
+    # the second pin was re-taken for the two-batch plan (CHANGES.md has the old
+    # values); alpha = 2 pins the walk where every step is an event
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schrodinger_ground, "_FK_BATCH", 1_000)
         got = feynman_kac_estimate(prob, f, 0.0, 0.125, 3_000, 1.0 / 32, RngStream(5))
-    assert got == (0.8538665401277937, 0.003942210277738872)
+    assert got == (0.8568087591905034, 0.003877989531196626)
     got = feynman_kac_estimate(prob, f, 0.3, 0.125, 2_000, 1.0 / 32, RngStream(6),
                                free_mean=None)
-    assert got == (0.7900847283614124, 0.004520184981702926)
-    got = feynman_kac_estimate(prob, f, 0.3, 0.125, 3_000, 1.0 / 256, RngStream(7))
-    assert got == (0.792822655672731, 0.0035387613524594497)
+    assert got == (0.7936701448270819, 0.0043817720920743515)
+    gaussian = SchrodingerProblem(ProcessSpec(2.0, 1), prob.domain, prob.mu_plus, prob.mu_minus)
+    got = feynman_kac_estimate(gaussian, f, 0.3, 0.125, 3_000, 1.0 / 32, RngStream(7))
+    assert got == (0.78359724727908, 0.003693108522365196)
 
 
 def test_feynman_kac_trapezoid_clock_matches_grid_chain(prob):
@@ -601,9 +602,9 @@ def test_feynman_kac_runs_every_call_as_two_batches(prob, monkeypatch):
 
 def test_feynman_kac_memory_per_path(prob, monkeypatch):
     # each batch holds its positions and clocks, and no more batches are alive
-    # than workers; the event walk (dt = 1/256) adds seven vectors a slot, for
-    # a block of 20,480 slots here, and the plain walk, where every step is an
-    # event (dt = 1/32, or alpha = 2), three vectors a path
+    # than workers; the event walk adds seven vectors a slot, for a block of
+    # 20,480 slots here, and at alpha = 2, where every step is an event, three
+    # vectors a path
     monkeypatch.setattr(schrodinger_ground, "_usable_cores", lambda: 2)
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     feynman_kac_estimate(prob, f, 0.0, 1.0 / 32, 100, 1.0 / 32, RngStream(3))

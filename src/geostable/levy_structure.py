@@ -218,6 +218,18 @@ def _far_series(spec: ProcessSpec, r):
     return np.where(ok, sums, np.nan), ok
 
 
+def _k_routes(spec: ProcessSpec, r):
+    """k at radii r >= r_c (1-d) by the route that k_radial names for (alpha, d)."""
+    a, d = spec.alpha, spec.dim
+    if (d == 1 and (a <= _SINE_ALPHA_MAX or a == 2.0)
+            or d in (2, 3) and a <= _IDENTITY_ALPHA_MAX):
+        k, far = _far_series(spec, r)  # alpha = 2 has no power tail: no far radius
+        identity = (_k_tail_identity_d1, _k_tail_identity_d2, _k_tail_identity_d3)[d - 1]
+        k[~far] = identity(a, r[~far])
+        return k
+    return _polar_integral(spec, 0.0, r)
+
+
 def k_radial(spec: ProcessSpec, r):
     """Polar kernel k(r) = r^d j(r theta) at radii r > 0 (a float for a scalar, else r's shape).
 
@@ -232,23 +244,19 @@ def k_radial(spec: ProcessSpec, r):
     1.999 < alpha < 2 in d = 1 and 1.9 < alpha <= 2 in d = 2 and 3 take K_0
     of the polar integral, whose profile refuses alpha near 2 (from about
     1.99999 in d = 1) with ConsistencyError.  Below
-    r_c = _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, every
-    route returns that limit; r_c is sought only for a batch holding a radius
+    r_c = _flat_radius, where k is k(0+) = alpha/|S^(d-1)| to 2^-52, k is that
+    limit and no route runs; r_c is sought only for a batch holding a radius
     below _FLAT_PROBE.  Every d refuses alpha < MIN_NUMERIC_ALPHA with ConfigError.
     """
     a, d = spec.alpha, spec.dim
     if a < MIN_NUMERIC_ALPHA:
         raise ConfigError(f"the jump kernel supports alpha >= {MIN_NUMERIC_ALPHA}, got {a}")
     flat, shaped = radial_args(r, positive=True)
-    if (d == 1 and (a <= _SINE_ALPHA_MAX or a == 2.0)
-            or d in (2, 3) and a <= _IDENTITY_ALPHA_MAX):
-        k, far = _far_series(spec, flat)  # alpha = 2 has no power tail: no far radius
-        identity = (_k_tail_identity_d1, _k_tail_identity_d2, _k_tail_identity_d3)[d - 1]
-        k[~far] = identity(a, flat[~far])
-    else:
-        k = _polar_integral(spec, 0.0, flat)
-    if np.any(flat < _FLAT_PROBE):
-        k[flat < _flat_radius(spec)] = a / surface_measure(spec.dim)
+    if not np.any(flat < _FLAT_PROBE):
+        return shaped(_k_routes(spec, flat))
+    k = np.full(flat.size, a / surface_measure(d))
+    rest = flat >= _flat_radius(spec)
+    k[rest] = _k_routes(spec, flat[rest])
     return shaped(k)
 
 

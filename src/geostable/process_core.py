@@ -5,12 +5,11 @@ Everything but the interpolant is a pure function of (alpha, dim) and a radial
 frequency; the symbol is isotropic, so vector arguments reduce to their
 Euclidean norm before reaching these routines.
 
-`CubicHermite` is a piecewise cubic fed by one of two slope rules: the C^2
-spline of scipy's CubicSpline (`CubicHermite.spline`: the stable profile's
-log q_1 and the torus lag table's log j) and the shape-preserving slopes of
-scipy's PchipInterpolator (`CubicHermite.pchip`: acceptance's gridded CDF).
-It keeps `import geostable` free of scipy.interpolate, which with the
-scipy.optimize it loads costs more start-up than these three users need.
+`CubicHermite` is the C^2 spline of scipy's CubicSpline on uniform knots
+(`CubicHermite.spline`: the stable profile's log q_1 on its v-grid and the
+torus lag table's log j on its log-radii).  It keeps `import geostable` free
+of scipy.interpolate, which with the scipy.optimize it loads costs more
+start-up than these two users need.
 """
 from __future__ import annotations
 
@@ -160,43 +159,31 @@ def hartman_wintner_ratio(spec: ProcessSpec, xi_norms):
     return shaped(np.where(inf, spec.alpha, _log1p_power(safe, spec.alpha) / np.log1p(safe)))
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at an end, kept to the data's shape
-    (Moler, Numerical Computing with MATLAB, 3.6): 0 if it opposes m0, and
-    3 m0 at most where the data turn."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 # points per pass of CubicHermite's evaluation: 128 KB temporaries, which stay in cache
 _HERMITE_CHUNK = 2 ** 14
 
 
 class CubicHermite:
-    """Piecewise cubic with values y_i and slopes m_i at increasing knots x_i.
+    """Piecewise cubic with values y_i and slopes m_i at uniform increasing knots x_i.
 
     Piece i is ((c0 s + c1) s + c2) s + c3 in s = x - x_i, with the
-    coefficients of scipy's CubicHermiteSpline (bit for bit), so a spline or
-    PCHIP built here agrees with scipy's to rounding.  The end pieces
-    extrapolate.  On equispaced knots (the profile's linspace, the logs of
-    the lag table's geomspace) a point finds its piece by arithmetic, on
-    others (sample quantiles) by bisection, _HERMITE_CHUNK points at a time;
-    a point within rounding of a knot may take the neighbouring piece.
+    coefficients of scipy's CubicHermiteSpline (bit for bit), so a spline
+    built here agrees with scipy's to rounding.  The end pieces extrapolate.
+    Knots not uniform to 1e-9 of their spacing raise ValueError: a point
+    finds its piece by arithmetic, _HERMITE_CHUNK points at a time, and one
+    within rounding of a knot may take the neighbouring piece.
     """
 
     def __init__(self, x, y, slopes):
         x, y, m = (np.asarray(a, dtype=float) for a in (x, y, slopes))
         dx = np.diff(x)
+        self._step = (x[-1] - x[0]) / dx.size
+        if not np.max(np.abs(dx - self._step)) < 1e-9 * self._step:
+            raise ValueError("CubicHermite needs uniform increasing knots")
         slope = np.diff(y) / dx
         t = (m[:-1] + m[1:] - 2.0 * slope) / dx
         self._x = x
         self._coef = (y[:-1], m[:-1], (slope - m[:-1]) / dx - t, t / dx)
-        step = (x[-1] - x[0]) / dx.size
-        self._step = step if np.max(np.abs(dx - step)) <= 1e-9 * step else None
 
     @classmethod
     def spline(cls, x, y, left_slope=None):
@@ -225,23 +212,6 @@ class CubicHermite:
         return cls(x, y, solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
                                       check_finite=False))
 
-    @classmethod
-    def pchip(cls, x, y):
-        """Fritsch-Carlson monotone cubic through at least three knots, with
-        PchipInterpolator's slopes: 0 at a knot where the data turn or are flat,
-        else the weighted harmonic mean of the two secants; the ends take
-        _pchip_end_slope.  Monotone on monotone data."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-        return cls(x, y, np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
-                                         np.where(flat, 0.0, inner),
-                                         [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]]))
-
     def __call__(self, v):
         """Values at the points v (any shape), each on the piece that holds it."""
         v = np.asarray(v, dtype=float)
@@ -251,12 +221,7 @@ class CubicHermite:
         c3, c2, c1, c0 = self._coef
         for j in range(0, flat.size, _HERMITE_CHUNK):
             w, o = flat[j:j + _HERMITE_CHUNK], into[j:j + _HERMITE_CHUNK]
-            if self._step is None:
-                # np.interp bisects from its last bracket: fast on sorted points
-                i = np.interp(w, x, np.arange(x.size, dtype=float))
-            else:
-                i = (w - x[0]) / self._step
-            i = np.clip(i, 0.0, last).astype(np.intp)
+            i = np.clip((w - x[0]) / self._step, 0.0, last).astype(np.intp)
             s = w - x[i]
             np.take(c0, i, out=o)
             o *= s

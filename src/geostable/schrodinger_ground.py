@@ -179,7 +179,7 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain) -> np.ndarray:
     F_l = sum_k j((l + kN) h) over k < _FOLD_ROWS, the last row at weight 1/2,
     and J_l = F_l + F_(N-l).  j is exp of a not-a-knot cubic spline
     (process_core.CubicHermite) of log j in log r, through k_radial at 1400
-    geometric radii; it is 0 beyond the last radius where j > 1e-290.  The
+    geometric radii up to the first where j <= 1e-290, and 0 beyond.  The
     rows are evaluated a few at a time, about _LAG_PASS radii (one row of N
     when N is larger), and added in the order k = 0, 1, ...; so the work
     space stays O(N + _LAG_PASS), and rows past the kernel's reach cost
@@ -188,9 +188,9 @@ def _periodized_jump_lags(spec: ProcessSpec, domain: GridDomain) -> np.ndarray:
     h, N = domain.h, domain.N
     nodes = np.geomspace(h / 4.0, _FOLD_ROWS * N * h, 1400)
     jv = k_radial(spec, nodes) / nodes  # dim = 1
-    keep = jv > 1e-290
-    log_j = CubicHermite.spline(np.log(nodes[keep]), np.log(jv[keep]))
-    reach = np.log(nodes[keep][-1])
+    n = int(np.logical_and.accumulate(jv > 1e-290).sum())  # a prefix: uniform knots
+    log_j = CubicHermite.spline(np.log(nodes[:n]), np.log(jv[:n]))
+    reach = np.log(nodes[n - 1])
     per_pass = -(-_LAG_PASS // N)  # rows, at least one
     fold = np.zeros(N)
     for k0 in range(0, _FOLD_ROWS, per_pass):

@@ -396,6 +396,9 @@ def test_verify_unknown_suite(tmp_path, capsys):
     "symbol --x-max nan", "selfdecomp --t nan", "sample --seed 1 --t nan",
     "density --method mc --seed 1 --t nan", "kato --t-values nan,0.1",
     "symbol --n 0", "levy --n 0", "selfdecomp --n 0", "selfdecomp --t -1",
+    "levy --asymptotics nope", "density --method nope", "density --dim 2",
+    "sample --seed 1 --n-samples 0", "levy --x-min 0", "groundstate --mu-plus csv:",
+    "groundstate --mu-plus indicator:half_width", "groundstate --mu-plus indicator:width=1",
 ])
 def test_bad_grids_and_non_finite_values_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv.split(), "--output-path", str(tmp_path)]) == 2
@@ -442,9 +445,10 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     ("--config", None), ("--config", "directory"),
     ("--mu-plus", None), ("--mu-plus", ""), ("--mu-plus", "x,weight\n0.5\n"),
     ("--mu-plus", "x,weight\n0,abc\n"), ("--mu-plus", "x,weight\nnan,1\n"),
-    ("--mu-plus", "x,weight\n0,inf\n"),
+    ("--mu-plus", "x,weight\n0,inf\n"), ("--config", "seed\n"), ("--config", "tol = abc\n"),
 ], ids=["config-missing", "config-directory", "csv-missing", "csv-empty", "csv-one-column",
-        "csv-not-a-number", "csv-nan-x", "csv-inf-weight"])
+        "csv-not-a-number", "csv-nan-x", "csv-inf-weight", "config-no-equals",
+        "config-not-a-number"])
 def test_file_errors_are_config_errors(tmp_path, capsys, flag, content):
     path = tmp_path / "input"
     if content == "directory":

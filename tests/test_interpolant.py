@@ -1,15 +1,15 @@
-"""process_core.CubicHermite against scipy's CubicSpline and PchipInterpolator.
+"""process_core.CubicHermite against scipy's CubicSpline.
 
 The library keeps scipy.interpolate out of its import; the tests use it as
 the oracle.  Both share the coefficients and the order of evaluation, so the
-bars are at rounding level.
+bars are at rounding level.  CubicHermite takes uniform knots only.
 """
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from geostable import ProcessSpec, k_radial
 from geostable.process_core import CubicHermite
@@ -35,7 +35,6 @@ def test_profile_spline_matches_cubicspline(alpha, dim):
     want = CubicSpline(v, y, bc_type=((1, 0.0), "not-a-knot"))
     w = _between_and_beyond(v)
     ours = CubicHermite.spline(v, y, 0.0)
-    assert ours._step is not None  # the arithmetic path
     np.testing.assert_allclose(ours(w), want(w), rtol=1e-13, atol=0.0)
     u = prof._scale * np.sinh(w[(w >= 0.0) & (w < v[-1])])
     np.testing.assert_allclose(prof.density(u), np.exp(want(np.arcsinh(u / prof._scale))),
@@ -51,14 +50,13 @@ def test_lag_spline_matches_cubicspline(alpha):
     keep = jv > 1e-290
     x, y = np.log(nodes[keep]), np.log(jv[keep])
     ours, want = CubicHermite.spline(x, y), CubicSpline(x, y)
-    assert ours._step is not None
     w = _between_and_beyond(x)
     np.testing.assert_allclose(ours(w), want(w), rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
 
 
-def _knots(draw_spacings, uniform):
-    x = np.concatenate([[0.0], np.cumsum(draw_spacings)]) - 3.0
-    return np.linspace(x[0], x[-1], x.size) if uniform else x
+def _knots(draw_spacings):
+    """Uniform knots from -3 over the drawn spacings' total."""
+    return np.linspace(-3.0, sum(draw_spacings) - 3.0, len(draw_spacings) + 1)
 
 
 spacings = st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=40)
@@ -66,48 +64,22 @@ values = st.floats(-1e3, 1e3)
 
 
 @PROPERTY
-@given(spacings, st.booleans(), st.data(), st.one_of(st.none(), st.floats(-50.0, 50.0)))
-def test_spline_matches_cubicspline_property(gaps, uniform, data, left):
-    # random increasing knots take the bisection path, uniform ones the arithmetic path
-    x = _knots(gaps, uniform)
+@given(spacings, st.data(), st.one_of(st.none(), st.floats(-50.0, 50.0)))
+def test_spline_matches_cubicspline_property(gaps, data, left):
+    x = _knots(gaps)
     y = np.array(data.draw(st.lists(values, min_size=x.size, max_size=x.size)))
     want = CubicSpline(x, y, bc_type=("not-a-knot" if left is None else (1, left), "not-a-knot"))
     ours = CubicHermite.spline(x, y, left)
-    if uniform:
-        assert ours._step is not None
     w = _between_and_beyond(x)
     scale = np.max(np.abs(want(w))) + 1.0
     np.testing.assert_allclose(ours(w), want(w), rtol=1e-13, atol=1e-13 * scale)
 
 
-def test_pchip_matches_scipy_on_flat_runs_turns_and_both_end_rules():
-    # left end: the three-point slope (3 m0 - m1)/2 < 0 opposes m0 > 0, so it is 0;
-    # right end: the data turn and the slope 6.5 exceeds 3 m0, so it is 3 m0 = 3;
-    # inside, a flat run and a peak give zero slopes
-    x = np.array([0.0, 1.0, 2.0, 2.5, 4.0, 5.0, 5.5, 7.0, 8.0, 9.0])
-    y = np.array([0.0, 0.1, 1.0, 1.0, 1.0, 3.0, 2.0, 12.0, 2.0, 3.0])
-    ours, want = CubicHermite.pchip(x, y), PchipInterpolator(x, y)
-    assert ours._step is None
-    w = _between_and_beyond(x, per_piece=7)
-    np.testing.assert_allclose(ours(w), want(w), rtol=1e-15, atol=1e-15)
-    slopes = ours._coef[1]
-    assert slopes[0] == slopes[2] == slopes[3] == slopes[5] == 0.0
-    c3, c2, c1, c0 = (c[-1] for c in ours._coef)
-    s = x[-1] - x[-2]
-    assert c2 + 2.0 * c1 * s + 3.0 * c0 * s * s == pytest.approx(3.0, rel=1e-14)
-
-
-@PROPERTY
-@given(spacings, st.data())
-def test_pchip_matches_scipy_and_is_monotone_on_monotone_data(gaps, data):
-    x = _knots(gaps, False)
-    steps = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 100.0),
-                               min_size=x.size - 1, max_size=x.size - 1))
-    y = np.concatenate([[0.0], np.cumsum(steps)])
-    ours, want = CubicHermite.pchip(x, y), PchipInterpolator(x, y)
-    w = np.sort(np.concatenate([np.linspace(x[0], x[-1], 1001), _between_and_beyond(x)[1:-1]]))
-    got = ours(w)
-    scale = y[-1] + 1.0
-    np.testing.assert_allclose(got, want(w), rtol=1e-15, atol=1e-15 * scale)
-    assert np.all(np.diff(got) >= -1e-14 * scale)
-    assert got[0] == y[0] and abs(got[-1] - y[-1]) <= 1e-14 * scale
+@pytest.mark.parametrize("x", [
+    np.geomspace(1.0, 10.0, 12),  # increasing, like sample quantiles
+    np.linspace(0.0, 1.0, 12) + 1e-9 * np.eye(12)[5],  # one knot off by 1.1e-8 of a spacing
+    np.linspace(1.0, 0.0, 12),  # uniform, but decreasing
+], ids=["geometric", "one-knot-off", "decreasing"])
+def test_spline_refuses_non_uniform_knots(x):
+    with pytest.raises(ValueError, match="uniform"):
+        CubicHermite.spline(x, np.sin(x))

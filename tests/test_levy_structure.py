@@ -482,6 +482,30 @@ def test_kernel_below_flat_radius_is_its_limit(dim):
                               k_radial(spec, above))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_no_route_runs_below_flat_radius(dim, monkeypatch):
+    # below r_c, k(0+) is written, not computed: at 1e-300 the rules' log-space
+    # rows and the polar integral's deep head would cost for nothing
+    seen = []
+
+    def spy(route):
+        def run(*args):
+            seen.append(np.min(args[-1]))
+            return route(*args)
+        return run
+
+    monkeypatch.setattr(stable_kernel, "_char_integral", spy(_char_integral))
+    monkeypatch.setattr("geostable.levy_structure._char_integral", spy(_char_integral))
+    monkeypatch.setattr("geostable.levy_structure._polar_integral", spy(_polar_integral))
+    r = np.concatenate([[1e-300, 1e-80, 1e-20], np.geomspace(1e-6, 10.0, 9)])
+    # 1.95 in d = 2, 3 and 1.9995 in d = 1 take the polar integral, the rest a rule
+    for alpha in (0.5, 1.5, 1.95, 1.9995 if dim == 1 else 1.9):
+        spec = ProcessSpec(alpha, dim)
+        seen.clear()
+        k_radial(spec, r)
+        assert seen and min(seen) >= _flat_radius(spec), (alpha, seen)
+
+
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
 def test_annulus_mass_at_tiny_radii(alpha, monkeypatch):
     # 2 int k(r)/r dr with k = alpha/2 to rounding: alpha ln(1e10)

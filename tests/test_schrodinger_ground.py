@@ -317,6 +317,21 @@ def test_ground_state_wide_support_partial_correction():
     assert 0 < res.cg_iterations <= 12, (res.iterations, res.cg_iterations)
 
 
+def test_ground_state_mean_term_saves_cg_steps():
+    # 191 nodes of mu_plus, r = 64 held exactly: with the rest at their mean wbar
+    # the solves take 73 CG steps, with wbar = 0 110 (at alpha = 2 it reads 119 vs 107)
+    dom = GridDomain(16.0, 1024)
+    problem = SchrodingerProblem(
+        ProcessSpec(1.0, 1), dom,
+        MeasureOnGrid.from_profile(dom, "triangle", half_width=3.0, height=2.0),
+        MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0))
+    assert np.count_nonzero(problem.mu_plus.weights) == 191
+    res = solve_ground_state(problem, tol=1e-10)
+    assert res.corrected_nodes == 64
+    assert res.residual < 1e-10
+    assert res.cg_iterations <= 85, (res.iterations, res.cg_iterations)
+
+
 def test_ground_state_diagnostics(prob, ground):
     assert ground.corrected_nodes == np.count_nonzero(prob.mu_plus.weights) == 17
     assert len(ground.residual_history) == ground.iterations

@@ -56,11 +56,9 @@ from .schrodinger_ground import (
 from .stable_kernel import (
     RngStream,
     radial_profile,
-    sample_gamma,
     sample_increment,
     sample_stable,
     stable_density,
-    stable_density_radial,
 )
 from .transition_density import (
     DensityTable,

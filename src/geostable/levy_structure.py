@@ -109,7 +109,7 @@ def large_x_constant(spec: ProcessSpec) -> float:
     q_s(x) ~ s * C |x|^(-d-alpha) there, so j inherits C.
     """
     if spec.alpha >= 2.0:
-        raise ValueError("polynomial large-x constant requires alpha < 2")
+        raise ConfigError("polynomial large-x constant requires alpha < 2")
     a, d = spec.alpha, spec.dim
     return a * 2.0 ** (a - 1.0) * _gamma((d + a) / 2.0) / (np.pi ** (d / 2.0) * _gamma(1.0 - a / 2.0))
 
@@ -256,7 +256,8 @@ def k_radial(spec: ProcessSpec, r):
         return shaped(_k_routes(spec, flat))
     k = np.full(flat.size, a / surface_measure(d))
     rest = flat >= _flat_radius(spec)
-    k[rest] = _k_routes(spec, flat[rest])
+    if rest.any():
+        k[rest] = _k_routes(spec, flat[rest])
     return shaped(k)
 
 

@@ -231,7 +231,7 @@ def torus_symbol(problem: SchrodingerProblem, method: str = "multiplier") -> np.
     if method == "multiplier":
         return np.log1p(problem.domain.rfft_freqs() ** problem.spec.alpha)
     if method != "jump_kernel":
-        raise ValueError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
+        raise ConfigError(f"method must be 'multiplier' or 'jump_kernel', got {method!r}")
     h = problem.domain.h
     jlag = _periodized_jump_lags(problem.spec, problem.domain).copy()
     jlag[1] = jlag[-1] = 2.0 * small_x_constant(problem.spec) / h
@@ -246,7 +246,7 @@ def apply_generator(problem: SchrodingerProblem, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (problem.domain.N,):
-        raise ValueError(f"u must have length {problem.domain.N}")
+        raise ConfigError(f"u must have length {problem.domain.N}")
     return _spectral_apply(torus_symbol(problem), u)
 
 
@@ -266,7 +266,7 @@ def energy_form(problem: SchrodingerProblem, u, v, method: str = "multiplier") -
     v = np.asarray(v, dtype=float)
     N = problem.domain.N
     if u.shape != (N,) or v.shape != (N,):
-        raise ValueError(f"u and v must have length {N}")
+        raise ConfigError(f"u and v must have length {N}")
     symbol = torus_symbol(problem, method)
     return float(problem.domain.h * (_spectral_apply(symbol, u) @ v))
 
@@ -281,9 +281,9 @@ def irreducibility_cross_term(problem: SchrodingerProblem, subset, u) -> float:
     u = np.asarray(u, dtype=float)
     N = problem.domain.N
     if u.shape != (N,):
-        raise ValueError(f"u must have length {N}")
+        raise ConfigError(f"u must have length {N}")
     if np.any(u <= 0):
-        raise ValueError("u must be strictly positive at every node")
+        raise ConfigError("u must be strictly positive at every node")
     mask = np.zeros(N, dtype=bool)
     mask[np.asarray(subset)] = True
     a = np.where(mask, u, 0.0)
@@ -566,7 +566,7 @@ def _as_function(domain: GridDomain, f):
         return f
     vals = np.asarray(f, dtype=float)
     if vals.shape != (domain.N,):
-        raise ValueError(f"f must be callable or a vector of length {domain.N}")
+        raise ConfigError(f"f must be callable or a vector of length {domain.N}")
     nodes = domain.nodes()
     return lambda x: np.interp(x, nodes, vals, left=0.0, right=0.0)
 

@@ -132,7 +132,10 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
     logaddexp(alpha log r, alpha log y), so the row's scale r^(t alpha) and
     r^(-1-power) join each node's exponent, and the signed terms are summed
     shifted by the row's largest exponent; a sum past the float range is
-    +-inf, never NaN.  The other rows are unchanged.
+    +-inf, never NaN.  The other rows are unchanged.  t = None never reaches
+    these rows: rows are tiny only below about r = 1e-150, and the stable
+    profile, the one caller with t = None, takes its head at radii of 5e-3
+    and more.
     """
     y, w = _FOURIER_RULES[kernel]
     y_alpha, wy = y ** alpha, w * y ** power
@@ -148,13 +151,8 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
         log_y, log_r = np.log(y), np.log(rb)[:, None]
         with np.errstate(divide="ignore"):  # a weight of 0 is a term of 0
             log_wy = np.log(np.abs(wy))
-        scale = (-1.0 - power) * log_r
-        if t is None:  # exp(-(y/r)^alpha) underflows to 0 before its exponent overflows
-            z = -np.exp(np.minimum(alpha * (log_y - log_r), 709.0))
-        else:
-            z = -t * np.logaddexp(alpha * log_r, alpha * log_y)
-            scale = scale + t * alpha * log_r
-        z += scale + log_wy
+        z = -t * np.logaddexp(alpha * log_r, alpha * log_y)
+        z += (-1.0 - power) * log_r + t * alpha * log_r + log_wy
         top = z.max(axis=1)
         z -= top[:, None]
         shifted = (np.sign(wy) * np.exp(z, out=z)).sum(axis=1)
@@ -396,22 +394,14 @@ def stable_density(spec: ProcessSpec, s: float, x):
     """q_s(x) = s^(-d/alpha) q_1(s^(-1/alpha) x), for dim <= 3.
 
     One point gives a float, and a batch (see point_radii) an array.
-    """
-    r, shaped = point_radii(spec, x)
-    return shaped(stable_density_radial(spec, s, r))
-
-
-def stable_density_radial(spec: ProcessSpec, s: float, r):
-    """Radial variant of stable_density at radii r >= 0 (a float for a scalar, else r's shape).
-
-    q_s(r) is at most q_s(0) = s^(-d/alpha) q_1(0).  An s below
+    q_s(x) is at most q_s(0) = s^(-d/alpha) q_1(0).  An s below
     (DBL_MAX / (2 max(q_1(0), 1)))^(-alpha/d), 1.1e-154 at (alpha, d) = (0.5, 1),
     is refused with ConfigError: there q_s(0) or the power s^(-d/alpha) comes
     within a factor 2 of overflow, a margin for the powers' rounding.  Where
-    s^(-1/alpha) r overflows, q_1 is taken at inf, 0.
+    s^(-1/alpha) |x| overflows, q_1 is taken at inf, 0.
     """
     positive_time(s)
-    r, shaped = radial_args(r)
+    r, shaped = point_radii(spec, x)
     prof = radial_profile(spec.alpha, spec.dim)
     bound = (sys.float_info.max / (2.0 * max(prof.density(0.0), 1.0))) ** (-spec.alpha / spec.dim)
     if s < bound:
@@ -677,8 +667,6 @@ def _walk_screen(alpha: float, t: float):
 # e^(t L)/Gamma(1 + t) to a relative 2^-53 (the series of the lower
 # incomplete gamma function)
 _SCREEN_CAP = -53.0 * math.log(2.0)
-# slots closed up at a time when a walk's last paths end: bounds the copies
-_CLOSE_CHUNK = 1 << 12
 
 
 def _walk_block(n: int) -> int:
@@ -796,13 +784,9 @@ def _walk_into(alpha: float, t: float, steps: int, gen: np.random.Generator,
             event.fill(True)
             event[done[r:]] = False
             del done
-            for row in state[:, :m]:
-                kept = 0
-                for lo in range(0, m, _CLOSE_CHUNK):
-                    part = row[lo:lo + _CLOSE_CHUNK][event[lo:lo + _CLOSE_CHUNK]]
-                    row[kept:kept + part.size] = part
-                    kept += part.size
-            m = kept
+            m -= k - r
+            for row in state[:, :event.size]:
+                row[:m] = row[event]
 
 
 def _rows_into(alpha: float, t, gen: np.random.Generator, out: np.ndarray,
@@ -925,19 +909,6 @@ def _log_positive_stable_into(beta: float, gen: np.random.Generator, out: np.nda
     _neg_log_sin2(u)
     u *= 1.0 / beta
     out += u
-
-
-def sample_gamma(t: float, rng: RngStream, size=None):
-    """Gamma(shape t, rate 1) draw(s), valid for every finite t > 0.
-
-    The draws are correctly rounded floats, so at small t a share of them is
-    exactly 0.0: the draws below 2^-1075, of mass about
-    (2^-1075)^t / Gamma(1 + t), 5.5% at t = 1/256.  A caller that needs
-    log G draws it in log space with `_log_gamma_into`, as the samplers do.
-    """
-    positive_time(t)
-    out = rng.gen.gamma(shape=t, scale=1.0, size=_draw_count(size))
-    return out if size is not None else float(out[0])
 
 
 def sample_increment(spec: ProcessSpec, t: float, rng: RngStream, size=None):

@@ -135,6 +135,11 @@ def test_sub_suites_reproduce_their_entries_of_the_all_suite():
             assert (r.passed, r.detail) == (every[r.name].passed, every[r.name].detail), r.name
 
 
+def test_unknown_suite_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+        acceptance.run_suite("bogus")
+
+
 def test_gaussian_free_mean_oracles():
     # alpha = 2, t = 1 is the Laplace law: E e^(-X^2) = e^(1/4) (sqrt(pi)/2) erfc(1/2)
     laplace = math.exp(0.25) * math.sqrt(math.pi) / 2.0 * math.erfc(0.5)

@@ -167,6 +167,15 @@ def test_symbol_and_k_tables(tmp_path):
     assert abs(k0 - np.exp(-r0)) < 1e-9
 
 
+def test_symbol_stays_finite_at_huge_frequencies(tmp_path):
+    # squaring xi = 1e200 overflows; log(1 + xi^alpha) need not
+    assert run(["symbol", "--alpha", "2", "--dim", "1", "--x-max", "1e200", "--n", "3",
+                "--output-path", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "symbol.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 2) and rows[-1, 0] == 1e200
+    assert np.all(np.isfinite(rows))
+
+
 def test_selfdecomp_certificate(tmp_path, capsys):
     assert run(["selfdecomp", "--alpha", "1.5", "--dim", "1", "--t", "2",
                 "--n", "12", "--output-path", str(tmp_path)]) == 0
@@ -299,6 +308,12 @@ def test_groundstate_bad_measure_is_config_error(tmp_path, capsys):
     assert run(["groundstate", "--alpha", "1.5", "--mu-plus", "indicator:half_width=10",
                 "--output-path", str(tmp_path)]) == 2
     assert "support" in capsys.readouterr().err
+
+
+def test_groundstate_out_of_iterations_is_numerical_failure(tmp_path, capsys):
+    assert run(["groundstate", "--max-iter", "1", "--output-path", str(tmp_path)]) == 1
+    assert "did not reach tol" in capsys.readouterr().err
+    assert not (tmp_path / "ground_state.json").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -506,6 +506,16 @@ def test_no_route_runs_below_flat_radius(dim, monkeypatch):
         assert seen and min(seen) >= _flat_radius(spec), (alpha, seen)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batch_wholly_below_flat_radius_is_the_limit(dim):
+    # no route runs on the empty rest: in d = 3 the polar integral's profile
+    # at this alpha fails its switch check, and k(0+) needs none
+    spec = ProcessSpec(1.9995, dim)
+    limit = 1.9995 / surface_measure(dim)
+    assert k_radial(spec, 1e-300) == limit
+    assert np.array_equal(k_radial(spec, [1e-300, 1e-200]), [limit, limit])
+
+
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
 def test_annulus_mass_at_tiny_radii(alpha, monkeypatch):
     # 2 int k(r)/r dr with k = alpha/2 to rounding: alpha ln(1e10)

@@ -9,7 +9,9 @@ import geostable as gs
 from geostable import (ConfigError, ProcessSpec, RecurrenceClass, char_function,
                        classify_recurrence, hartman_wintner_ratio,
                        inversion_integrable, symbol)
+from geostable.levy_structure import large_x_constant
 from geostable.process_core import point_radii
+from geostable.schrodinger_ground import torus_symbol
 from geostable.transition_density import density_gamma_mixture
 
 
@@ -27,6 +29,8 @@ def test_spec_validation():
 _S = ProcessSpec(1.5, 1)
 _DOMAIN = gs.GridDomain(16.0, 64)
 _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
+_PROB = gs.SchrodingerProblem(_S, _DOMAIN, _BUMP, _BUMP)
+_ONES = np.ones(64)
 
 
 @pytest.mark.parametrize("call", [
@@ -42,7 +46,7 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.k_radial(_S, [1.0, -1.0]),
     lambda: gs.polar_levy_mass(_S, 2.0, 1.0),
     lambda: gs.sample_increment(_S, math.nan, gs.RngStream(1)),
-    lambda: gs.sample_gamma(0.0, gs.RngStream(1)),
+    lambda: gs.sample_increment(_S, 0.0, gs.RngStream(1)),
     lambda: gs.stable_density(_S, math.nan, 1.0),
     lambda: gs.density_mc(_S, math.nan, [0.0], 1000, gs.RngStream(1)),
     lambda: gs.density_mc(_S, 1.0, [0.0, math.nan], 1000, gs.RngStream(1)),
@@ -62,7 +66,6 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
                                     0.0, math.inf, 2, math.inf, gs.RngStream(1)),
     lambda: gs.polar_levy_mass(_S, 0.1, math.inf),
     lambda: gs.verify_selfdecomposable(_S, 1.0, [0.1, math.inf]),
-    lambda: gs.sample_gamma(math.inf, gs.RngStream(1)),
     lambda: char_function(_S, math.inf, 0.0),
     lambda: gs.cdf_numeric(_S, math.inf, 0.5),
     lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=-1),
@@ -70,30 +73,81 @@ _BUMP = gs.MeasureOnGrid.from_profile(_DOMAIN, "indicator")
     lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=np.int64(-3)),
     lambda: gs.sample_stable(_S, gs.RngStream(1), size=-1),
     lambda: gs.sample_stable(_S, gs.RngStream(1), size=2.0),
-    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=-1),
-    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=np.float64(3.0)),
-    lambda: gs.sample_gamma(1.0, gs.RngStream(1), size=True),
-    lambda: gs.stable_density_radial(_S, 1.0, [math.nan]),
+    lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=np.float64(3.0)),
+    lambda: gs.sample_increment(_S, 1.0, gs.RngStream(1), size=True),
+    lambda: gs.stable_density(_S, 1.0, [math.nan]),
     lambda: gs.radial_profile(1.5, 1).density(math.nan),
     lambda: gs.stable_density(_S, math.inf, 1.0),
-    lambda: gs.stable_density_radial(_S, math.inf, 1.0),
     lambda: symbol(_S, np.array([0.5, math.nan])),
+    lambda: torus_symbol(_PROB, "nope"),
+    lambda: gs.energy_form(_PROB, _ONES, _ONES, method="nope"),
+    lambda: gs.apply_generator(_PROB, _ONES[:-1]),
+    lambda: gs.energy_form(_PROB, _ONES, _ONES[:-1]),
+    lambda: gs.irreducibility_cross_term(_PROB, [0], _ONES[:-1]),
+    lambda: gs.feynman_kac_estimate(_PROB, _ONES[:-1], 0.0, 0.5, 2, 0.25, gs.RngStream(1)),
+    lambda: large_x_constant(ProcessSpec(2.0, 1)),
+    lambda: gs.radial_profile(0.0, 1),
+    lambda: gs.radial_profile(2.5, 1),
+    lambda: gs.radial_profile(math.nan, 1),
+    lambda: gs.MeasureOnGrid(_DOMAIN, np.ones(65)),
+    lambda: gs.SchrodingerProblem(
+        _S, _DOMAIN, _BUMP, gs.MeasureOnGrid.from_profile(gs.GridDomain(16.0, 128), "indicator")),
+    lambda: gs.kato_diagnostic(_PROB, []),
 ], ids=["ProcessSpec", "char_function", "inversion_integrable", "GridDomain", "MeasureOnGrid",
         "from_profile", "SchrodingerProblem", "kato_diagnostic", "verify_selfdecomposable",
-        "k_radial", "polar_levy_mass", "sample_increment", "sample_gamma", "stable_density",
+        "k_radial", "polar_levy_mass", "sample_increment", "sample_increment_zero_time",
+        "stable_density",
         "density_mc", "density_mc_nan_grid", "density_mc_scalar_grid", "density_mc_column_grid",
         "density_mc_wide_grid", "density_mc_flat_grid_2d", "GridDomain_inf",
         "sample_increment_inf", "density_inversion_inf", "inversion_table_inf", "density_mc_inf",
         "kato_diagnostic_inf", "feynman_kac_inf", "feynman_kac_inf_dt", "polar_levy_mass_inf",
-        "verify_selfdecomposable_inf", "sample_gamma_inf", "char_function_inf",
+        "verify_selfdecomposable_inf", "char_function_inf",
         "cdf_numeric_inf", "sample_increment_size_negative", "sample_increment_size_fraction",
         "sample_increment_size_numpy_negative", "sample_stable_size_negative",
-        "sample_stable_size_float", "sample_gamma_size_negative", "sample_gamma_size_numpy_float",
-        "sample_gamma_size_bool", "stable_density_radial_nan", "profile_density_nan",
-        "stable_density_inf", "stable_density_radial_inf", "symbol_nan"])
+        "sample_stable_size_float", "sample_increment_size_numpy_float",
+        "sample_increment_size_bool", "stable_density_nan_batch", "profile_density_nan",
+        "stable_density_inf", "symbol_nan", "torus_symbol_method", "energy_form_method",
+        "apply_generator_length", "energy_form_length", "cross_term_length",
+        "feynman_kac_f_length", "large_x_constant_alpha_2", "radial_profile_alpha_0",
+        "radial_profile_alpha_2.5", "radial_profile_alpha_nan", "MeasureOnGrid_length",
+        "SchrodingerProblem_other_grid", "kato_diagnostic_empty"])
 def test_argument_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def _ground_state_result(lambda_=0.2, h=(1.0, 2.0), normalization_check=1.0):
+    return gs.GroundStateResult(lambda_=lambda_, h=np.asarray(h), residual=0.0, iterations=1,
+                                normalization_check=normalization_check, cg_iterations=1,
+                                corrected_nodes=0, residual_history=[0.0])
+
+
+def _asymptotic_report(empirical_limit):
+    return gs.AsymptoticReport(_S, gs.Regime.LARGE_X, 1.0, 1.0, empirical_limit, 0.0, 0.0)
+
+
+def _density_table(x_grid, values):
+    return gs.DensityTable(_S, 1.0, "Inversion", np.asarray(x_grid), np.asarray(values))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gs.KFunctionTable(_S, [1.0, 1.0], [1.0, 1.0], True), ValueError, "increasing"),
+    (lambda: gs.KFunctionTable(_S, [1.0, 2.0], [1.0], True), ValueError, "same length"),
+    (lambda: gs.KFunctionTable(_S, [1.0, 2.0], [1.0, math.nan], True), ValueError, "finite"),
+    (lambda: gs.KFunctionTable(_S, [1.0, 2.0], [1.0, -1.0], True), ValueError, "nonnegative"),
+    (lambda: _density_table([0.0, 1.0], [0.1, -0.1]), ValueError, "nonnegative"),
+    (lambda: _density_table([1.0, 0.0], [0.1, 0.1]), ValueError, "increasing"),
+    (lambda: _asymptotic_report(0.0), ValueError, "positive"),
+    (lambda: _ground_state_result(lambda_=0.0), gs.ConsistencyError, "positive"),
+    (lambda: _ground_state_result(normalization_check=1.0 + 1e-9), gs.ConsistencyError,
+     "constraint"),
+    (lambda: _ground_state_result(h=(1.0, -0.1)), gs.ConsistencyError, "not positive"),
+], ids=["k_table_grid", "k_table_length", "k_table_nan", "k_table_negative",
+        "density_table_negative", "density_table_grid", "asymptotic_report_zero_limit",
+        "ground_state_lambda", "ground_state_normalization", "ground_state_sign"])
+def test_result_records_refuse_inconsistent_fields(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
@@ -107,26 +161,28 @@ def test_gamma_mixture_refuses_bad_times(t):
 def test_tiny_scale_is_refused_and_just_above_its_bound_is_finite(alpha, dim):
     # s ** (-d/alpha) raised a bare OverflowError at s = 1e-300
     spec = ProcessSpec(alpha, dim)
-    for r in (0.0, 1.0):
+    # points at radii 0, 1 and 1e300 on the first axis, whose hypot is the radius exactly
+    x = np.outer([0.0, 1.0, 1e300], np.eye(dim)[0])
+    for p in x[:2]:
         with pytest.raises(ConfigError, match="s must be at least") as refused:
-            gs.stable_density_radial(spec, 1e-300, r)
+            gs.stable_density(spec, 1e-300, p)
     with pytest.raises(ConfigError, match="s must be at least"):
         gs.stable_density(spec, 1e-300, np.ones(dim))
     bound = float(re.search(r"at least (\S+) at", str(refused.value)).group(1))
     with pytest.raises(ConfigError, match="s must be at least"):
-        gs.stable_density_radial(spec, math.nextafter(bound, 0.0), 0.0)
+        gs.stable_density(spec, math.nextafter(bound, 0.0), x[0])
     s = math.nextafter(bound, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        near = gs.stable_density_radial(spec, s, np.array([0.0, 1.0, 1e300]))
+        near = gs.stable_density(spec, s, x)
         point = gs.stable_density(spec, s, np.eye(dim)[0])  # |x| = 1
     assert np.all(np.isfinite(near)) and near[0] > 1e306 and near[2] == 0.0
     assert point == near[1]
 
 
 def test_radial_arguments_name_the_refused_value():
-    with pytest.raises(ConfigError, match="r must be nonnegative, got nan"):
-        gs.stable_density_radial(_S, 1.0, [1.0, math.nan])
+    with pytest.raises(ConfigError, match="x must not be NaN"):
+        gs.stable_density(_S, 1.0, [1.0, math.nan])
     with pytest.raises(ConfigError, match="r must be nonnegative, got -2.0"):
         gs.radial_profile(1.5, 1).density([1.0, -2.0])
     for r in (0.0, -1.0, math.nan):  # k_radial keeps its message for r <= 0
@@ -144,8 +200,7 @@ def test_sampler_sizes_keep_shapes_and_bits(size):
     n = 1 if size is None else int(size)
     shape = () if size is None else (n,)
     for draw in (lambda s: gs.sample_increment(_S, 1.0, gs.RngStream(5), size=s),
-                 lambda s: gs.sample_stable(_S, gs.RngStream(5), size=s),
-                 lambda s: gs.sample_gamma(1.0, gs.RngStream(5), size=s)):
+                 lambda s: gs.sample_stable(_S, gs.RngStream(5), size=s)):
         got = draw(size)
         assert np.shape(got) == shape
         # every accepted size draws the bits of the same count given as a Python int

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geostable import (ConfigError, GridDomain, MeasureOnGrid, ProcessSpec,
-                       RngStream, SchrodingerProblem, apply_generator,
+from geostable import (ConfigError, ConvergenceError, GridDomain, MeasureOnGrid,
+                       ProcessSpec, RngStream, SchrodingerProblem, apply_generator,
                        dense_ground_state, energy_form, feynman_kac_estimate,
                        irreducibility_cross_term, kato_diagnostic,
                        solve_ground_state)
@@ -330,6 +330,12 @@ def test_ground_state_mean_term_saves_cg_steps():
     assert res.corrected_nodes == 64
     assert res.residual < 1e-10
     assert res.cg_iterations <= 85, (res.iterations, res.cg_iterations)
+
+
+def test_ground_state_out_of_iterations_reports_its_residual():
+    with pytest.raises(ConvergenceError, match="did not reach tol=1e-10 in 1 iterations") as err:
+        solve_ground_state(reference_problem(), max_iter=1)
+    assert 1e-3 < err.value.residual < 2e-3
 
 
 def test_ground_state_diagnostics(prob, ground):

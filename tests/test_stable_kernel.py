@@ -11,9 +11,8 @@ from scipy.stats import ks_2samp
 
 from geostable import (ConfigError, EmpiricalCdf, ProcessSpec, RngStream,
                        UnsupportedDimensionError, cdf_numeric, char_function, density_inversion,
-                       k_radial, levy_density, radial_profile, sample_gamma,
-                       sample_increment, sample_stable, stable_density,
-                       stable_density_radial, symbol)
+                       k_radial, levy_density, radial_profile, sample_increment,
+                       sample_stable, stable_density, symbol)
 from geostable import stable_kernel as sk
 from geostable.stable_kernel import (_DRAW_BATCH, StableRadialProfile, _cms_into,
                                      _envelope_columns, _log_gamma_into,
@@ -114,7 +113,7 @@ def test_density_positive_and_normalized_d1():
     for alpha in (0.7, 1.2, 1.8):
         spec = ProcessSpec(alpha, 1)
         xs = np.linspace(-50.0, 50.0, 2001)
-        vals = stable_density_radial(spec, 1.0, np.abs(xs))
+        vals = stable_density(spec, 1.0, xs)
         assert np.all(vals > 0)
         prof = radial_profile(alpha, 1)
         k = np.arange(1, len(prof.coeffs) + 1, dtype=float)
@@ -178,10 +177,12 @@ def test_series_batch_is_bit_equal_to_single_points(alpha, dim):
     # each radius sums its own row of the series, whatever its block
     spec = ProcessSpec(alpha, dim)
     r = np.geomspace(6.0, 59.0, 200)
-    single = [stable_density_radial(spec, 1.0, x) for x in r]
-    assert np.array_equal(stable_density_radial(spec, 1.0, r), single)
+    x = r if dim == 1 else np.outer(r, np.eye(dim)[0])  # |x| = r exactly
+    single = [stable_density(spec, 1.0, p) for p in x]
+    assert np.array_equal(stable_density(spec, 1.0, x), single)
     # 10k radii, of which the series takes two row blocks or three
-    assert np.array_equal(stable_density_radial(spec, 1.0, np.tile(r, 50)), np.tile(single, 50))
+    tiled = np.tile(x, 50) if dim == 1 else np.tile(x, (50, 1))
+    assert np.array_equal(stable_density(spec, 1.0, tiled), np.tile(single, 50))
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
@@ -204,14 +205,13 @@ _SPEC = ProcessSpec(1.5, 1)
     lambda u: k_radial(_SPEC, u),
     lambda u: levy_density(_SPEC, u),
     lambda u: stable_density(_SPEC, 0.7, u),
-    lambda u: stable_density_radial(_SPEC, 0.7, u),
     lambda u: radial_profile(1.5, 1).density(u),
     lambda u: density_inversion(_SPEC, 1.0, u),
     lambda u: cdf_numeric(_SPEC, 1.0, u),
     lambda u: symbol(_SPEC, u),
     lambda u: char_function(_SPEC, 1.0, u),
-], ids=["k_radial", "levy_density", "stable_density", "stable_density_radial",
-        "profile_density", "density_inversion", "cdf_numeric", "symbol", "char_function"])
+], ids=["k_radial", "levy_density", "stable_density", "profile_density", "density_inversion",
+        "cdf_numeric", "symbol", "char_function"])
 def test_zero_dim_array_gives_float(fn):
     got = fn(np.array(0.8))
     assert type(got) is float
@@ -221,6 +221,10 @@ def test_zero_dim_array_gives_float(fn):
 def test_unsupported_dimension_rejected():
     with pytest.raises(UnsupportedDimensionError):
         stable_density(ProcessSpec(1.5, 4), 1.0, np.zeros(4))
+    with pytest.raises(UnsupportedDimensionError):
+        density_inversion(ProcessSpec(1.5, 4), 1.0, np.zeros(4))
+    with pytest.raises(UnsupportedDimensionError):
+        cdf_numeric(ProcessSpec(1.5, 2), 1.0, 0.5)
     with pytest.raises(ConfigError):
         radial_profile(0.2, 2)
 
@@ -381,25 +385,23 @@ def test_stable_sampler_characteristic_function():
 
 
 def test_gamma_sampler_moments_and_exponential_case():
+    # log G from the samplers' own draw, on the GS branch (t < 1) and numpy's (t >= 1)
+    n = 100_000
     for t in (0.5, 1.0, 4.2):
-        g = sample_gamma(t, RngStream(4), size=100_000)
+        g = np.empty(n)
+        _log_gamma_into(t, RngStream(4).gen, g, np.empty(n), np.empty(n))
+        np.exp(g, out=g)
         assert np.all(g > 0)
         assert abs(g.mean() - t) < 3.0 * math.sqrt(t / len(g))
         var_se = math.sqrt((2.0 * t * (t + 3.0)) / len(g)) + 3.0 / len(g)
         assert abs(g.var() - t) < 4.0 * var_se
-    g = np.sort(sample_gamma(1.0, RngStream(5), size=100_000))
+    g = np.empty(n)
+    _log_gamma_into(1.0, RngStream(5).gen, g, np.empty(n), np.empty(n))
+    g = np.sort(np.exp(g))
     cdf = 1.0 - np.exp(-g)
     i = np.arange(1, len(g) + 1)
     ks = max(np.max(i / len(g) - cdf), np.max(cdf - (i - 1) / len(g)))
     assert ks < 0.01
-
-
-def test_gamma_sampler_zeros_are_rounded_tiny_draws():
-    # G < 2^-1075 rounds to 0.0, and P(G < e) = e^t / Gamma(1 + t) to first order
-    t, n = 1.0 / 256, 1_000_000
-    zero_share = np.mean(sample_gamma(t, RngStream(1), size=n) == 0.0)
-    mass = 2.0 ** (-1075 * t) / gamma(1.0 + t)
-    assert abs(zero_share - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / n)
 
 
 def test_positive_stable_laplace_transform():

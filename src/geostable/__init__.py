@@ -69,6 +69,7 @@ from .transition_density import (
     inversion_table,
 )
 
-# perf_counter span of this import, with whatever of numpy and scipy it loads;
-# every CLI manifest reports it as import_seconds, apart from duration_seconds
+# perf_counter span of this import, numpy included; it loads no scipy module
+# (the few calls that need scipy import it when they run, see README).  Every
+# CLI manifest reports it as import_seconds, apart from duration_seconds
 _IMPORT_SECONDS = _time.perf_counter() - _import_start

@@ -3,6 +3,8 @@
 Each check returns a CheckResult; the registry groups them into suites for
 the command-line `verify` entry point and for the pytest acceptance module.
 Monte Carlo checks take an explicit seed so reruns are bit-reproducible.
+The oracles that need scipy (the matrix exponential, E_1 and K_1) import it
+when they run, so importing this module, as the CLI does, loads none.
 """
 from __future__ import annotations
 
@@ -11,8 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import exp1 as _exp1, gamma as _gamma, k1 as _k1
 
 from .levy_structure import (Regime, _polar_integral, asymptotic_report, k_radial, levy_density,
                              polar_levy_mass, verify_selfdecomposable)
@@ -78,7 +78,9 @@ def gaussian_free_mean(spec: ProcessSpec, t: float) -> float:
 
 
 def killed_oracle(problem: SchrodingerProblem, f, t: float) -> float:
-    """(exp(-t (H + rho)) f)(0) on the torus grid, by the dense matrix exponential."""
+    """(exp(-t (H + rho)) f)(0) on the torus grid, by scipy's dense matrix exponential."""
+    from scipy.linalg import expm
+
     h_dense = generator_matrix(problem)
     rho = problem.mu_plus.density_values()
     i0 = int(np.argmin(np.abs(problem.domain.nodes())))
@@ -137,10 +139,12 @@ def check_vg_levy(seed: int = 0) -> CheckResult:
     d = 1 k_radial returns e^-r at alpha = 2 itself, so its half tests
     polar_levy_mass's quadrature of k(r)/r; d = 3 goes through the polar integral.
     """
+    from scipy.special import exp1
+
     t0 = time.perf_counter()
     rs = np.geomspace(0.1, 8.0, 64)
     mass = polar_levy_mass(ProcessSpec(2.0, 1), 0.1, 8.0)
-    err1 = abs(mass / (2.0 * (_exp1(0.1) - _exp1(8.0))) - 1.0)
+    err1 = abs(mass / (2.0 * (exp1(0.1) - exp1(8.0))) - 1.0)
     j3 = levy_density(ProcessSpec(2.0, 3), np.column_stack([rs, np.zeros((rs.size, 2))]))
     err3 = float(np.max(np.abs(j3 / (np.exp(-rs) * (1.0 + rs) / (2.0 * np.pi * rs ** 3)) - 1.0)))
     return _result("variance-gamma-levy-oracle", t0, max(err1, err3) < 1e-8,
@@ -193,7 +197,9 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
     if a == 2.0 and d == 1:
         return np.exp(-r)
     if a == 2.0 and d == 2:
-        return r * _k1(r) / np.pi
+        from scipy.special import k1
+
+        return r * k1(r) / np.pi
     if a == 2.0:
         return np.exp(-r) * (1.0 + r) / (2.0 * np.pi)
     p = (d + 1) / 2.0
@@ -203,7 +209,7 @@ def k_closed_form(spec: ProcessSpec, r) -> np.ndarray:
         near = np.geomspace(1e-3 * rr, max(1e2 * rr, 1.0), 50)
         s, w = _panel_nodes(np.sort(np.concatenate([[0.0], near, half_units])))
         mixture.append(np.exp(-s) * (s * s + rr * rr) ** -p @ w)
-    return _gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
+    return math.gamma(p) * np.pi ** -p * r ** d * np.reshape(mixture, r.shape)
 
 
 def check_selfdecomposability(seed: int = 77001) -> CheckResult:

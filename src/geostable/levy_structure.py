@@ -64,14 +64,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc as _gammainc
 
 from .errors import ConfigError, SingularPointError
-from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
-                           radial_args, surface_measure)
-from .stable_kernel import (MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral, _panel_nodes,
-                            _radial_inversion, _series_rows, q1_at_zero, radial_profile,
-                            tail_coefficients)
+from .process_core import (ProcessSpec, gamma as _gamma, over_radius_power, point_radii,
+                           positive_time, radial_args, surface_measure)
+from .stable_kernel import (_FACTORIALS, MIN_NUMERIC_ALPHA, _PAIR_BLOCK, _char_integral,
+                            _panel_nodes, _radial_inversion, _series_rows, q1_at_zero,
+                            radial_profile, tail_coefficients)
 
 # w^t e^(-w) below e^(-690) is dropped from the head window
 _EXP_FLOOR = 690.0
@@ -138,9 +137,15 @@ def _head_grid(prof, n_panels):
 
 
 def _tail_sum(prof, t, r):
-    """Tail of Gamma(1+t) K_t beyond tail_start: q_1's series, term by term, by _series_rows."""
+    """Tail of Gamma(1+t) K_t beyond tail_start: q_1's series, term by term, by _series_rows.
+
+    scipy.special's regularized gammainc is imported here, not at start-up;
+    this tail goes with the stable profile.
+    """
+    from scipy.special import gammainc
+
     a, u0 = prof.alpha, prof.tail_start
-    return _series_rows(lambda x, c, k: c * x ** (-k * a) * _gammainc(k + t, (x / u0) ** a)
+    return _series_rows(lambda x, c, k: c * x ** (-k * a) * gammainc(k + t, (x / u0) ** a)
                         * _gamma(k + t), r, prof.coeffs)[0]
 
 
@@ -212,8 +217,9 @@ def _far_series(spec: ProcessSpec, r):
     is at most _FAR_SERIES_TOL of their sum; every other row is NaN.
     """
     a = spec.alpha
-    sums, last = _series_rows(lambda x, c, k: c * _gamma(k) * x ** (-k * a), r,
-                              tail_coefficients(a, spec.dim))
+    sums, last = _series_rows(  # Gamma(k) = (k - 1)!
+        lambda x, c, k: c * _FACTORIALS[k.astype(np.intp) - 1] * x ** (-k * a), r,
+        tail_coefficients(a, spec.dim))
     ok = last <= _FAR_SERIES_TOL * np.abs(sums)
     return np.where(ok, sums, np.nan), ok
 
@@ -384,8 +390,8 @@ class AsymptoticReport:
     converged: bool = True
 
     def __post_init__(self):
-        if self.empirical_limit <= 0:
-            raise ValueError("empirical limit must be positive")
+        if not self.empirical_limit > 0:  # NaN too
+            raise ValueError(f"empirical limit must be positive, got {self.empirical_limit}")
 
     def to_dict(self) -> dict:
         return {

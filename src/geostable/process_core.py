@@ -7,18 +7,20 @@ Euclidean norm before reaching these routines.
 
 `CubicHermite` is the C^2 spline of scipy's CubicSpline on uniform knots
 (`CubicHermite.spline`: the stable profile's log q_1 on its v-grid and the
-torus lag table's log j on its log-radii).  It keeps `import geostable` free
-of scipy.interpolate, which with the scipy.optimize it loads costs more
-start-up than these two users need.
+torus lag table's log j on its log-radii).  `gamma` and `rgamma` are
+math.gamma entry by entry, for the scalars and the arrays of at most 60
+entries that the package's closed forms and series need.  With them
+`import geostable` loads numpy and no scipy module: scipy.special alone
+costs about 0.14 s of start-up.  Only `CubicHermite.spline` imports
+scipy.linalg, when it is first called.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import gamma as _gamma
 
 from .errors import ConfigError
 
@@ -42,6 +44,47 @@ class ProcessSpec:
             raise ConfigError(f"dim must be a positive integer, got {self.dim}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "dim", int(self.dim))
+
+
+def _gamma_entry(x: float) -> float:
+    """math.gamma(x), with scipy.special.gamma's values where math.gamma raises:
+    inf past 171.6, +-inf at +-0 and NaN at the negative integers and -inf."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.copysign(math.inf, x) if x == 0.0 else math.nan
+
+
+def gamma(x):
+    """Gamma function at a scalar (a float) or a small array (an array of its shape), by math.gamma.
+
+    On the arguments the package asks for it is within 6 ulp of the true
+    value, where scipy.special.gamma is within 8; the two differ by up to
+    11 ulp.  inf past 171.6, as scipy's.
+    """
+    if np.ndim(x) == 0:
+        return _gamma_entry(float(x))
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel().tolist()
+    try:
+        values = list(map(math.gamma, flat))
+    except (ValueError, OverflowError):  # a pole, or past 171.6
+        values = list(map(_gamma_entry, flat))
+    return np.array(values).reshape(x.shape)
+
+
+def rgamma(x):
+    """1/Gamma at a scalar or a small array: 0 at the poles and past 171.6, as scipy's rgamma.
+
+    Within 7 ulp of the true value on the package's arguments (scipy's: 8).
+    """
+    x = np.asarray(x, dtype=float)
+    pole = (x < 0.0) & (x == np.floor(x))  # 0 is one too, where Gamma is inf
+    with np.errstate(divide="ignore"):  # Gamma underflows to +-0 far left of 0
+        out = np.where(pole, 0.0, np.divide(1.0, gamma(np.where(pole, 1.0, x))))
+    return out if out.ndim else float(out)
 
 
 def _log1p_power(xi, alpha):
@@ -105,7 +148,7 @@ def point_radii(spec: ProcessSpec, x):
 
 def surface_measure(dim: int) -> float:
     """Total surface measure of the unit sphere S^(d-1); equals 2 for d = 1."""
-    return 2.0 * np.pi ** (dim / 2.0) / _gamma(dim / 2.0)
+    return 2.0 * np.pi ** (dim / 2.0) / gamma(dim / 2.0)
 
 
 def over_radius_power(values, r, dim: int):
@@ -190,7 +233,10 @@ class CubicHermite:
         """The C^2 cubic spline through at least four knots, with CubicSpline's
         end conditions: not-a-knot at the right end, and at the left unless
         left_slope clamps the slope there.  One tridiagonal solve gives the
-        knot slopes."""
+        knot slopes; scipy.linalg is imported here, on the first call, not
+        at start-up."""
+        from scipy.linalg import solve_banded
+
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         dx = np.diff(x)
         slope = np.diff(y) / dx

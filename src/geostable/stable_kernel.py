@@ -38,11 +38,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _j0, j1 as _j1, rgamma as _rgamma
 
 from .errors import ConfigError, ConsistencyError, SingularPointError, UnsupportedDimensionError
-from .process_core import (CubicHermite, ProcessSpec, inversion_integrable, over_radius_power,
-                           point_radii, positive_time, radial_args, surface_measure)
+from .process_core import (CubicHermite, ProcessSpec, gamma as _gamma, inversion_integrable,
+                           over_radius_power, point_radii, positive_time, radial_args,
+                           rgamma as _rgamma, surface_measure)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -71,8 +71,9 @@ def q1_at_zero(alpha: float, dim: int) -> float:
     return _gamma(dim / alpha) / (alpha * 2.0 ** (dim - 1) * np.pi ** (dim / 2.0) * _gamma(dim / 2.0))
 
 
+@functools.cache
 def _fourier_rule(kernel: str):
-    """Nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
+    """Read-only nodes y_k, weights w_k: int_0^inf g(p) K(r p) dp ~ (pi/r) sum_k w_k g(y_k / r).
 
     Ooura & Mori (J. Comput. Appl. Math. 38:353, 1991): K = sin, cos, J0 or J1,
     x_k = M phi(tau_k), phi(tau) = tau / (1 - e^(-6 sinh tau)), M = pi/h, tau_k = k h,
@@ -86,6 +87,8 @@ def _fourier_rule(kernel: str):
     out.  Every kernel loses digits at small r: the alpha = 1.999, d = 3
     stable head is 5.9e-13 off at r = 1e-3 and 3.5e-9 at r = 1e-5, below
     every profile knot but 0 (the smallest is 5.0e-3, at alpha = 1.001, d = 3).
+    Each rule is built on its first use and kept; the J rules take their
+    Bessel values from scipy.special, imported then, not at start-up.
     """
     k = np.arange(-round(4.25 / _DE_H), round(4.25 / _DE_H) + 1)
     tau = (k - {"sin": 0.0, "cos": 0.5, "j0": 0.25, "j1": -0.25}[kernel]) * _DE_H
@@ -98,7 +101,9 @@ def _fourier_rule(kernel: str):
     phi[at_zero], dphi[at_zero], shift[at_zero] = 1.0 / 6.0, 0.5, 1.0 / 6.0
     m = np.pi / _DE_H
     if kernel in ("j0", "j1"):
-        nu, bessel = {"j0": (0, _j0), "j1": (1, _j1)}[kernel]
+        from scipy.special import j0, j1
+
+        nu, bessel = {"j0": (0, j0), "j1": (1, j1)}[kernel]
         mu = 4.0 * nu ** 2
         b1 = (mu - 1.0) / 8.0
         b2 = 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / 1536.0 + 9.0 * b1
@@ -106,19 +111,15 @@ def _fourier_rule(kernel: str):
         q = x * x + 9.0
         y = x - b1 * x / q - b2 * x / q ** 2
         dy = 1.0 - b1 * (9.0 - x * x) / q ** 2 - b2 * (q - 4.0 * x * x) / q ** 3
-        return y, dphi * dy * bessel(y)
-    # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
-    # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
-    near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
-    direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
-    return m * phi, dphi * np.where(tau < 0, direct, near_zeros)
-
-
-# (nodes, weights) of each kernel's rule, built once and read-only
-_FOURIER_RULES = {kernel: _fourier_rule(kernel) for kernel in ("sin", "cos", "j0", "j1")}
-for _table in _FOURIER_RULES.values():
-    for _column in _table:
-        _column.flags.writeable = False
+        nodes, weights = y, dphi * dy * bessel(y)
+    else:
+        # K(M phi) = (-1)^k sin(M (phi - tau_k)) keeps full precision near the
+        # zeros (tau > 0); for tau < 0, M phi is small and K is evaluated directly
+        near_zeros = np.where(k % 2, -1.0, 1.0) * np.sin(m * shift)
+        direct = np.sin(m * phi) if kernel == "sin" else np.cos(m * phi)
+        nodes, weights = m * phi, dphi * np.where(tau < 0, direct, near_zeros)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) -> np.ndarray:
@@ -137,7 +138,7 @@ def _char_integral(kernel: str, power: float, alpha: float, t, r: np.ndarray) ->
     profile, the one caller with t = None, takes its head at radii of 5e-3
     and more.
     """
-    y, w = _FOURIER_RULES[kernel]
+    y, w = _fourier_rule(kernel)
     y_alpha, wy = y ** alpha, w * y ** power
     with np.errstate(over="ignore"):
         tiny = ~(np.isfinite(r ** -alpha * y_alpha[-1]) & np.isfinite(np.pi * r ** (-1.0 - power)))
@@ -200,18 +201,26 @@ def _radial_inversion(alpha, t, dim, r):
     return out
 
 
+# n! for n = 0..60, each rounded once: the power-tail series' 1/Gamma(k + 1)
+# and k's far series' Gamma(k), k = 1..60
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(61)])
+
+
+@functools.cache
 def tail_coefficients(alpha: float, dim: int) -> np.ndarray:
     """Coefficients c_k, k = 1..60, of the power-tail series q_1(u) = sum c_k u^(-d-k*alpha).
 
     Entries with k*alpha/2 a positive integer vanish identically (reciprocal
-    gamma zeros); alpha = 2 has no power tail at all.
+    gamma zeros); alpha = 2 has no power tail at all.  Built once per
+    (alpha, dim) and read-only: k's far series asks for it on every call.
     """
     k = np.arange(1, 61, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         c = (np.pi ** (-dim / 2.0) * (-1.0) ** (k + 1) * k * alpha
              * 2.0 ** (k * alpha - 1.0) * _gamma((dim + k * alpha) / 2.0)
-             * _rgamma(1.0 - k * alpha / 2.0) * _rgamma(k + 1.0))
+             * _rgamma(1.0 - k * alpha / 2.0) / _FACTORIALS[1:])
     c[~np.isfinite(c)] = 0.0
+    c.flags.writeable = False
     return c
 
 

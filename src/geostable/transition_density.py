@@ -29,7 +29,7 @@ from .errors import ConfigError, UnsupportedDimensionError
 from .levy_structure import _polar_integral
 from .process_core import (ProcessSpec, over_radius_power, point_radii, positive_time,
                            radial_args)
-from .stable_kernel import (_DE_H, _FOURIER_RULES, RngStream, _char_integral, _radial_inversion,
+from .stable_kernel import (_DE_H, RngStream, _char_integral, _fourier_rule, _radial_inversion,
                             sample_increment)
 
 # float64 entries of density_mc's working block: 512 KB, so that its passes stay in cache
@@ -276,7 +276,7 @@ class DensityTable:
             "binning_error_bound": (None if self.bin_width is None
                                     else _binning_error_bound(self.bandwidth, self.bin_width)),
             "quadrature_h": _DE_H if inversion else None,
-            "quadrature_nodes": _FOURIER_RULES["cos"][0].size if inversion else None,
+            "quadrature_nodes": _fourier_rule("cos")[0].size if inversion else None,
         }
 
 

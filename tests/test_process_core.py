@@ -10,7 +10,7 @@ from geostable import (ConfigError, ProcessSpec, RecurrenceClass, char_function,
                        classify_recurrence, hartman_wintner_ratio,
                        inversion_integrable, symbol)
 from geostable.levy_structure import large_x_constant
-from geostable.process_core import point_radii
+from geostable.process_core import gamma, point_radii, rgamma
 from geostable.schrodinger_ground import torus_symbol
 from geostable.transition_density import density_gamma_mixture
 
@@ -138,12 +138,14 @@ def _density_table(x_grid, values):
     (lambda: _density_table([0.0, 1.0], [0.1, -0.1]), ValueError, "nonnegative"),
     (lambda: _density_table([1.0, 0.0], [0.1, 0.1]), ValueError, "increasing"),
     (lambda: _asymptotic_report(0.0), ValueError, "positive"),
+    (lambda: _asymptotic_report(math.nan), ValueError, "positive, got nan"),
     (lambda: _ground_state_result(lambda_=0.0), gs.ConsistencyError, "positive"),
     (lambda: _ground_state_result(normalization_check=1.0 + 1e-9), gs.ConsistencyError,
      "constraint"),
     (lambda: _ground_state_result(h=(1.0, -0.1)), gs.ConsistencyError, "not positive"),
 ], ids=["k_table_grid", "k_table_length", "k_table_nan", "k_table_negative",
         "density_table_negative", "density_table_grid", "asymptotic_report_zero_limit",
+        "asymptotic_report_nan_limit",
         "ground_state_lambda", "ground_state_normalization", "ground_state_sign"])
 def test_result_records_refuse_inconsistent_fields(make, error, message):
     with pytest.raises(error, match=message):
@@ -325,3 +327,60 @@ def test_point_radii_square_no_coordinate():
     r, shaped = point_radii(ProcessSpec(1.0, 3), [-1e-300, 0.0, 0.0])
     assert shaped(r) == 1e-300 and type(shaped(r)) is float
     assert point_radii(ProcessSpec(1.0, 1), [[-2.0], [3.0]])[0].tolist() == [2.0, 3.0]
+
+
+# the arguments of the package's Gamma and 1/Gamma arrays: tail_coefficients'
+# (d + k alpha)/2 and 1 - k alpha/2, k = 1..60, over alpha in [0.3, 2] and
+# d = 1..3; 1 - k alpha/2 holds poles
+_K = np.arange(1.0, 61.0)
+_ALPHAS = np.concatenate([np.linspace(0.3, 2.0, 69), [1.0 - 1e-6, 1.0 + 1e-6, 1.9995, 1.99999]])
+_GAMMA_ARGS = np.unique(np.concatenate([(d + _K * a) / 2.0 for a in _ALPHAS for d in (1, 2, 3)]))
+_RGAMMA_ARGS = np.unique(np.concatenate([1.0 - _K * a / 2.0 for a in _ALPHAS]))
+# largest float whose Gamma is finite in scipy; math.gamma's is one float further
+_GAMMA_EDGE = 171.62437695630268
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return np.where(a == b, 0.0, gap)
+
+
+def test_gamma_helpers_agree_with_scipy_on_their_grids():
+    from scipy import special
+    # math.gamma and scipy's Gamma are each within 8 ulp of the true value
+    # here (next test), and differ by up to 11 ulp
+    assert _ulps(gamma(_GAMMA_ARGS), special.gamma(_GAMMA_ARGS)).max() <= 12
+    assert _ulps(rgamma(_RGAMMA_ARGS), special.rgamma(_RGAMMA_ARGS)).max() <= 12
+    poles = _RGAMMA_ARGS[(_RGAMMA_ARGS <= 0) & (_RGAMMA_ARGS == np.round(_RGAMMA_ARGS))]
+    assert poles.size > 50 and not rgamma(poles).any()
+    # poles, the overflow edge and the non-finite arguments take scipy's values
+    special_args = np.array([0.0, -0.0, -1.0, -60.0, _GAMMA_EDGE, 171.62437695630274, 172.0,
+                             1e300, -180.5, np.inf, -np.inf, np.nan])
+    for ours, theirs in ((gamma, special.gamma), (rgamma, special.rgamma)):
+        got, want = ours(special_args), theirs(special_args)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.array_equal(got[~np.isfinite(got)], want[~np.isfinite(want)], equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert _ulps(got, want)[np.isfinite(got)].max() <= 12
+    assert math.isfinite(gamma(_GAMMA_EDGE)) and rgamma(172.0) == 0.0
+
+
+def test_gamma_helpers_are_as_accurate_as_scipy():
+    mpmath = pytest.importorskip("mpmath")
+    from scipy import special
+    mpmath.mp.prec = 160
+    true_g = np.array([float(mpmath.gamma(v)) for v in _GAMMA_ARGS.tolist()])
+    ours, scipys = _ulps(gamma(_GAMMA_ARGS), true_g), _ulps(special.gamma(_GAMMA_ARGS), true_g)
+    assert ours.max() <= 6 and ours.max() <= scipys.max()
+    true_r = np.array([float(mpmath.rgamma(v)) for v in _RGAMMA_ARGS.tolist()])
+    ours, scipys = _ulps(rgamma(_RGAMMA_ARGS), true_r), _ulps(special.rgamma(_RGAMMA_ARGS), true_r)
+    assert ours.max() <= 7 and ours.max() <= scipys.max()
+
+
+def test_gamma_helpers_keep_shapes():
+    assert type(gamma(1.5)) is float and type(rgamma(np.float64(3.0))) is float
+    assert gamma(np.array(4.0)) == 6.0 and rgamma(np.array(4.0)) == 1.0 / 6.0
+    np.testing.assert_array_equal(gamma([[1.0, 2.0, 3.0]]), [[1.0, 1.0, 2.0]])
+    assert rgamma(np.empty((0, 2))).shape == (0, 2)

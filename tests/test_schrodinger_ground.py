@@ -332,6 +332,65 @@ def test_ground_state_mean_term_saves_cg_steps():
     assert res.cg_iterations <= 85, (res.iterations, res.cg_iterations)
 
 
+def _steps_beside_scipy(monkeypatch, problem):
+    """Solve with every inner CG run by scipy.sparse.linalg.cg too; each must match it
+    iterate for iterate, bit for bit.  Returns the solves' step counts."""
+    from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
+    own_cg = schrodinger_ground.cg
+    steps = []
+
+    def both(matvec, b, *, atol, maxiter, M, callback=None):
+        ours, theirs = [], []
+        x, info = own_cg(matvec, b, atol=atol, maxiter=maxiter, M=M,
+                         callback=lambda xk: ours.append(xk.copy()))
+        op = lambda f: LinearOperator((b.size, b.size), matvec=f, dtype=float)  # noqa: E731
+        y, scipy_info = scipy_cg(op(matvec), b, rtol=0.0, atol=atol, maxiter=maxiter, M=op(M),
+                                 callback=lambda xk: theirs.append(xk.copy()))
+        assert (info, len(ours)) == (scipy_info, len(theirs))
+        assert all(np.array_equal(a, c) for a, c in zip(ours, theirs))
+        assert np.array_equal(x, y)
+        steps.append(len(ours))
+        for xk in ours:
+            callback(xk)
+        return x, info
+
+    monkeypatch.setattr(schrodinger_ground, "cg", both)
+    res = solve_ground_state(problem, tol=1e-10)
+    assert res.residual < 1e-10 and sum(steps) == res.cg_iterations
+    return steps
+
+
+def test_cg_takes_scipys_iterates_on_the_reference_problem(monkeypatch):
+    # mu_plus's 17 nodes are held exactly: one step a solve
+    steps = _steps_beside_scipy(monkeypatch, reference_problem())
+    assert steps == [1] * len(steps)
+
+
+def test_cg_takes_scipys_iterates_under_a_gaussian_mu_plus(monkeypatch):
+    # 257 nodes of mu_plus, r = 64 held exactly: the solves take several steps
+    dom = GridDomain(32.0, 1024)
+    problem = SchrodingerProblem(ProcessSpec(1.5, 1), dom, _bump(dom, "gaussian", 0.0, 1.0, 0.5),
+                                 MeasureOnGrid.from_profile(dom, "indicator", half_width=2.0))
+    assert np.count_nonzero(problem.mu_plus.weights) == 257
+    assert max(_steps_beside_scipy(monkeypatch, problem)) > 1
+
+
+def test_cg_out_of_steps_matches_scipy():
+    from scipy.sparse.linalg import cg as scipy_cg
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((40, 40))
+    a = q @ q.T + 40.0 * np.eye(40)
+    b = rng.standard_normal(40)
+    inv_diag = 1.0 / np.diag(a)
+    x, info = schrodinger_ground.cg(lambda v: a @ v, b, atol=1e-14, maxiter=3,
+                                    M=lambda v: inv_diag * v)
+    y, scipy_info = scipy_cg(a, b, rtol=0.0, atol=1e-14, maxiter=3, M=np.diag(inv_diag))
+    assert info == scipy_info == 3
+    np.testing.assert_allclose(x, y, rtol=1e-13)
+    assert schrodinger_ground.cg(lambda v: a @ v, np.zeros(40), atol=0.0, maxiter=3,
+                                 M=lambda v: v)[1] == 0
+
+
 def test_ground_state_out_of_iterations_reports_its_residual():
     with pytest.raises(ConvergenceError, match="did not reach tol=1e-10 in 1 iterations") as err:
         solve_ground_state(reference_problem(), max_iter=1)
